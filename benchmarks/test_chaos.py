@@ -4,8 +4,8 @@ Regenerates ``benchmarks/results/chaos.txt`` (and ``BENCH_chaos.json``
 at the repo root) and checks, on the mixed-fault sweep:
 
 * the degradation ladder holds the line — at the 5% mixed fault rate
-  the service rate stays within 10% of the fault-free run on both the
-  thread and process shard backends;
+  the service rate stays within 10% of the fault-free run on the
+  process shard backend;
 * every cell accounts for every request (assigned + rejected ==
   requests): faults degrade service, they never lose riders;
 * the ladder actually ran — faults were injected, retries happened,
@@ -25,7 +25,7 @@ def test_chaos(benchmark, run_and_save):
     table = benchmark.pedantic(
         run_and_save, args=("chaos",), iterations=1, rounds=1
     )
-    assert {row[0] for row in table.rows} == {"thread", "process", "serial"}
+    assert {row[0] for row in table.rows} == {"process", "serial"}
 
     doc_path = os.path.join(REPO_ROOT, "BENCH_chaos.json")
     assert os.path.exists(doc_path)
@@ -35,10 +35,9 @@ def test_chaos(benchmark, run_and_save):
     gate = f"{doc['workload']['gate_rate']:g}"
 
     # Headline gate: 5%-fault service within 10% of fault-free.
-    for backend in ("thread", "process"):
-        fault_free = runs[backend]["0"]["service_rate"]
-        at_gate = runs[backend][gate]["service_rate"]
-        assert at_gate >= 0.9 * fault_free, (backend, at_gate, fault_free)
+    fault_free = runs["process"]["0"]["service_rate"]
+    at_gate = runs["process"][gate]["service_rate"]
+    assert at_gate >= 0.9 * fault_free, (at_gate, fault_free)
 
     # No cell, at any intensity, loses a request or breaks a guarantee.
     for backend, cells in runs.items():

@@ -7,7 +7,7 @@ Regenerates ``benchmarks/results/sharded_dispatch.txt`` (and
   pairs exactly — the bit-identical fallback;
 * per-flush solve wall time improves with shard count on the large
   synthetic flush (serial backend, so the win is the O(n^3) -> k
-  blocks work cut, not thread scheduling luck).
+  blocks work cut, not worker scheduling luck).
 """
 
 import json

@@ -9,7 +9,7 @@ per-shard metrics (shard sizes, in-worker solve times, boundary
 conflicts) the report exposes.
 
 Run:  python examples/sharded_dispatch.py [--vehicles N] [--hours H]
-      [--shards K] [--backend serial|thread|process]
+      [--shards K] [--backend serial|process]
 """
 
 import argparse
@@ -30,8 +30,8 @@ def main() -> None:
     parser.add_argument("--window", type=float, default=15.0)
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument(
-        "--backend", default="thread",
-        choices=("serial", "thread", "process"),
+        "--backend", default="process",
+        choices=("serial", "process"),
     )
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()

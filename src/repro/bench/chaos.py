@@ -2,8 +2,8 @@
 
 Runs one workload through the hardened flush pipeline at increasing
 mixed-fault intensities — quote-task crashes and delays, shard-solve
-crashes, worker-pool deaths — on the thread and process shard backends,
-plus a serial determinism pair at the headline intensity. The document
+crashes, worker-pool deaths — on the process shard backend, plus a
+serial determinism pair at the headline intensity. The document
 the numbers make: the degradation ladder (retry → fault-carry → serial
 shard rescue → one-flush greedy downgrade) turns faults into bounded
 service-rate loss instead of crashes or lost requests.
@@ -14,8 +14,8 @@ recreations, failed quote columns, serial shard rescues, degraded
 flushes, fault-rescued carries) and an ``accounting_ok`` bit — every
 request assigned or rejected, none silently lost. ``benchmarks/
 test_chaos.py`` gates the headline claims: the 5%-fault service rate
-stays within 10% of fault-free on both backends, accounting holds in
-every cell, and the serial 5% cell reruns bit-identically
+stays within 10% of fault-free on the process backend, accounting holds
+in every cell, and the serial 5% cell reruns bit-identically
 (determinism contract 10).
 
 Run from the shell::
@@ -128,7 +128,7 @@ def run_chaos_bench(
     num_trips: int = 150,
     duration_s: float = 1500.0,
     batch_window_s: float = 5.0,
-    backends: tuple[str, ...] = ("thread", "process"),
+    backends: tuple[str, ...] = ("process",),
     fault_rates: tuple[float, ...] = FAULT_RATES,
     flush_deadline_s: float = 2.0,
     engine_kind: str = "matrix",

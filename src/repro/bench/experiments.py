@@ -672,10 +672,9 @@ def chaos() -> ExperimentTable:
     PRs have a degradation trajectory to compare against. The headline
     claims: at a 5% mixed fault rate (quote crashes/delays, shard
     crashes, pool deaths) the degradation ladder holds the service rate
-    within 10% of the fault-free run on both the thread and process
-    backends, every cell accounts for every request (assigned or
-    rejected, none lost), and the serial cell replays bit-identically
-    (determinism contract 10).
+    within 10% of the fault-free run on the process backend, every cell
+    accounts for every request (assigned or rejected, none lost), and
+    the serial cell replays bit-identically (determinism contract 10).
     """
     from repro.bench.chaos import GATE_RATE, run_chaos_bench
 

@@ -15,8 +15,8 @@ Two properties are recorded per run and gated by
   fallback);
 * per-flush solve wall time improves with shard count: the Hungarian
   solve is O(n^3), so k balanced shards cut solve work ~k^2-fold before
-  any parallelism — the serial backend already shows the win, thread /
-  process backends stack concurrency on top.
+  any parallelism — the serial backend already shows the win; the
+  process backend only adds concurrency on top.
 
 Run from the shell::
 
@@ -104,11 +104,11 @@ def build_flush(
     return matrix, grid, coords
 
 
-def _time_sharded(keys, plan, backend: str, repeats: int, **executor_kwargs):
+def _time_sharded(keys, plan, backend: str, repeats: int):
     """Best-of-``repeats`` sharded solve; returns (seconds, outcome)."""
     best = float("inf")
     outcome = None
-    with ShardExecutor(backend, **executor_kwargs) as executor:
+    with ShardExecutor(backend) as executor:
         if backend != "serial":
             # Pool spin-up is amortized across a simulation's thousands
             # of flushes; warm it before timing one.
@@ -120,25 +120,10 @@ def _time_sharded(keys, plan, backend: str, repeats: int, **executor_kwargs):
     return best, outcome
 
 
-#: The zero-copy vs pickle A/B grid on the process backend
-#: (:mod:`repro.dispatch.sharding.shm`): the plain ``process`` rows are
-#: the pickle baseline; these modes layer the shared-memory arena, the
-#: persistent worker group, and both together. Gated by
-#: ``benchmarks/test_shard_scaling.py``.
-ZERO_COPY_MODES = {
-    "process+zero_copy": {"zero_copy": True},
-    "process+persistent": {"persistent_workers": True},
-    "process+zero_copy+persistent": {
-        "zero_copy": True,
-        "persistent_workers": True,
-    },
-}
-
-
 def run_shard_bench(
     out_path: str | None = DEFAULT_OUT,
     shard_counts=(1, 2, 4, 8),
-    backends=("serial", "thread", "process"),
+    backends=("serial", "process"),
     repeats: int = 5,
     **flush_kwargs,
 ) -> dict:
@@ -155,16 +140,16 @@ def run_shard_bench(
     runs: dict[str, dict[str, dict]] = {}
     serial_baseline = None
 
-    def measure(label: str, backend: str, **executor_kwargs):
-        runs[label] = {}
+    for backend in backends:
+        runs[backend] = {}
         for count in shard_counts:
             plan = ShardPartitioner(count).plan(
                 matrix, grid_index=grid, coords=coords
             )
-            seconds, outcome = _time_sharded(
-                keys, plan, backend, repeats, **executor_kwargs
-            )
-            runs[label][str(count)] = {
+            seconds, outcome = _time_sharded(keys, plan, backend, repeats)
+            if backend == "serial" and count == 1:
+                serial_baseline = seconds
+            runs[backend][str(count)] = {
                 "per_flush_seconds": seconds,
                 "num_shards_solved": outcome.num_shards,
                 "shard_sizes": outcome.shard_sizes,
@@ -172,28 +157,13 @@ def run_shard_bench(
                 "pairs_matched": len(outcome.pairs),
                 "matches_global": outcome.pairs == global_pairs,
             }
-
-    for backend in backends:
-        measure(backend, backend)
-        if backend == "serial":
-            serial_baseline = runs["serial"][str(shard_counts[0])][
-                "per_flush_seconds"
-            ] if shard_counts[0] == 1 else None
-    if "process" in backends:
-        # Zero-copy vs pickle A/B: same flush, same plans, same process
-        # backend — only the matrix transport and worker lifetime vary.
-        for label, executor_kwargs in ZERO_COPY_MODES.items():
-            measure(label, "process", **executor_kwargs)
-    for cells in runs.values():
-        for cell in cells.values():
-            seconds = cell["per_flush_seconds"]
-            if serial_baseline:
+    if serial_baseline:
+        for cells in runs.values():
+            for cell in cells.values():
+                seconds = cell["per_flush_seconds"]
                 cell["speedup_vs_serial_1"] = (
                     serial_baseline / seconds if seconds else 0.0
                 )
-            cell["speedup_vs_global"] = (
-                global_seconds / seconds if seconds else 0.0
-            )
 
     # The effective flush parameters, derived from build_flush's own
     # signature so the recorded workload can never drift from the one
@@ -267,14 +237,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fast",
         action="store_true",
-        help="CI smoke mode: smaller flush, serial+thread only",
+        help="CI smoke mode: smaller flush, serial backend only",
     )
     args = parser.parse_args(argv)
     if args.fast:
         result = run_shard_bench(
             out_path=args.out,
             shard_counts=(1, 2, 4),
-            backends=("serial", "thread"),
+            backends=("serial",),
             repeats=2,
             grid_side=20,
             num_vehicles=70,

@@ -187,11 +187,8 @@ def assemble_matrix(
     request x vehicle :class:`CostMatrix` the assignment policies solve
     over, snapping keys to the :data:`KEY_EPSILON` grid."""
     m, n = plan.shape
-    # Explicitly C-contiguous float64: the zero-copy shard fan-out
-    # (repro.dispatch.sharding.shm) publishes row-sliced views of this
-    # matrix straight into a shared-memory arena, so the key layout must
-    # stay arena-allocatable — a dtype or order change here would force
-    # a copy back into every flush.
+    # C-contiguous float64, spelled out: the Hungarian solvers scan the
+    # keys row by row and the sharded solve gathers row blocks from them.
     keys = np.full((m, n), np.inf, dtype=np.float64, order="C")
     quotes: list[list[Quote | None]] = [[None] * n for _ in range(m)]
     timings: list[list[tuple[int, float] | None]] = [

@@ -481,8 +481,6 @@ class ShardedPolicy(_AssignmentRoundsPolicy):
         max_workers: int | None = None,
         injector=NULL_INJECTOR,
         retry=None,
-        zero_copy: bool = False,
-        persistent_workers: bool = False,
     ):
         from repro.dispatch.sharding import ShardExecutor, ShardPartitioner
 
@@ -495,8 +493,6 @@ class ShardedPolicy(_AssignmentRoundsPolicy):
             max_workers=max_workers,
             injector=injector,
             retry=retry,
-            zero_copy=zero_copy,
-            persistent_workers=persistent_workers,
         )
 
     def __repr__(self) -> str:
@@ -524,7 +520,7 @@ class ShardedPolicy(_AssignmentRoundsPolicy):
         return outcome.pairs, outcome
 
     def close(self) -> None:
-        """Release the executor's worker pool (thread/process backends)."""
+        """Release the executor's worker pool (process backend)."""
         self.executor.close()
 
 
@@ -545,19 +541,14 @@ def make_policy(
     shard_backend: str = "serial",
     shard_boundary_cells: int | None = None,
     shard_max_workers: int | None = None,
-    shard_zero_copy: bool = False,
-    shard_persistent_workers: bool = False,
     injector=NULL_INJECTOR,
     retry=None,
 ) -> DispatchPolicy:
     """Instantiate a policy by registry name.
 
     ``assignment_rounds`` only applies to ``iterative``; the ``shard_*``
-    keywords only to ``sharded`` (``shard_zero_copy`` /
-    ``shard_persistent_workers`` further only bite on the process
-    backend — serial/thread have no process boundary and stay
-    bit-identical with the flags set). ``injector`` / ``retry`` thread
-    the fault-tolerance layer into the policy's quote service and (for
+    keywords only to ``sharded``. ``injector`` / ``retry`` thread the
+    fault-tolerance layer into the policy's quote service and (for
     ``sharded``) shard executor; ``greedy`` runs unhardened by design —
     it is the ladder's last rung and must stay fault-immune.
     """
@@ -580,8 +571,6 @@ def make_policy(
             max_workers=shard_max_workers,
             injector=injector,
             retry=retry,
-            zero_copy=shard_zero_copy,
-            persistent_workers=shard_persistent_workers,
         )
     if cls is GreedyPolicy:
         return GreedyPolicy()

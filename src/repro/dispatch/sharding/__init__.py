@@ -12,9 +12,9 @@ iterative decomposition):
    finite columns of its rows (optionally halo-limited by
    ``boundary_cells``);
 2. the per-shard key submatrices are solved concurrently through a
-   :class:`ShardExecutor` (``serial`` / ``thread`` / ``process``
-   backends) — only numpy arrays cross the worker boundary, quoting
-   stays in the parent on the batched ``quote_batch`` plane;
+   :class:`ShardExecutor` (``serial`` or ``process`` backend) — only
+   numpy arrays cross the worker boundary, quoting stays in the parent
+   on the batched ``quote_batch`` plane;
 3. :class:`BoundaryReconciler` resolves vehicles claimed by several
    shards with one deterministic second-stage assignment over the
    conflict set, so no request is double-assigned and no feasible
@@ -25,19 +25,16 @@ is bit-identical to the unsharded ``lap`` policy; splitting into ``k``
 shards cuts solve work roughly ``k^2``-fold before parallelism even
 starts (O(n^3) on n/k-sized blocks).
 
-The process backend can additionally run **zero-copy**
-(:mod:`repro.dispatch.sharding.shm`): shard matrices are published into
-a double-buffered, generation-stamped ``multiprocessing.shared_memory``
-arena and workers solve numpy *views* of the shared pages, optionally
-on a :class:`PersistentWorkerGroup` whose processes (and cached arena
-attachments) live across flushes instead of per-flush pickled
-submissions. Determinism contract 11 pins the zero-copy path
-bit-identical to the pickled one on every backend and worker count.
+``serial`` is the reference loop; ``process`` is a plain stdlib
+``ProcessPoolExecutor`` with pickled tasks, pinned bit-identical to
+``serial`` at every worker count (determinism contract 3) and hardened
+by the pool-death / retry / serial-rescue ladder of ``docs/robustness.md``.
+At the flush sizes this repo produces (<= 180x200) the sharding win is
+the block decomposition itself, which the serial loop already has.
 
 The subsystem is wired through ``SimulationConfig`` (``num_shards``,
-``shard_backend``, ``shard_boundary_cells``, ``shard_zero_copy``,
-``shard_persistent_workers``), the ``sharded`` dispatch policy, and the
-``sharded_dispatch`` benchmark (``BENCH_shard.json``).
+``shard_backend``, ``shard_boundary_cells``), the ``sharded`` dispatch
+policy, and the ``sharded_dispatch`` benchmark (``BENCH_shard.json``).
 """
 
 from repro.dispatch.sharding.executor import (
@@ -48,30 +45,18 @@ from repro.dispatch.sharding.executor import (
 )
 from repro.dispatch.sharding.partitioner import Shard, ShardPartitioner, ShardPlan
 from repro.dispatch.sharding.reconciler import BoundaryReconciler, ReconcileOutcome
-from repro.dispatch.sharding.shm import (
-    ArenaTicket,
-    PersistentWorkerGroup,
-    SharedMatrixArena,
-    active_segment_names,
-    leaked_segment_files,
-)
 from repro.dispatch.sharding.solver import ShardedSolveOutcome, solve_sharded
 
 __all__ = [
-    "ArenaTicket",
     "BoundaryReconciler",
-    "PersistentWorkerGroup",
     "ReconcileOutcome",
     "SHARD_BACKENDS",
     "Shard",
     "ShardExecutor",
     "ShardPartitioner",
     "ShardPlan",
-    "SharedMatrixArena",
     "ShardedSolveOutcome",
     "WorkerPool",
-    "active_segment_names",
-    "leaked_segment_files",
     "solve_one_shard",
     "solve_sharded",
 ]

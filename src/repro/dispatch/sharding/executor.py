@@ -1,13 +1,10 @@
 """Shard fan-out over ``concurrent.futures`` backends.
 
-Three backends solve the per-shard assignment problems:
+Two backends solve the per-shard assignment problems:
 
 * ``serial`` — a plain loop in the calling thread: zero overhead, and
-  the reference the parallel backends are tested against (with one
+  the reference the parallel backend is tested against (with one
   shard it is bit-identical to today's global solve);
-* ``thread`` — a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-  (the Hungarian solver releases no GIL, but numpy's vectorized inner
-  steps do; useful for overlapping many small shards);
 * ``process`` — a shared :class:`~concurrent.futures.ProcessPoolExecutor`
   for true multi-core solves. Only the numeric key submatrix crosses
   the process boundary — quotes, agents and trees stay in the parent —
@@ -42,14 +39,8 @@ from concurrent.futures import (
 
 import numpy as np
 
-from repro.dispatch.sharding.shm import (
-    PersistentWorkerGroup,
-    SharedMatrixArena,
-    attach_segment,
-    ticket_view,
-)
 from repro.dispatch.solver import solve_assignment
-from repro.exceptions import ArenaAttachError, ShardSolveError
+from repro.exceptions import ShardSolveError
 from repro.faults import (
     DEFAULT_RETRY,
     NULL_INJECTOR,
@@ -60,7 +51,7 @@ from repro.faults import (
 from repro.obs.trace import NULL_TRACER, clock
 
 #: Legal ``shard_backend`` values (also what ``SimulationConfig`` takes).
-SHARD_BACKENDS = ("serial", "thread", "process")
+SHARD_BACKENDS = ("serial", "process")
 
 
 class WorkerPool:
@@ -68,10 +59,10 @@ class WorkerPool:
     backend name.
 
     The shared substrate of the dispatch subsystem's two fan-out planes:
-    :class:`ShardExecutor` (per-shard assignment solves — all three
-    backends) and :class:`~repro.dispatch.quoting.QuoteService` (async
-    per-vehicle quoting — serial/thread only; agents never cross a
-    process boundary). The underlying pool is created on first use and
+    :class:`ShardExecutor` (per-shard assignment solves — serial/process)
+    and :class:`~repro.dispatch.quoting.QuoteService` (async per-vehicle
+    quoting — serial/thread only; agents never cross a process
+    boundary). The underlying pool is created on first use and
     reused across flushes: a simulation performs thousands of flushes
     and pool spin-up dwarfs one unit of work.
 
@@ -85,14 +76,13 @@ class WorkerPool:
     builds a fresh one.
     """
 
-    BACKENDS = SHARD_BACKENDS
+    BACKENDS = ("serial", "thread", "process")
 
     def __init__(
         self,
         backend: str = "serial",
         max_workers: int | None = None,
         injector=NULL_INJECTOR,
-        persistent_workers: bool = False,
     ):
         if backend not in self.BACKENDS:
             known = ", ".join(self.BACKENDS)
@@ -102,15 +92,6 @@ class WorkerPool:
         self.backend = backend
         self.max_workers = max_workers
         self.injector = injector
-        #: Process backend only: replace the per-flush
-        #: ``ProcessPoolExecutor`` payload pipeline with a
-        #: :class:`~repro.dispatch.sharding.shm.PersistentWorkerGroup`
-        #: whose workers (and their arena attachments) live across
-        #: flushes. Ignored on serial/thread, which have no process
-        #: boundary to amortize.
-        self.persistent_workers = (
-            bool(persistent_workers) and backend == "process"
-        )
         self._pool = None
         # In-flight submissions on the real (concurrent) pool — the
         # queue-depth signal the resource monitor samples. Serial and
@@ -129,10 +110,6 @@ class WorkerPool:
         if self._pool is None:
             if self.backend == "thread":
                 self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            elif self.persistent_workers:
-                self._pool = PersistentWorkerGroup(
-                    max_workers=self.max_workers
-                )
             else:
                 self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._pool
@@ -179,68 +156,6 @@ class WorkerPool:
             self._inflight += 1
         future.add_done_callback(self._submission_done)
         return future
-
-    def submit_all(self, calls) -> list[Future]:
-        """Submit ``calls`` (``(fn, args)`` pairs) in order; returns one
-        future per call.
-
-        On a persistent process pool the fault-free calls are dispatched
-        through :meth:`PersistentWorkerGroup.submit_many` — one queue
-        message per worker instead of one per call — which is most of
-        the per-flush IPC cost once matrices ride the shared-memory
-        arena. Every other backend falls back to :meth:`submit` per
-        call. Fault draws (``pool.submit``) happen per call in call
-        order either way, so injection sequences are identical to the
-        unbatched path; a ``pool_death`` flushes the calls already
-        accepted to the dying pool first, exactly as per-call submission
-        would have.
-        """
-        if not (self.backend == "process" and self.persistent_workers):
-            return [self.submit(fn, *args) for fn, args in calls]
-        futures: list[Future | None] = [None] * len(calls)
-        pending: list[tuple[int, tuple]] = []
-
-        def flush_pending() -> None:
-            if not pending:
-                return
-            batch, pending[:] = list(pending), []
-            specs = [(fn, args, {}) for _i, (fn, args) in batch]
-            try:
-                group = self._get_pool()
-                dispatched = group.submit_many(specs)
-            except BrokenExecutor as error:
-                for i, _call in batch:
-                    failed: Future = Future()
-                    failed.set_exception(error)
-                    futures[i] = failed
-                return
-            with self._inflight_lock:
-                self._inflight += len(dispatched)
-            for (i, _call), future in zip(batch, dispatched):
-                future.add_done_callback(self._submission_done)
-                futures[i] = future
-
-        for i, call in enumerate(calls):
-            fault = self.injector.draw("pool.submit")
-            if fault is None:
-                pending.append((i, call))
-                continue
-            future = Future()
-            if fault.kind == "pool_death":
-                # Calls accepted so far rode the pool that just died.
-                flush_pending()
-                self.recreate()
-                future.set_exception(
-                    SimulatedPoolDeathError(fault.site, fault.seq)
-                )
-            else:
-                try:
-                    run_with_fault(fault, False, None, lambda: None)
-                except BaseException as error:  # noqa: BLE001 - mirrored
-                    future.set_exception(error)
-            futures[i] = future
-        flush_pending()
-        return futures
 
     def _submission_done(self, _future: Future) -> None:
         with self._inflight_lock:
@@ -308,33 +223,11 @@ def _solve_shard_task(fault, sleeping, timeout_s, shard_id, keys):
     )
 
 
-def _solve_shard_task_shm(fault, sleeping, timeout_s, shard_id, ticket):
-    """One worker-side shard solve over a zero-copy arena block.
-
-    Only the :class:`~repro.dispatch.sharding.shm.ArenaTicket` — a few
-    ints and a segment name — crossed the process boundary; the keys
-    are read as a view of the shared segment (attach-once cached per
-    worker). The solver never mutates its input, so the view needs no
-    defensive copy. Returns the usual ``(shard_id, pairs, secs)`` plus
-    an attach-stats dict the parent folds into telemetry
-    (``worker.reuse``, ``shm.attach_s``).
-    """
-    handle, reused, attach_s = attach_segment(ticket.segment)
-    keys = ticket_view(handle, ticket)
-    try:
-        sid, pairs, secs = run_with_fault(
-            fault, sleeping, timeout_s, solve_one_shard, shard_id, keys
-        )
-    finally:
-        del keys
-    return sid, pairs, secs, {"reused": reused, "attach_s": attach_s}
-
-
 def _traced_solve_shard_task(
     fault, sleeping, timeout_s, shard_id, keys, tracer, parent
 ):
-    """In-worker traced shard solve (serial/thread backends — a tracer
-    cannot cross the process boundary; see :meth:`ShardExecutor.run`)."""
+    """In-worker traced shard solve (serial backend — a tracer cannot
+    cross the process boundary; see :meth:`ShardExecutor.run`)."""
     t0 = clock()
     result = _solve_shard_task(fault, sleeping, timeout_s, shard_id, keys)
     tracer.emit(
@@ -366,27 +259,15 @@ class ShardExecutor:
         max_workers: int | None = None,
         injector=NULL_INJECTOR,
         retry=None,
-        zero_copy: bool = False,
-        persistent_workers: bool = False,
     ):
         if backend not in SHARD_BACKENDS:
             known = ", ".join(SHARD_BACKENDS)
             raise ValueError(f"shard backend must be one of: {known}")
         self.injector = injector
         self.retry = retry if retry is not None else DEFAULT_RETRY
-        #: Zero-copy fan-out (:mod:`repro.dispatch.sharding.shm`): ship
-        #: shard matrices through a shared-memory arena instead of the
-        #: task pickle. Process backend only — serial/thread workers
-        #: already share the parent's address space, so the flags are
-        #: accepted (grid-testable) but inert there.
-        self.zero_copy = bool(zero_copy) and backend == "process"
         self.pool = WorkerPool(
-            backend,
-            max_workers=max_workers,
-            injector=injector,
-            persistent_workers=persistent_workers,
+            backend, max_workers=max_workers, injector=injector
         )
-        self._arena: SharedMatrixArena | None = None
 
     @property
     def backend(self) -> str:
@@ -418,7 +299,7 @@ class ShardExecutor:
 
         With an enabled ``tracer``, each shard gets a ``shard.solve``
         span parented to the caller's open span (the policy's ``solve``
-        span). Serial/thread backends trace in the worker; the process
+        span). The serial backend traces in the worker; the process
         backend cannot carry a tracer across pickling, so its spans are
         synthesized parent-side from the returned in-worker seconds
         (flagged ``synthetic`` — their end stamps share the join
@@ -426,99 +307,36 @@ class ShardExecutor:
         """
         retry = self.retry
         injector = self.injector
-        registry = getattr(injector, "registry", None)
         traced_inline = tracer.enabled and self.backend != "process"
         parent = tracer.current_id() if traced_inline else None
         sleeping = self.backend != "serial"
         timeout_s = retry.timeout_s
 
-        tickets = None
-        if self.zero_copy and tasks:
-            if self._arena is None:
-                self._arena = SharedMatrixArena()
-            # One publish per flush: every shard block lands side by
-            # side in the current slot, so workers receive tickets —
-            # a few ints — where pickled matrices used to travel.
-            tickets = self._arena.publish([keys for _sid, keys in tasks])
-            if registry is not None:
-                registry.counter("shm.bytes_shared").inc(
-                    self._arena.last_bytes
-                )
-
-        def task_call(sid: int, keys: np.ndarray, ticket) -> tuple:
+        def submit(sid: int, keys: np.ndarray) -> Future:
             fault = injector.draw("shard.solve")
-            if ticket is not None:
-                return (
-                    _solve_shard_task_shm,
-                    (fault, sleeping, timeout_s, sid, ticket),
-                )
             if traced_inline:
-                return (
+                return self.pool.submit(
                     _traced_solve_shard_task,
-                    (fault, sleeping, timeout_s, sid, keys, tracer, parent),
+                    fault, sleeping, timeout_s, sid, keys, tracer, parent,
                 )
-            return (
-                _solve_shard_task,
-                (fault, sleeping, timeout_s, sid, keys),
+            return self.pool.submit(
+                _solve_shard_task, fault, sleeping, timeout_s, sid, keys
             )
 
-        def submit(sid: int, keys: np.ndarray, ticket) -> Future:
-            fn, args = task_call(sid, keys, ticket)
-            return self.pool.submit(fn, *args)
-
-        def ticket_for(index: int):
-            return tickets[index] if tickets is not None else None
-
-        # The initial fan-out goes through submit_all so the persistent
-        # process pool ships one batch message per worker; retries (the
-        # rare path) stay per-task.
-        futures = self.pool.submit_all(
-            [
-                task_call(sid, keys, ticket_for(i))
-                for i, (sid, keys) in enumerate(tasks)
-            ]
-        )
+        futures = [submit(sid, keys) for sid, keys in tasks]
         results: list = []
-        for i, ((sid, keys), future) in enumerate(zip(tasks, futures)):
+        for (sid, keys), future in zip(tasks, futures):
             attempt = 1
             while True:
                 try:
                     if sleeping and timeout_s is not None:
-                        entry = future.result(timeout=timeout_s)
+                        results.append(future.result(timeout=timeout_s))
                     else:
-                        entry = future.result()
-                    if len(entry) == 4:
-                        # Zero-copy task: strip the worker's attach
-                        # stats into telemetry before anything
-                        # downstream sees the standard 3-tuple.
-                        sid_r, pairs, secs, stats = entry
-                        if registry is not None:
-                            if stats["reused"]:
-                                registry.counter("worker.reuse").inc()
-                            registry.histogram("shm.attach_s").add(
-                                stats["attach_s"]
-                            )
-                        entry = (sid_r, pairs, secs)
-                    results.append(entry)
+                        results.append(future.result())
                     break
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as error:
-                    if isinstance(error, ArenaAttachError):
-                        # Not retryable through the fan-out: the ticket
-                        # (or its segment) is gone, and the parent still
-                        # holds the original keys — fail the task so the
-                        # sharded solver's serial-rescue rung solves it
-                        # here instead.
-                        results.append(
-                            TaskFailure(
-                                site="shard.solve",
-                                task_id=sid,
-                                attempts=attempt,
-                                error=ShardSolveError(sid, attempt, error),
-                            )
-                        )
-                        break
                     if isinstance(error, BrokenExecutor):
                         self.pool.recreate()
                     if attempt >= retry.max_attempts:
@@ -536,7 +354,7 @@ class ShardExecutor:
                     backoff = retry.backoff_for(attempt)
                     if sleeping and backoff > 0:
                         time.sleep(backoff)
-                    future = submit(sid, keys, ticket_for(i))
+                    future = submit(sid, keys)
         results.sort(
             key=lambda r: r.task_id if isinstance(r, TaskFailure) else r[0]
         )
@@ -557,13 +375,9 @@ class ShardExecutor:
         return results
 
     def close(self) -> None:
-        """Shut the worker pool down and release the zero-copy arena's
-        shared-memory segments (idempotent; no-op for the serial
-        backend with zero-copy off)."""
+        """Shut the worker pool down (idempotent; no-op for the serial
+        backend)."""
         self.pool.close()
-        arena, self._arena = self._arena, None
-        if arena is not None:
-            arena.close()
 
     def __enter__(self) -> "ShardExecutor":
         return self

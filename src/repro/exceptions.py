@@ -99,20 +99,6 @@ class ShardSolveError(ReproError):
         )
 
 
-class ArenaAttachError(ReproError):
-    """Raised when a worker cannot map a zero-copy shard block from the
-    shared-memory arena (:mod:`repro.dispatch.sharding.shm`): the
-    segment is missing (unlinked or never published), carries no arena
-    header, or the ticket's generation is stale because its slot was
-    republished. The shard executor treats it as non-retryable — the
-    parent still holds the original matrix and re-solves the shard
-    serially (the existing degradation-ladder rescue rung) instead of
-    ever solving stale bytes.
-
-    Message-only by design so it round-trips pickle across the process
-    boundary unchanged."""
-
-
 class FlushDeadlineExceededError(ReproError):
     """Raised when a flush exhausts its deadline budget
     (``flush_deadline_s``): the quote stage stops retrying and the

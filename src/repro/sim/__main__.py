@@ -7,7 +7,7 @@ Run a full ridesharing simulation on a generated city from the shell::
     python -m repro.sim --capacity unlimited --hotspot-theta 40
     python -m repro.sim --dispatch-policy lap --batch-window 15
     python -m repro.sim --dispatch-policy sharded --batch-window 15 \\
-        --shards 4 --shard-backend thread
+        --shards 4 --shard-backend process
     python -m repro.sim --dispatch-policy lap --batch-window 15 \\
         --quote-workers 2 --quote-overlap 10
     python -m repro.sim --dispatch-policy lap --batch-window 10 \\
@@ -138,19 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: no halo, keep every feasible candidate)",
     )
     parser.add_argument(
-        "--shard-zero-copy", action="store_true",
-        help="publish shard matrices into a shared-memory arena so "
-        "process workers solve zero-copy views instead of pickled "
-        "copies (inert on serial/thread backends; bit-identical "
-        "assignments either way)",
-    )
-    parser.add_argument(
-        "--shard-persistent-workers", action="store_true",
-        help="keep process shard workers (and their cached arena "
-        "attachments) alive across flushes instead of per-flush "
-        "pickled pool submissions (inert on serial/thread backends)",
-    )
-    parser.add_argument(
         "--quote-workers", type=int, default=0,
         help="async quote-stage workers (0 = synchronous quoting at the "
         "solve instant, the pre-pipeline order)",
@@ -268,8 +255,6 @@ def main(argv: list[str] | None = None) -> int:
         num_shards=args.shards,
         shard_backend=args.shard_backend,
         shard_boundary_cells=args.shard_boundary_cells,
-        shard_zero_copy=args.shard_zero_copy,
-        shard_persistent_workers=args.shard_persistent_workers,
         quote_workers=args.quote_workers,
         quote_backend=args.quote_backend,
         quote_overlap_s=args.quote_overlap,

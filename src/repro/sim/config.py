@@ -48,25 +48,14 @@ class SimulationConfig:
         The ``"sharded"`` policy federates the lap solve over spatial
         shards (:mod:`repro.dispatch.sharding`).
     num_shards / shard_backend / shard_boundary_cells:
-        Sharded-dispatch knobs (only honored by the ``"sharded"``
-        policy). ``num_shards`` is the target spatial partition count
+        Sharded-dispatch knobs (rejected unless ``dispatch_policy`` is
+        ``"sharded"``). ``num_shards`` is the target spatial partition count
         (1 = global solve, bit-identical to ``"lap"``);
         ``shard_backend`` picks the per-shard solve executor
-        (``"serial"``, ``"thread"`` or ``"process"`` — results are
-        identical across backends); ``shard_boundary_cells`` is the
+        (``"serial"`` or ``"process"`` — results are identical across
+        backends); ``shard_boundary_cells`` is the
         optional candidate-halo width in grid cells (``None`` keeps
         every feasible candidate per shard).
-    shard_zero_copy / shard_persistent_workers:
-        Zero-copy process fan-out (:mod:`repro.dispatch.sharding.shm`).
-        ``shard_zero_copy=True`` publishes each flush's shard matrices
-        into a double-buffered shared-memory arena so process workers
-        solve views instead of pickled copies;
-        ``shard_persistent_workers=True`` keeps the worker processes
-        (and their cached arena attachments) alive across flushes
-        behind the small attach/solve/detach/shutdown task protocol.
-        Both default off and both are inert on the serial/thread
-        backends; assignments are bit-identical with either flag set
-        (determinism contract 11).
     adaptive_window / window_min_s / window_max_s:
         Batch-window autotuning (:mod:`repro.dispatch.adaptive`). With
         ``adaptive_window=True`` the window length is retuned at every
@@ -200,8 +189,6 @@ class SimulationConfig:
     num_shards: int = 1
     shard_backend: str = "serial"
     shard_boundary_cells: int | None = None
-    shard_zero_copy: bool = False
-    shard_persistent_workers: bool = False
     quote_workers: int = 0
     quote_backend: str = "thread"
     quote_overlap_s: float = 0.0
@@ -335,6 +322,16 @@ class SimulationConfig:
             raise ValueError(f"shard_backend must be one of: {known}")
         if self.shard_boundary_cells is not None and self.shard_boundary_cells < 0:
             raise ValueError("shard_boundary_cells must be >= 0 or None")
+        if self.dispatch_policy != "sharded" and (
+            self.num_shards > 1
+            or self.shard_backend != "serial"
+            or self.shard_boundary_cells is not None
+        ):
+            raise ValueError(
+                "num_shards/shard_backend/shard_boundary_cells are the "
+                'sharded-solve knobs and require dispatch_policy="sharded" '
+                f"(got {self.dispatch_policy!r})"
+            )
         if (
             self.dispatch_policy == "sharded"
             and self.num_shards > 1

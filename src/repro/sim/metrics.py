@@ -234,22 +234,9 @@ class SimulationReport:
         "dropoff.count",
         "dropoff.detour_violation",
     )
-    #: Zero-copy shard fan-out counters (``docs/architecture.md``):
-    #: payload bytes published into the shared-memory arena per flush
-    #: and worker-side attach-cache hits. Pre-registered likewise (the
-    #: companion ``shm.attach_s`` histogram appears on first
-    #: observation, as histograms do).
-    SHM_COUNTERS = (
-        "shm.bytes_shared",
-        "worker.reuse",
-    )
 
     def __post_init__(self):
-        for name in (
-            self.DOCUMENTED_COUNTERS
-            + self.SERVICE_COUNTERS
-            + self.SHM_COUNTERS
-        ):
+        for name in self.DOCUMENTED_COUNTERS + self.SERVICE_COUNTERS:
             self.registry.counter(name)
 
     @property

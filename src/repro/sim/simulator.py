@@ -149,8 +149,6 @@ class Simulation:
                 num_shards=config.num_shards,
                 shard_backend=config.shard_backend,
                 shard_boundary_cells=config.shard_boundary_cells,
-                shard_zero_copy=config.shard_zero_copy,
-                shard_persistent_workers=config.shard_persistent_workers,
                 injector=self.fault_injector,
                 retry=self.retry_policy,
             ),
@@ -212,15 +210,37 @@ class Simulation:
 
     def run(self) -> SimulationReport:
         """Process every event; returns the aggregated report."""
+        started = clock()
         engine_faults = self._install_engine_faults()
         try:
-            return self._run()
+            self._run_events()
         finally:
             if engine_faults:
                 del self.engine.distance_many
+            # The quote service and the sharded policy own worker
+            # pools; release them however the run ended — an exception
+            # must not strand worker processes until GC.
+            self.quote_service.close()
+            policy_close = getattr(self.batch_dispatcher.policy, "close", None)
+            if policy_close is not None:
+                policy_close()
+        self.report.wall_seconds = clock() - started
+        self.report.extra["engine_stats"] = getattr(
+            self.engine, "stats", lambda: {}
+        )()
+        if self.grid_index is not None:
+            self.report.extra["grid_stats"] = self.grid_index.stats()
+        if self.config.trace_out:
+            write_chrome_trace(self.tracer.records(), self.config.trace_out)
+        if self.config.metrics_out:
+            write_metrics_json(
+                self.report.registry,
+                self.config.metrics_out,
+                extra=self.report.summary(),
+            )
+        return self.report
 
-    def _run(self) -> SimulationReport:
-        started = clock()
+    def _run_events(self) -> None:
         queue = EventQueue()
         for spec in self.trips:
             queue.push(Event(spec.request_time, EventKind.REQUEST_ARRIVAL, spec))
@@ -289,28 +309,6 @@ class Simulation:
                 "windows": len(live.recorder.rows),
                 "path": self.config.timeseries_out,
             }
-        self.quote_service.close()
-        # The sharded policy owns worker processes and (zero-copy)
-        # shared-memory segments; release both at the end of the run —
-        # GC-time __del__ teardown stays as the backstop, not the plan.
-        policy_close = getattr(self.batch_dispatcher.policy, "close", None)
-        if policy_close is not None:
-            policy_close()
-        self.report.wall_seconds = clock() - started
-        self.report.extra["engine_stats"] = getattr(
-            self.engine, "stats", lambda: {}
-        )()
-        if self.grid_index is not None:
-            self.report.extra["grid_stats"] = self.grid_index.stats()
-        if self.config.trace_out:
-            write_chrome_trace(self.tracer.records(), self.config.trace_out)
-        if self.config.metrics_out:
-            write_metrics_json(
-                self.report.registry,
-                self.config.metrics_out,
-                extra=self.report.summary(),
-            )
-        return self.report
 
     # ------------------------------------------------------------------
     def _handle_request(self, spec: TripSpec, now: float, queue: EventQueue) -> None:

@@ -1,42 +1,13 @@
-"""Shared test fixtures: small deterministic cities, request factories,
-and the suite-wide shared-memory leak invariant."""
+"""Shared test fixtures: small deterministic cities and request factories."""
 
 import numpy as np
 import pytest
 
 from repro.core.request import TripRequest
-from repro.dispatch.sharding.shm import (
-    active_segment_names,
-    leaked_segment_files,
-)
 from repro.roadnet.engine import DijkstraEngine
 from repro.roadnet.generators import grid_city
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.matrix import MatrixEngine
-
-
-@pytest.fixture(autouse=True)
-def assert_no_leaked_segments():
-    """Every test must release every shared-memory segment it created.
-
-    Snapshots the arena registry and the ``/dev/shm`` listing before the
-    test and fails if either grew afterwards — the lifecycle invariant of
-    :mod:`repro.dispatch.sharding.shm` (segments are closed *and*
-    unlinked on executor close, pool death, and crash teardown). Autouse
-    so a leak introduced anywhere in the suite is pinned to the exact
-    test that caused it rather than surfacing as CI /dev/shm residue.
-    """
-    before_registry = set(active_segment_names())
-    before_files = set(leaked_segment_files())
-    yield
-    new_registry = set(active_segment_names()) - before_registry
-    new_files = set(leaked_segment_files()) - before_files
-    assert not new_registry, (
-        f"test leaked arena segments (registry): {sorted(new_registry)}"
-    )
-    assert not new_files, (
-        f"test leaked shared-memory files in /dev/shm: {sorted(new_files)}"
-    )
 
 
 @pytest.fixture(scope="session")

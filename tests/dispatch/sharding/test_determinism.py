@@ -1,13 +1,15 @@
 """Sharded dispatch determinism guarantees.
 
-Three pins:
+Four pins:
 
 * ``sharded`` with ``num_shards=1`` (serial backend) is byte-identical
   to the unsharded global ``lap`` solve on every deterministic metric;
-* for a fixed seed, assignments are identical across the ``serial``,
-  ``thread`` and ``process`` backends;
-* worker count never changes the result (completion order is sorted
-  away before reconciliation).
+* for a fixed seed, assignments are identical across the ``serial``
+  and ``process`` backends;
+* worker count and a mid-run pool recreation never change the result
+  (completion order is sorted away before reconciliation);
+* injected shard-solve crashes — retried on the pool, or exhausted into
+  the parent's serial rescue — never change the result either.
 """
 
 import numpy as np
@@ -18,7 +20,9 @@ from repro.dispatch.sharding import (
     ShardPartitioner,
     solve_sharded,
 )
+from repro.dispatch.sharding.partitioner import Shard, ShardPlan
 from repro.dispatch.solver import solve_assignment
+from repro.faults import FaultInjector, RetryPolicy, parse_fault_spec
 from repro.roadnet.generators import grid_city
 from repro.roadnet.matrix import MatrixEngine
 from repro.sim.config import SimulationConfig
@@ -79,7 +83,7 @@ def test_one_shard_serial_equals_global_lap(scenario):
     assert int(sharded.boundary_conflicts.total) == 0
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_backends_agree_with_serial(scenario, backend):
     serial = _run(scenario, "sharded", num_shards=3)
     other = _run(
@@ -109,13 +113,12 @@ def _random_keys(seed, m=40, n=30, infeasible=0.4):
     return keys
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_worker_count_never_changes_pairs(backend, workers):
+@pytest.fixture(scope="module")
+def four_shards():
+    """``(keys, plan, serial outcome)``: a hand-rolled 4-shard row-split
+    plan over a raw matrix (no grid needed) and the serial-backend
+    reference every process-backend cell must reproduce."""
     keys = _random_keys(21)
-    # A hand-rolled 4-shard plan over the raw matrix (no grid needed).
-    from repro.dispatch.sharding.partitioner import Shard, ShardPlan
-
     rows = np.array_split(np.arange(keys.shape[0]), 4)
     plan = ShardPlan(
         shards=[
@@ -125,12 +128,59 @@ def test_worker_count_never_changes_pairs(backend, workers):
         num_shards_requested=4,
     )
     with ShardExecutor("serial") as serial_ex:
-        reference = solve_sharded(keys, plan, serial_ex)
+        return keys, plan, solve_sharded(keys, plan, serial_ex)
+
+
+@pytest.mark.parametrize("backend", ["process"])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_worker_count_never_changes_pairs(four_shards, backend, workers):
+    keys, plan, reference = four_shards
     with ShardExecutor(backend, max_workers=workers) as ex:
         outcome = solve_sharded(keys, plan, ex)
+        # Dropping and lazily rebuilding the pool between flushes (the
+        # degradation ladder's recovery move) must be invisible.
+        ex.pool.recreate()
+        recreated = solve_sharded(keys, plan, ex)
     assert outcome.pairs == reference.pairs
     assert outcome.boundary_conflicts == reference.boundary_conflicts
     assert outcome.shard_sizes == reference.shard_sizes
+    assert recreated.pairs == reference.pairs
+
+
+@pytest.mark.parametrize(
+    "spec,max_attempts,rescues",
+    [("shard.solve:crash:@1", 3, 0), ("shard.solve:crash:%1", 2, 4)],
+    ids=["retried_on_pool", "serial_rescue"],
+)
+def test_injected_crashes_never_change_pairs(
+    four_shards, spec, max_attempts, rescues
+):
+    """A one-shot in-worker crash is retried on the process pool; a
+    shard whose every attempt crashes is re-solved serially in the
+    parent. Either way the pairs equal the fault-free serial ones."""
+    keys, plan, reference = four_shards
+    with ShardExecutor(
+        "process",
+        max_workers=2,
+        injector=FaultInjector(parse_fault_spec(spec), seed=0),
+        retry=RetryPolicy(
+            max_attempts=max_attempts, backoff_s=0.0, backoff_cap_s=0.0
+        ),
+    ) as ex:
+        outcome = solve_sharded(keys, plan, ex)
+    assert outcome.pairs == reference.pairs
+    assert outcome.serial_rescues == rescues
+
+
+def test_thread_shard_backend_is_rejected():
+    """``thread`` is a quote-service backend only: the shard executor
+    and the config name the two shard backends that exist."""
+    with pytest.raises(ValueError, match="serial, process"):
+        ShardExecutor("thread")
+    with pytest.raises(ValueError, match="serial, process"):
+        SimulationConfig(
+            dispatch_policy="sharded", shard_backend="thread"
+        )
 
 
 def test_sharded_without_grid_index_is_rejected_by_config():

@@ -194,12 +194,12 @@ def test_make_policy_registry():
     iterative = make_policy("iterative", assignment_rounds=5)
     assert isinstance(iterative, IterativePolicy) and iterative.rounds == 5
     sharded = make_policy(
-        "sharded", num_shards=4, shard_backend="thread",
+        "sharded", num_shards=4, shard_backend="process",
         shard_boundary_cells=2,
     )
     assert sharded.partitioner.num_shards == 4
     assert sharded.partitioner.boundary_cells == 2
-    assert sharded.executor.backend == "thread"
+    assert sharded.executor.backend == "process"
     sharded.close()
     with pytest.raises(ValueError, match="unknown dispatch policy"):
         make_policy("simulated_annealing")

@@ -150,7 +150,7 @@ def test_injected_pool_death_takes_the_recovery_path():
         registry=registry,
     )
     executor = ShardExecutor(
-        "thread",
+        "process",
         max_workers=1,
         injector=injector,
         retry=RetryPolicy(max_attempts=3, backoff_s=0.0, backoff_cap_s=0.0),
@@ -168,7 +168,7 @@ def test_injected_pool_death_takes_the_recovery_path():
 # ----------------------------------------------------------------------
 # Retry exhaustion -> TaskFailure
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_persistent_crash_becomes_task_failure(backend):
     """A shard whose every attempt crashes comes back as a structured
     TaskFailure wrapping ShardSolveError — never an escaped exception,

@@ -59,27 +59,3 @@ def test_observability_doc_names_the_service_counters():
             f"docs/observability.md does not document the {name} counter"
         )
 
-
-def test_shm_counters_are_pre_registered_and_exported():
-    """The zero-copy plane's counters (``shm.bytes_shared``,
-    ``worker.reuse``) are part of the observable surface like the
-    robustness ones: present at zero in a fresh registry and in the
-    Prometheus exposition, so a dashboard can tell "zero-copy off" from
-    "metric missing"."""
-    report = SimulationReport()
-    counters = report.registry.snapshot()["counters"]
-    lines = set(prom_text_lines(report.registry))
-    for name in SimulationReport.SHM_COUNTERS:
-        assert name in counters and counters[name] == 0
-        assert f"{_prom_name(name)}_total 0" in lines
-
-
-def test_architecture_doc_names_the_shm_telemetry():
-    with open(
-        os.path.join(DOCS, "architecture.md"), encoding="utf-8"
-    ) as handle:
-        text = handle.read()
-    for name in SimulationReport.SHM_COUNTERS + ("shm.attach_s",):
-        assert f"`{name}`" in text, (
-            f"docs/architecture.md does not document {name}"
-        )

@@ -20,6 +20,7 @@ contract 10):
 
 import pytest
 
+from repro.exceptions import TreeBudgetExceeded
 from repro.roadnet.generators import grid_city
 from repro.roadnet.matrix import MatrixEngine
 from repro.sim.config import SimulationConfig
@@ -101,10 +102,10 @@ def test_no_plan_and_unfireable_plan_are_bit_identical(scenario):
     assert armed.summary()["faults_injected"] == 0
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_empty_plan_identical_across_shard_backends(scenario, backend):
     """Contract 10 on the sharded pipeline: the hardened executor with
-    no plan is bit-identical across serial/thread/process backends."""
+    no plan is bit-identical across the serial and process backends."""
     reference = _deterministic_state(
         _run(scenario, dispatch_policy="sharded", num_shards=2)
     )
@@ -244,6 +245,35 @@ def test_no_deadline_means_no_degradation(scenario):
 
 
 # ----------------------------------------------------------------------
+# A run that raises releases its worker pools
+# ----------------------------------------------------------------------
+def test_a_run_that_raises_leaves_no_live_worker_pool(scenario):
+    """An exception out of the event loop (here a blown tree-expansion
+    budget) must still shut the shard pool and the quote pool down —
+    worker processes may not wait for GC."""
+    _, engine, trips = scenario
+    sim = Simulation(
+        engine,
+        SimulationConfig(
+            num_vehicles=8,
+            seed=3,
+            dispatch_policy="sharded",
+            num_shards=2,
+            shard_backend="process",
+            batch_window_s=10.0,
+            quote_workers=2,
+            quote_overlap_s=5.0,
+            tree_expansion_budget=3,
+        ),
+        trips,
+    )
+    with pytest.raises(TreeBudgetExceeded):
+        sim.run()
+    assert sim.batch_dispatcher.policy.executor.pool._pool is None
+    assert sim.quote_service._pool is None
+
+
+# ----------------------------------------------------------------------
 # Chaos soak: >= 1000 flushes of mixed faults on the process backend
 # ----------------------------------------------------------------------
 SOAK_PARAMS = dict(
@@ -259,19 +289,6 @@ SOAK_PARAMS = dict(
     task_retries=1,
 )
 
-#: The two transport cells of the soak: the pickle baseline and the
-#: zero-copy arena + persistent worker group (whose shared segments and
-#: long-lived workers see every rung of the ladder fire over >= 1000
-#: flushes — the hardest lifecycle workout in the suite).
-SOAK_TRANSPORTS = {
-    "pickle": {},
-    "zero_copy+persistent": {
-        "shard_zero_copy": True,
-        "shard_persistent_workers": True,
-    },
-}
-
-
 @pytest.fixture(scope="module")
 def soak_scenario():
     city = grid_city(12, 12, seed=5)
@@ -283,21 +300,13 @@ def soak_scenario():
     return engine, trips, reference
 
 
-@pytest.mark.parametrize("transport", sorted(SOAK_TRANSPORTS))
-def test_chaos_soak_process_backend_loses_nothing(soak_scenario, transport):
+def test_chaos_soak_process_backend_loses_nothing(soak_scenario):
     """The acceptance soak: a long simulation under a 5% mixed fault
     plan — quote crashes and delays, shard crashes, pool deaths — on the
     process shard backend, with carry-over and a flush deadline armed.
     It must complete, drive >= 1000 flushes, and account for every
     request: assigned or rejected (expiry settles as rejection), with
-    the same request population as the fault-free reference. The
-    zero-copy + persistent-workers cell additionally proves the arena
-    survives the whole soak without leaking a single segment."""
-    from repro.dispatch.sharding.shm import (
-        active_segment_names,
-        leaked_segment_files,
-    )
-
+    the same request population as the fault-free reference."""
     engine, trips, reference = soak_scenario
     spec = (
         "quote.task:crash:0.05,"
@@ -309,7 +318,6 @@ def test_chaos_soak_process_backend_loses_nothing(soak_scenario, transport):
         engine,
         SimulationConfig(
             **SOAK_PARAMS,
-            **SOAK_TRANSPORTS[transport],
             fault_spec=spec,
             fault_seed=13,
         ),
@@ -327,6 +335,3 @@ def test_chaos_soak_process_backend_loses_nothing(soak_scenario, transport):
     # The ladder took real traffic: failed columns and rescued shards.
     assert summary["quote_columns_failed"] > 0
     assert summary["shard_serial_rescues"] > 0
-    # And the shared-memory plane released everything it created.
-    assert not active_segment_names()
-    assert not leaked_segment_files()

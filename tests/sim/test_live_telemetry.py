@@ -86,10 +86,10 @@ def _live_overrides(tmp_path, suffix=""):
     [
         {},
         {"dispatch_policy": "sharded", "num_shards": 3,
-         "shard_backend": "thread"},
+         "shard_backend": "process"},
         {"dispatch_policy": "greedy", "batch_window_s": 0.0},
     ],
-    ids=["lap", "sharded_thread", "greedy_immediate"],
+    ids=["lap", "sharded_process", "greedy_immediate"],
 )
 def test_live_run_is_bit_identical_to_disabled(scenario, tmp_path, overrides):
     disabled = _run(scenario, **overrides)

@@ -68,12 +68,12 @@ def _deterministic_state(report):
     [
         {},
         {"dispatch_policy": "sharded", "num_shards": 3,
-         "shard_backend": "thread"},
+         "shard_backend": "process"},
         {"quote_workers": 2, "quote_backend": "thread",
          "quote_overlap_s": 2.0},
         {"dispatch_policy": "greedy", "batch_window_s": 0.0},
     ],
-    ids=["lap", "sharded_thread", "async_quotes", "greedy_immediate"],
+    ids=["lap", "sharded_process", "async_quotes", "greedy_immediate"],
 )
 def test_traced_run_is_bit_identical_to_untraced(scenario, overrides):
     untraced = _run(scenario, **overrides)
@@ -123,7 +123,7 @@ def test_shard_spans_nest_under_solve(scenario):
         trace=True,
         dispatch_policy="sharded",
         num_shards=3,
-        shard_backend="thread",
+        shard_backend="process",
     )
     records = report.tracer.records()
     by_id = {r.span_id: r for r in records}
