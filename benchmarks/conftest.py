@@ -1,32 +1,44 @@
 """Shared fixtures for the benchmark suite.
 
 Each benchmark regenerates one paper artifact via
-:mod:`repro.bench.experiments` and saves the rendered table under
-``benchmarks/results/`` so a full ``pytest benchmarks/ --benchmark-only``
-run leaves every table on disk.
+:mod:`repro.bench.experiments` and asserts on the in-memory table. The
+suite writes nothing: the committed tables under ``benchmarks/results/``
+are regenerated only by ``python -m repro.bench --save-dir
+benchmarks/results``.
 """
 
-import os
+from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _committed_outputs() -> dict:
+    """``(size, mtime_ns)`` of every results table and root-level
+    ``BENCH*`` document — the files a benchmark run must not touch."""
+    files = [
+        *(REPO_ROOT / "benchmarks" / "results").rglob("*"),
+        *REPO_ROOT.glob("BENCH*"),
+    ]
+    return {
+        str(path.relative_to(REPO_ROOT)): (stat.st_size, stat.st_mtime_ns)
+        for path in files
+        if path.is_file()
+        for stat in [path.stat()]
+    }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def committed_outputs_untouched():
+    before = _committed_outputs()
+    yield
+    assert _committed_outputs() == before, "the test run rewrote committed outputs"
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> str:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def run_and_save(results_dir):
-    """Run an experiment by id, save its table, return it."""
+def run_table():
+    """Run an experiment by id and return its in-memory table."""
     from repro.bench.experiments import run_experiment
 
-    def runner(experiment_id: str):
-        table = run_experiment(experiment_id)
-        table.save(results_dir)
-        return table
-
-    return runner
+    return run_experiment

@@ -1,20 +1,20 @@
-"""Design-choice ablations called out in DESIGN.md: the assignment
-objective (total vs delta cost) and the tree invalidation policy
-(eager vs lazy)."""
+"""Design-choice ablations (README, "Design ablations" row): the
+assignment objective (total vs delta cost) and the tree invalidation
+policy (eager vs lazy)."""
 
 
-def test_ablation_objective(benchmark, run_and_save):
+def test_ablation_objective(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("ablation_objective",), iterations=1, rounds=1
+        run_table, args=("ablation_objective",), iterations=1, rounds=1
     )
     assert [row[0] for row in table.rows] == ["total", "delta"]
     for row in table.rows:
         assert row[1] != "DNF"
 
 
-def test_ablation_invalidation(benchmark, run_and_save):
+def test_ablation_invalidation(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("ablation_invalidation",), iterations=1, rounds=1
+        run_table, args=("ablation_invalidation",), iterations=1, rounds=1
     )
     assert [row[0] for row in table.rows] == ["lazy", "eager"]
     # Invalidation policy changes upkeep cost, never assignments.
@@ -22,9 +22,9 @@ def test_ablation_invalidation(benchmark, run_and_save):
     assert lazy_rate == eager_rate
 
 
-def test_ablation_beam(benchmark, run_and_save):
+def test_ablation_beam(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("ablation_beam",), iterations=1, rounds=1
+        run_table, args=("ablation_beam",), iterations=1, rounds=1
     )
     labels = [row[0] for row in table.rows]
     assert labels == ["exact", "32", "8", "2"]
@@ -33,9 +33,9 @@ def test_ablation_beam(benchmark, run_and_save):
         assert row[1] != "DNF"
 
 
-def test_engine_cache_table(benchmark, run_and_save):
+def test_engine_cache_table(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("micro_engine",), iterations=1, rounds=1
+        run_table, args=("micro_engine",), iterations=1, rounds=1
     )
     assert [row[0] for row in table.rows] == [
         "matrix",

@@ -1,6 +1,6 @@
 """Batched dispatch: service rate and dispatch latency by policy.
 
-Regenerates ``benchmarks/results/dispatch_policies.txt`` and checks the
+Runs the ``dispatch_policies`` experiment and checks the
 subsystem's headline claim: windowed linear-assignment dispatch serves at
 least as many requests as the paper's greedy immediate baseline at this
 fleet/workload, at per-window solver cost in the low milliseconds.
@@ -15,9 +15,9 @@ def _num(cell):
     return None if cell in ("-", "DNF") else float(cell.replace(",", ""))
 
 
-def test_dispatch_policies(benchmark, run_and_save):
+def test_dispatch_policies(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("dispatch_policies",), iterations=1, rounds=1
+        run_table, args=("dispatch_policies",), iterations=1, rounds=1
     )
     rows = _by_policy(table)
     assert set(rows) == {

@@ -8,9 +8,9 @@ def _cell(table, row, col):
     return None if value in ("-", "DNF") else float(value)
 
 
-def test_fig6a_art_by_requests(benchmark, run_and_save):
+def test_fig6a_art_by_requests(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("fig6a",), iterations=1, rounds=1
+        run_table, args=("fig6a",), iterations=1, rounds=1
     )
     assert table.rows, "no ART buckets observed"
     # Paper shape: the kinetic tree is not slower than the baselines in
@@ -32,9 +32,9 @@ def test_fig6a_art_by_requests(benchmark, run_and_save):
     )
 
 
-def test_fig6b_acrt_by_constraints(benchmark, run_and_save):
+def test_fig6b_acrt_by_constraints(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("fig6b",), iterations=1, rounds=1
+        run_table, args=("fig6b",), iterations=1, rounds=1
     )
     assert len(table.rows) == 5  # the five constraint settings
     for row_index in range(len(table.rows)):
@@ -45,9 +45,9 @@ def test_fig6b_acrt_by_constraints(benchmark, run_and_save):
         assert mip > 3 * tree, (table.rows[row_index],)
 
 
-def test_fig6c_acrt_by_servers(benchmark, run_and_save):
+def test_fig6c_acrt_by_servers(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("fig6c",), iterations=1, rounds=1
+        run_table, args=("fig6c",), iterations=1, rounds=1
     )
     assert len(table.rows) == 5  # five fleet sizes
     for row_index in range(len(table.rows)):

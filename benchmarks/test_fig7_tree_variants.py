@@ -7,9 +7,9 @@ def _cell(table, row, col):
     return None if value in ("-", "DNF") else float(value)
 
 
-def test_fig7a_art_by_requests(benchmark, run_and_save):
+def test_fig7a_art_by_requests(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("fig7a",), iterations=1, rounds=1
+        run_table, args=("fig7a",), iterations=1, rounds=1
     )
     assert table.rows
     # ART grows with the number of active requests (paper shape): the
@@ -25,18 +25,18 @@ def test_fig7a_art_by_requests(benchmark, run_and_save):
     assert deepest > first
 
 
-def test_fig7b_acrt_by_constraints(benchmark, run_and_save):
+def test_fig7b_acrt_by_constraints(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("fig7b",), iterations=1, rounds=1
+        run_table, args=("fig7b",), iterations=1, rounds=1
     )
     assert len(table.rows) == 5
     for row in table.rows:
         assert all(value != "DNF" for value in row[1:])
 
 
-def test_fig7c_acrt_by_servers(benchmark, run_and_save):
+def test_fig7c_acrt_by_servers(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("fig7c",), iterations=1, rounds=1
+        run_table, args=("fig7c",), iterations=1, rounds=1
     )
     assert len(table.rows) == 5
     for row in table.rows:

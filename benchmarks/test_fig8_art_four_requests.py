@@ -2,9 +2,9 @@
 and fleet size vary."""
 
 
-def test_fig8a_by_constraints(benchmark, run_and_save):
+def test_fig8a_by_constraints(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("fig8a",), iterations=1, rounds=1
+        run_table, args=("fig8a",), iterations=1, rounds=1
     )
     assert len(table.rows) == 5
     populated = [
@@ -13,9 +13,9 @@ def test_fig8a_by_constraints(benchmark, run_and_save):
     assert populated, "no populated ART bucket in any constraint cell"
 
 
-def test_fig8b_by_servers(benchmark, run_and_save):
+def test_fig8b_by_servers(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("fig8b",), iterations=1, rounds=1
+        run_table, args=("fig8b",), iterations=1, rounds=1
     )
     assert len(table.rows) == 5
     populated = [

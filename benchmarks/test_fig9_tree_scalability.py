@@ -8,23 +8,23 @@ def _cell(table, row, col):
     return None if value in ("-", "DNF") else float(value)
 
 
-def test_fig9a_by_constraints(benchmark, run_and_save):
+def test_fig9a_by_constraints(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("fig9a",), iterations=1, rounds=1
+        run_table, args=("fig9a",), iterations=1, rounds=1
     )
     assert len(table.rows) == 5
 
 
-def test_fig9b_by_servers(benchmark, run_and_save):
+def test_fig9b_by_servers(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("fig9b",), iterations=1, rounds=1
+        run_table, args=("fig9b",), iterations=1, rounds=1
     )
     assert len(table.rows) == 5
 
 
-def test_fig9c_by_capacity(benchmark, run_and_save):
+def test_fig9c_by_capacity(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("fig9c",), iterations=1, rounds=1
+        run_table, args=("fig9c",), iterations=1, rounds=1
     )
     assert len(table.rows) == 9  # 3,4,5,6,7,8,12,16,unlim
     # Paper shape 1: the hotspot variant completes every capacity

@@ -6,12 +6,9 @@ path algorithm is called very frequently and can be the bottleneck if not
 implemented efficiently").
 """
 
-import os
-
 import numpy as np
 import pytest
 
-from repro.bench import micro
 from repro.core.kinetic.tree import KineticTree
 from repro.core.request import TripRequest
 from repro.roadnet.contraction import CHEngine
@@ -77,27 +74,6 @@ def test_ch_distance(benchmark, city, queries):
             engine.distance(s, e)
 
     benchmark(run)
-
-
-def test_batched_distance_plane(benchmark):
-    """Scalar vs batched ``distance_many`` per engine on fan-out
-    workloads; writes the ``BENCH_micro.json`` perf-regression artifact
-    at the repo root and gates the headline win: the Dijkstra engine must
-    answer batched fan-outs at >= 5x its scalar throughput."""
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    out_path = os.path.join(repo_root, "BENCH_micro.json")
-    result = benchmark.pedantic(
-        micro.run_micro, kwargs={"out_path": out_path}, iterations=1, rounds=1
-    )
-    assert os.path.exists(out_path)
-    assert set(result["engines"]) == set(micro.ENGINE_KINDS)
-    assert result["engines"]["dijkstra"]["speedup"] >= 5.0
-    # The batched plane's cache effectiveness ships with the artifact:
-    # the Dijkstra engine reports its SourceRowCache hit/miss counters.
-    cache = result["engines"]["dijkstra"]["cache_stats"]
-    for key in ("row_hits", "row_misses", "row_hit_rate"):
-        assert key in cache
-    assert cache["row_misses"] > 0  # every fresh fan-out source misses once
 
 
 def test_grid_index_query(benchmark, city):

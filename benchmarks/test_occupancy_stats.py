@@ -2,9 +2,9 @@
 (paper: max 17 passengers, fleet mean 1.7, top-20% mean ~3.9)."""
 
 
-def test_occupancy_statistics(benchmark, run_and_save):
+def test_occupancy_statistics(benchmark, run_table):
     table = benchmark.pedantic(
-        run_and_save, args=("occupancy",), iterations=1, rounds=1
+        run_table, args=("occupancy",), iterations=1, rounds=1
     )
     stats = {row[0]: row[2] for row in table.rows}
     max_passengers = stats.get("max passengers in any server")

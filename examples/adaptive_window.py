@@ -14,8 +14,8 @@ Run:  python examples/adaptive_window.py [--vehicles N] [--peak-trips N]
 import argparse
 
 from repro import SimulationConfig, grid_city, make_engine, simulate
-from repro.bench.adaptive import bimodal_trips, phase_metrics
 from repro.core.constraints import ConstraintConfig
+from repro.sim.workload import bimodal_trips, phase_metrics
 
 WINDOW_MIN, WINDOW_MAX = 3.0, 30.0
 

@@ -18,8 +18,8 @@ import os
 import tempfile
 
 from repro import SimulationConfig, grid_city, make_engine, simulate
-from repro.bench.adaptive import bimodal_trips
 from repro.core.constraints import ConstraintConfig
+from repro.sim.workload import bimodal_trips
 
 SLO = "service_rate>=0.6,wait_compliance>=0.6,wait_p99<=600"
 

@@ -15,7 +15,6 @@ Run:  python examples/trace_flush.py [--vehicles N] [--peak-trips N]
 import argparse
 
 from repro import SimulationConfig, grid_city, make_engine, simulate
-from repro.bench.adaptive import bimodal_trips
 from repro.core.constraints import ConstraintConfig
 from repro.obs.export import chrome_trace_events, write_chrome_trace
 from repro.obs.report import (
@@ -24,6 +23,7 @@ from repro.obs.report import (
     slowest_flushes,
     stage_breakdown,
 )
+from repro.sim.workload import bimodal_trips
 
 
 def main() -> None:

@@ -48,7 +48,8 @@ Package map:
 * :mod:`repro.sim` — event-driven simulator, synthetic Shanghai-like
   workloads, metrics (ACRT / ART / occupancy);
 * :mod:`repro.bench` — the experiment harness regenerating every table
-  and figure of the paper (see DESIGN.md / EXPERIMENTS.md).
+  and figure of the paper (experiment index: README, "Reproducing the
+  paper's experiments").
 """
 
 from repro.algorithms import (

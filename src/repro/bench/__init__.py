@@ -1,21 +1,21 @@
 """Experiment harness regenerating every table and figure of the paper.
 
 Each experiment id (``fig6a`` ... ``fig9c``, ``table1``, ``table2``,
-``occupancy``, ``micro_engine``, ``micro_batched``, ``ablation_*``) maps
-to a function in :mod:`repro.bench.experiments` returning an
+``occupancy``, ``micro_engine``, ``ablation_*``, ``dispatch_policies``)
+maps to a function in :mod:`repro.bench.experiments` returning an
 :class:`~repro.bench.harness.ExperimentTable`. Problem sizes are scaled
-down from the paper's Shanghai deployment (see DESIGN.md) and multiply
-back up via the ``REPRO_SCALE`` environment variable.
+down from the paper's Shanghai deployment (see the suite definitions in
+:mod:`repro.bench.harness`) and multiply back up via the ``REPRO_SCALE``
+environment variable.
 
 Run everything from the command line::
 
     python -m repro.bench            # all experiments
     python -m repro.bench fig6b      # one experiment
 
-:mod:`repro.bench.micro` is the perf-regression harness for the distance
-layer: it times every engine's scalar vs batched (``distance_many``)
-query plane on fan-out workloads and writes ``BENCH_micro.json`` —
-runnable directly with ``python -m repro.bench.micro [--fast]``.
+Timings are recorded and compared in one place, the end-to-end ledger
+(``BENCHMARK.json`` + ``benchmarks/e2e/run.py``); this package only
+reproduces the paper's artifacts.
 """
 
 from repro.bench.harness import (

@@ -41,6 +41,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     names = args.experiments or list(ALL_EXPERIMENTS)
+    unknown = [name for name in names if name not in ALL_EXPERIMENTS]
+    if unknown:
+        parser.error(
+            f"unknown experiment(s) {', '.join(unknown)}; "
+            f"known: {', '.join(ALL_EXPERIMENTS)}"
+        )
     for name in names:
         started = time.perf_counter()
         table = run_experiment(name)

@@ -1,11 +1,12 @@
-"""One function per paper table/figure (see DESIGN.md experiment index).
+"""One function per paper table/figure (experiment index: README,
+"Reproducing the paper's experiments").
 
 Every function returns an :class:`~repro.bench.harness.ExperimentTable`
 whose rows/series mirror the corresponding artifact of the paper. Scaled
 absolute times differ (Python vs the authors' C++/Xeon setup); the
 *shapes* — algorithm ordering, trends across constraints/fleet/capacity,
-which variants fail to finish — are the reproduction targets, recorded
-against the paper in EXPERIMENTS.md.
+which variants fail to finish — are the reproduction targets, gated by
+``benchmarks/test_*.py`` and committed under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -473,256 +474,8 @@ def micro_engine() -> ExperimentTable:
     )
 
 
-def micro_batched() -> ExperimentTable:
-    """Scalar vs batched distance plane per engine (perf-regression
-    harness). Also writes ``BENCH_micro.json`` to the working directory
-    so future PRs have a throughput trajectory to beat."""
-    from repro.bench.micro import run_micro
-
-    result = run_micro()
-    rows = [
-        [
-            kind,
-            f"{row['scalar_queries_per_sec']:,.0f}",
-            f"{row['batched_queries_per_sec']:,.0f}",
-            f"{row['speedup']:.1f}x",
-        ]
-        for kind, row in result["engines"].items()
-    ]
-    w = result["workload"]
-    return ExperimentTable(
-        "micro_batched",
-        "Scalar vs batched distance plane (queries/s)",
-        ["engine", "scalar_qps", "batched_qps", "speedup"],
-        rows,
-        notes=(
-            f"{w['num_sources']} fan-outs x {w['fan_out']} targets on a "
-            f"{w['grid_side']}x{w['grid_side']} grid city; "
-            "absolute numbers vary per machine — compare the speedup "
-            "column across PRs (BENCH_micro.json)"
-        ),
-    )
-
-
-def sharded_dispatch() -> ExperimentTable:
-    """Sharded per-flush solve: wall time by shard count and backend.
-
-    Also writes ``BENCH_shard.json`` to the working directory so future
-    PRs have a sharded-solve trajectory to beat (the companion of
-    ``BENCH_micro.json`` for the assignment plane). The headline claims:
-    ``shards=1`` (serial) returns exactly the global solve's pairs, and
-    per-flush solve time *improves* with shard count on the large
-    synthetic flush — the Hungarian solve is O(n^3), so k contiguous
-    shards cut the work ~k^2-fold before any parallelism.
-    """
-    from repro.bench.shard import run_shard_bench
-
-    result = run_shard_bench()
-    rows = []
-    for backend, cells in result["runs"].items():
-        for count, cell in sorted(cells.items(), key=lambda kv: int(kv[0])):
-            rows.append(
-                [
-                    backend,
-                    count,
-                    f"{cell['per_flush_seconds'] * 1000:.3f}",
-                    f"{cell.get('speedup_vs_serial_1', 0.0):.2f}x",
-                    str(cell["boundary_conflicts"]),
-                    str(cell["pairs_matched"]),
-                    "yes" if cell["matches_global"] else "no",
-                ]
-            )
-    w = result["workload"]
-    return ExperimentTable(
-        "sharded_dispatch",
-        "Sharded dispatch: per-flush solve wall time by shard count",
-        [
-            "backend",
-            "shards",
-            "solve_ms",
-            "speedup",
-            "boundary_conflicts",
-            "pairs_matched",
-            "matches_global",
-        ],
-        rows,
-        notes=(
-            f"{w['rows']} requests x {w['cols']} candidate vehicles on a "
-            f"{w['grid_side']}x{w['grid_side']} grid city "
-            f"(best of {w['repeats']}); matches_global is only expected "
-            "at shards=1 (BENCH_shard.json)"
-        ),
-    )
-
-
-def pipeline_overlap() -> ExperimentTable:
-    """Staged dispatch pipeline: quote/event overlap and determinism.
-
-    Also writes ``BENCH_pipeline.json`` to the working directory so
-    future PRs have an async-quoting trajectory to beat. The headline
-    claims: the thread-backend quote stage overlaps a meaningful
-    fraction of its wall time with event execution, and its assignments
-    are identical to the deferred synchronous stage (staleness epochs +
-    deterministic re-quotes make worker timing invisible).
-    """
-    from repro.bench.pipeline import run_pipeline_bench
-
-    result = run_pipeline_bench()
-    rows = []
-    for label, cell in result["runs"].items():
-        # Only the async run carries a determinism contract (async ==
-        # deferred); sync and deferred commit at different instants, so
-        # comparing them is meaningless — print "-" there.
-        if label == "async_thread":
-            match = "yes" if cell.get("matches_deferred") else "no"
-        else:
-            match = "-"
-        rows.append(
-            [
-                label,
-                f"{cell['wall_seconds']:.2f}",
-                f"{cell['quote_ms_mean']:.3f}",
-                f"{cell['overlap_ratio_mean']:.1%}",
-                str(cell["staleness_requotes"]),
-                str(cell["assigned"]),
-                match,
-            ]
-        )
-    w = result["workload"]
-    return ExperimentTable(
-        "pipeline_overlap",
-        "Staged pipeline: quote wall time overlapped with event execution",
-        [
-            "run",
-            "wall_s",
-            "quote_ms_mean",
-            "overlap_ratio",
-            "requotes",
-            "assigned",
-            "deterministic_match",
-        ],
-        rows,
-        notes=(
-            f"{w['num_trips']} trips / {w['num_vehicles']} vehicles on a "
-            f"{w['grid_side']}x{w['grid_side']} {w['engine_kind']} city; "
-            f"window {w['batch_window_s']:g}s, overlap "
-            f"{w['quote_overlap_s']:g}s, {w['quote_workers']} thread "
-            "workers (BENCH_pipeline.json)"
-        ),
-    )
-
-
-def adaptive_window() -> ExperimentTable:
-    """Adaptive batch-window autotuning + carry-over vs fixed windows.
-
-    Also writes ``BENCH_adaptive.json`` to the working directory so
-    future PRs have a window-trajectory record to compare against. The
-    headline claims: on the bimodal workload the adaptive run answers
-    off-peak requests faster than the best fixed window while serving
-    at least as much of the rush-hour surge (carry-over keeps losing
-    requests alive across flushes), and the whole trajectory is
-    deterministic given the seed.
-    """
-    from repro.bench.adaptive import run_adaptive_bench
-
-    result = run_adaptive_bench()
-    rows = []
-    for label, cell in result["runs"].items():
-        rows.append(
-            [
-                label,
-                f"{cell['offpeak_latency_s']:.2f}",
-                f"{cell['offpeak_service_rate']:.3f}",
-                f"{cell['peak_latency_s']:.2f}",
-                f"{cell['peak_service_rate']:.3f}",
-                f"{cell['mean_batch_size']:.2f}",
-                str(cell.get("carry_events", 0)),
-            ]
-        )
-    w = result["workload"]
-    adaptive = result["runs"]["adaptive"]
-    return ExperimentTable(
-        "adaptive_window",
-        "Adaptive batch window: off-peak latency vs rush-hour service",
-        [
-            "run",
-            "offpeak_latency_s",
-            "offpeak_rate",
-            "peak_latency_s",
-            "peak_rate",
-            "mean_batch",
-            "carried",
-        ],
-        rows,
-        notes=(
-            f"{w['num_trips']} trips ({w['offpeak_trips']} off-peak + "
-            f"{w['peak_trips']} peak) on {w['num_vehicles']} vehicles; "
-            f"adaptive band [{w['window_min_s']:g}, {w['window_max_s']:g}]s "
-            f"visited [{adaptive['window_s_min']:.1f}, "
-            f"{adaptive['window_s_max']:.1f}]s; best fixed at peak: "
-            f"{result['best_fixed']} (BENCH_adaptive.json)"
-        ),
-    )
-
-
-def chaos() -> ExperimentTable:
-    """Service rate under injected faults (fault-tolerance subsystem).
-
-    Also writes ``BENCH_chaos.json`` to the working directory so future
-    PRs have a degradation trajectory to compare against. The headline
-    claims: at a 5% mixed fault rate (quote crashes/delays, shard
-    crashes, pool deaths) the degradation ladder holds the service rate
-    within 10% of the fault-free run on the process backend, every cell
-    accounts for every request (assigned or rejected, none lost), and
-    the serial cell replays bit-identically (determinism contract 10).
-    """
-    from repro.bench.chaos import GATE_RATE, run_chaos_bench
-
-    result = run_chaos_bench()
-    rows = []
-    for backend, cells in result["runs"].items():
-        for rate, cell in cells.items():
-            rows.append(
-                [
-                    backend,
-                    rate,
-                    f"{cell['service_rate']:.3f}",
-                    f"{cell['assign_latency_s_p99']:.3f}",
-                    str(cell["faults_injected"]),
-                    str(cell["retries"]),
-                    str(cell["flushes_degraded"]),
-                    "ok" if cell["accounting_ok"] else "LOST",
-                ]
-            )
-    w = result["workload"]
-    serial = result["runs"]["serial"][f"{GATE_RATE:g}"]
-    return ExperimentTable(
-        "chaos",
-        "Chaos: service rate and p99 latency under injected faults",
-        [
-            "backend",
-            "fault_rate",
-            "service_rate",
-            "p99_latency_s",
-            "faults",
-            "retries",
-            "degraded",
-            "accounting",
-        ],
-        rows,
-        notes=(
-            f"{w['num_trips']} trips / {w['num_vehicles']} vehicles, "
-            f"window {w['batch_window_s']:g}s, flush deadline "
-            f"{w['flush_deadline_s']:g}s, mixed fault plan; gate at rate "
-            f"{w['gate_rate']:g}; deterministic serial rerun: "
-            f"{'yes' if serial.get('deterministic_rerun') else 'NO'} "
-            "(BENCH_chaos.json)"
-        ),
-    )
-
-
 def ablation_objective() -> ExperimentTable:
-    """Total-cost vs delta-cost assignment objective (DESIGN.md ablation)."""
+    """Total-cost vs delta-cost assignment objective (design ablation)."""
     ctx = get_context(TREE_SUITE)
     rows = []
     for objective in ("total", "delta"):
@@ -880,11 +633,6 @@ ALL_EXPERIMENTS = {
     "fig9c": (fig9c, "ACRT vs capacity, tree variants"),
     "occupancy": (occupancy, "Unlimited-capacity occupancy statistics"),
     "micro_engine": (micro_engine, "Engine throughput / cache hit rates"),
-    "micro_batched": (micro_batched, "Scalar vs batched distance plane"),
-    "sharded_dispatch": (sharded_dispatch, "Sharded per-flush solve scaling"),
-    "pipeline_overlap": (pipeline_overlap, "Staged pipeline quote/event overlap"),
-    "adaptive_window": (adaptive_window, "Adaptive batch window vs fixed"),
-    "chaos": (chaos, "Service under injected faults"),
     "ablation_objective": (ablation_objective, "total vs delta objective"),
     "ablation_invalidation": (ablation_invalidation, "eager vs lazy pruning"),
     "ablation_beam": (ablation_beam, "schedule-cap load shedding"),

@@ -33,8 +33,8 @@ At the flush sizes this repo produces (<= 180x200) the sharding win is
 the block decomposition itself, which the serial loop already has.
 
 The subsystem is wired through ``SimulationConfig`` (``num_shards``,
-``shard_backend``, ``shard_boundary_cells``), the ``sharded`` dispatch
-policy, and the ``sharded_dispatch`` benchmark (``BENCH_shard.json``).
+``shard_backend``, ``shard_boundary_cells``) and the ``sharded`` dispatch
+policy.
 """
 
 from repro.dispatch.sharding.executor import (

@@ -7,10 +7,10 @@ partitioner.ShardPlan`, solves every shard's submatrix through a
 per-shard proposals through the
 :class:`~repro.dispatch.sharding.reconciler.BoundaryReconciler`.
 
-It deliberately knows nothing about quotes, agents or commits: callers
-(the ``sharded`` dispatch policy, the ``sharded_dispatch`` benchmark)
-hand it plain numpy keys and get plain index pairs back, which is what
-lets the process backend ship work to other cores.
+It deliberately knows nothing about quotes, agents or commits: the
+``sharded`` dispatch policy hands it plain numpy keys and gets plain
+index pairs back, which is what lets the process backend ship work to
+other cores.
 
 A single-shard plan short-circuits the reconciler and returns the
 shard's pairs untouched, making ``shards=1`` *bit-identical* to a

@@ -153,9 +153,8 @@ class SimulationReport:
     shard_fallbacks: int = 0
     #: Adaptive batching (repro.dispatch.adaptive): per-flush window and
     #: overlap lengths as scheduled by the window controller, plus the
-    #: full trajectory (flush time, window_s, overlap_s) — the record
-    #: BENCH_adaptive.json tracks. Populated for every batched run (the
-    #: fixed controller's trajectory is constant).
+    #: full trajectory (flush time, window_s, overlap_s). Populated for
+    #: every batched run (the fixed controller's trajectory is constant).
     window_s_stats: RunningStats = field(default_factory=RunningStats)
     window_trajectory: list = field(default_factory=list)
     #: Carry-over batching: carried requests per flush (0 when disabled),

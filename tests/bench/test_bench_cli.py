@@ -15,9 +15,16 @@ def test_list(capsys):
         assert name in out
 
 
-def test_unknown_experiment():
-    with pytest.raises(ValueError):
-        main(["fig99z"])
+def test_unknown_experiment(capsys):
+    """A bad id is a usage error (exit 2, known ids listed) reported
+    before any experiment runs."""
+    for argv in (["fig99z"], ["table1", "fig99z"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "fig99z" in captured.err and "fig6a" in captured.err
+        assert "table1" not in captured.out
 
 
 def test_run_one_and_save(tmp_path, capsys):
@@ -38,19 +45,3 @@ def test_registry_complete():
         "occupancy",
     ):
         assert required in ALL_EXPERIMENTS
-
-
-def test_micro_cli_fast(tmp_path, capsys):
-    """`python -m repro.bench.micro --fast` (the CI perf smoke step)."""
-    import json
-
-    from repro.bench.micro import ENGINE_KINDS, main as micro_main
-
-    out = tmp_path / "BENCH_micro.json"
-    assert micro_main(["--fast", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert set(doc["engines"]) == set(ENGINE_KINDS)
-    for row in doc["engines"].values():
-        assert row["scalar_queries_per_sec"] > 0
-        assert row["batched_queries_per_sec"] > 0
-    assert "micro_batched" in capsys.readouterr().out

@@ -172,6 +172,15 @@ def test_injected_crashes_never_change_pairs(
     assert outcome.serial_rescues == rescues
 
 
+def test_reconciled_shards_match_nearly_as_many_pairs_as_global(four_shards):
+    """Sharding gives up optimality only at the boundary: columns claimed
+    by several shards are reconciled, and the outcome still matches at
+    least 95% of the pairs the global solve does."""
+    keys, _, outcome = four_shards
+    assert outcome.boundary_conflicts > 0
+    assert len(outcome.pairs) >= 0.95 * len(solve_assignment(keys))
+
+
 def test_thread_shard_backend_is_rejected():
     """``thread`` is a quote-service backend only: the shard executor
     and the config name the two shard backends that exist."""

@@ -14,12 +14,11 @@ import json
 
 import pytest
 
-from repro.bench.adaptive import bimodal_trips
 from repro.roadnet.generators import grid_city
 from repro.roadnet.matrix import MatrixEngine
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import simulate
-from repro.sim.workload import ShanghaiLikeWorkload
+from repro.sim.workload import ShanghaiLikeWorkload, bimodal_trips
 
 SLO_SPEC = "service_rate>=0.5,wait_compliance>=0.5,wait_p99<=600"
 

@@ -35,8 +35,8 @@ def test_markdown_links_resolve():
 
 
 def test_slugify_matches_github_style():
-    assert slugify("Scaling-layer benchmarks (`BENCH_*.json`)") == (
-        "scaling-layer-benchmarks-bench_json"
+    assert slugify("Performance ledger (`BENCHMARK.json`)") == (
+        "performance-ledger-benchmarkjson"
     )
     assert slugify("## Install") == "install"
 
@@ -85,14 +85,10 @@ def test_readme_maps_every_experiment_id():
 
 
 def test_readme_names_every_bench_json():
+    """One ledger: the README points at the benchmark declaration, its
+    driver and the comparison mode."""
     readme = _read_readme()
-    for name in (
-        "BENCH_micro.json",
-        "BENCH_shard.json",
-        "BENCH_pipeline.json",
-        "BENCH_adaptive.json",
-        "BENCH_chaos.json",
-    ):
+    for name in ("BENCHMARK.json", "benchmarks/e2e/run.py", "run.py compare"):
         assert name in readme, f"{name} not described in README"
 
 
