@@ -2,11 +2,18 @@
 
 On each incoming request the dispatcher (Section VI): (1) filters
 candidate vehicles through the grid index — "servers that are farther
-than ``w`` from the pickup location are unable to respond"; (2) asks each
-candidate for a *quote* — the cost of its best valid augmented schedule;
-(3) assigns the request to the cheapest quote and commits only that
-vehicle ("the simulator trips the request with each vehicle and then
-chooses the vehicle returning the minimum time").
+than ``w`` from the pickup location are unable to respond"; (2) asks
+candidates for a *quote* — the cost of their best valid augmented
+schedule; (3) assigns the request to the cheapest quote and commits only
+that vehicle ("the simulator trips the request with each vehicle and
+then chooses the vehicle returning the minimum time").
+
+Step (2) is screened fleet-wide (the paper's branch-and-bound applied
+across vehicles): one ``distance_many`` fan-out from the pickup gives
+every candidate the admissible bound ``d(v, o) + d(o, e)`` on its quote,
+vehicles that cannot reach the pickup in time are dropped, and the rest
+are trial-inserted cheapest bound first until no remaining bound can win
+or tie. The winner is exactly the one quoting every candidate would pick.
 
 Two agent families exist:
 
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from math import inf
 from typing import Sequence
 
 from repro.constants import SPEED_MPS
@@ -35,6 +43,25 @@ from repro.core.stop import Stop
 from repro.core.vehicle import Vehicle
 from repro.exceptions import DisconnectedError, SimulationError
 from repro.roadnet.engine import fan_out_distances
+
+#: Conservative slack (seconds) on every comparison the fleet screen
+#: makes. It absorbs the last-ulp asymmetry of ``d(o, v)`` standing in
+#: for ``d(v, o)`` and the rounding of summed legs; it only ever lets
+#: more vehicles through. Same size as the tree's ``EPSILON``.
+SCREEN_MARGIN = 1e-6
+
+
+def misses_pickup(request: TripRequest, t: float, leg: float) -> bool:
+    """True when a vehicle at decision time ``t``, ``leg`` seconds of
+    driving from ``request``'s pickup, provably cannot serve it.
+
+    Any schedule reaches the pickup no earlier than ``t + leg`` (triangle
+    inequality) and every scheduler rejects a pickup later than
+    ``pickup_deadline + EPSILON``. The one definition of "cannot reach
+    the pickup", shared by :meth:`KineticAgent.quote_batch_at` and the
+    fleet screen in :meth:`Dispatcher.submit`.
+    """
+    return t + leg > request.pickup_deadline + TREE_EPSILON + SCREEN_MARGIN
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,9 +80,10 @@ class Quote:
 class AssignmentResult:
     """Outcome of dispatching one request.
 
-    ``quote_timings`` holds ``(active_trips, seconds)`` per candidate —
-    the raw material for the paper's ART buckets; ``elapsed`` is this
-    request's contribution to ACRT.
+    ``quote_timings`` holds ``(active_trips, seconds)`` per quote
+    actually made (at most one per candidate: the fleet screen skips
+    vehicles that cannot win) — the raw material for the paper's ART
+    buckets; ``elapsed`` is this request's contribution to ACRT.
     """
 
     request: TripRequest
@@ -72,6 +100,15 @@ class AssignmentResult:
 
 class VehicleAgent(abc.ABC):
     """Scheduling brain of one vehicle."""
+
+    #: Opt-in to :meth:`Dispatcher.submit`'s fleet screen: a quote's cost
+    #: is the completion time, measured from the decision point, of a
+    #: schedule driven along shortest paths that visits the pickup by
+    #: its deadline and then the dropoff. The screen then may drop the
+    #: agent unquoted when it cannot reach the pickup or when
+    #: ``d(v, o) + d(o, e)`` already exceeds the best quote. Agents that
+    #: leave it False are always quoted, at ``now``.
+    travel_time_quotes = False
 
     def __init__(self, vehicle: Vehicle, engine):
         self.vehicle = vehicle
@@ -113,16 +150,17 @@ class VehicleAgent(abc.ABC):
         setup (path prefixes, batched fan-outs) once instead of per
         request; the fallback just quotes sequentially.
         """
-        return [self._quote_at(request, vertex, t) for request in requests]
+        return [self.quote_at(request, vertex, t) for request in requests]
 
-    def _quote_at(
-        self, request: TripRequest, vertex: int, t: float
+    def quote_at(
+        self, request: TripRequest, vertex: int | None, t: float
     ) -> Quote | None:
-        """One quote from a pre-resolved decision point.
+        """One quote from a pre-resolved decision point — what
+        :meth:`Dispatcher.submit` and the batched planes call.
 
-        Hook for the concrete agent families; the fallback lets agents
-        that only implement :meth:`quote` (scripted test agents) still
-        satisfy the batched planes by quoting at the decision time."""
+        Implemented by the concrete agent families; the fallback lets
+        agents that only implement :meth:`quote` (scripted test agents)
+        still be dispatched by quoting at time ``t``."""
         return self.quote(request, t)
 
     @abc.abstractmethod
@@ -184,6 +222,8 @@ class VehicleAgent(abc.ABC):
 class KineticAgent(VehicleAgent):
     """Vehicle driven by a live kinetic tree."""
 
+    travel_time_quotes = True
+
     def __init__(
         self,
         vehicle: Vehicle,
@@ -212,7 +252,7 @@ class KineticAgent(VehicleAgent):
             schedule_cap=schedule_cap,
         )
 
-    def _quote_at(
+    def quote_at(
         self, request: TripRequest, vertex: int, t: float
     ) -> Quote | None:
         trial = self.tree.try_insert(request, vertex, t)
@@ -229,7 +269,7 @@ class KineticAgent(VehicleAgent):
 
     def quote(self, request: TripRequest, now: float) -> Quote | None:
         vertex, t = self.vehicle.decision_point(now, self.engine.graph)
-        return self._quote_at(request, vertex, t)
+        return self.quote_at(request, vertex, t)
 
     def quote_batch(
         self, requests: Sequence[TripRequest], now: float
@@ -246,23 +286,20 @@ class KineticAgent(VehicleAgent):
         :func:`~repro.roadnet.engine.fan_out_distances` call, which
         (a) pre-warms the engine's row/pair caches (where it has any)
         for the trial insertions that follow, and (b) screens out
-        requests whose pickup is provably unreachable in time: any
-        schedule visits the pickup no earlier than
-        ``t + d(vertex, origin)`` (triangle inequality), so
-        ``t + d > deadline + EPSILON`` means every placement would fail
-        the exact same :class:`KineticTree` check and ``try_insert``
-        would return ``None`` anyway.
+        requests whose pickup is provably unreachable in time
+        (:func:`misses_pickup`): every placement would fail the exact
+        same :class:`KineticTree` check and ``try_insert`` would return
+        ``None`` anyway.
         """
         reach = fan_out_distances(
             self.engine, vertex, [request.origin for request in requests]
         )
-        quotes: list[Quote | None] = []
-        for request, leg in zip(requests, reach):
-            if t + float(leg) > request.pickup_deadline + TREE_EPSILON:
-                quotes.append(None)
-            else:
-                quotes.append(self._quote_at(request, vertex, t))
-        return quotes
+        return [
+            None
+            if misses_pickup(request, t, float(leg))
+            else self.quote_at(request, vertex, t)
+            for request, leg in zip(requests, reach)
+        ]
 
     def commit(self, quote: Quote) -> None:
         trial: KineticTrial = quote.payload
@@ -304,6 +341,8 @@ class KineticAgent(VehicleAgent):
 class RescheduleAgent(VehicleAgent):
     """Vehicle that re-solves its schedule from scratch per request."""
 
+    travel_time_quotes = True
+
     def __init__(self, vehicle: Vehicle, engine, algorithm):
         super().__init__(vehicle, engine)
         self.algorithm = algorithm
@@ -324,7 +363,7 @@ class RescheduleAgent(VehicleAgent):
             capacity=self.vehicle.capacity,
         )
 
-    def _quote_at(
+    def quote_at(
         self, request: TripRequest, vertex: int, t: float
     ) -> Quote | None:
         result = self.algorithm.solve(self._problem(request, vertex, t))
@@ -341,7 +380,7 @@ class RescheduleAgent(VehicleAgent):
 
     def quote(self, request: TripRequest, now: float) -> Quote | None:
         vertex, t = self.vehicle.decision_point(now, self.engine.graph)
-        return self._quote_at(request, vertex, t)
+        return self.quote_at(request, vertex, t)
 
     def quote_batch(
         self, requests: Sequence[TripRequest], now: float
@@ -362,7 +401,7 @@ class RescheduleAgent(VehicleAgent):
             self.engine.distance_many(
                 vertex, [request.origin for request in requests]
             )
-        return [self._quote_at(request, vertex, t) for request in requests]
+        return [self.quote_at(request, vertex, t) for request in requests]
 
     def commit(self, quote: Quote) -> None:
         result: ScheduleResult = quote.payload
@@ -487,32 +526,101 @@ class Dispatcher:
         ids = set(self.grid_index.query_radius(float(x), float(y), radius))
         return [a for a in self.agents if a.vehicle.vehicle_id in ids]
 
+    def _screen(
+        self, request: TripRequest, candidates: list[VehicleAgent], now: float
+    ) -> tuple[list[tuple[int | None, float]], list[float | None]]:
+        """Decision point and quote lower bound of every candidate.
+
+        Every opted-in agent (:attr:`VehicleAgent.travel_time_quotes`)
+        resolves its decision point ``(v, t)`` — exactly the call its
+        quote would make — and one fan-out from the pickup gives all of
+        them ``d(o, v)``, which stands in for ``d(v, o)`` on the
+        undirected network (:data:`SCREEN_MARGIN` absorbs last-ulp
+        asymmetry). A vehicle that :func:`misses_pickup` gets bound
+        ``None`` (never quoted); the rest get ``d(v, o) + d(o, e)``: any
+        augmented schedule drives to the pickup and then on to the
+        dropoff, so its cost is at least that (less the plan cost under
+        the ``"delta"`` objective). Other agents quote at ``now`` with
+        bound ``-inf``.
+        """
+        points: list[tuple[int | None, float]] = []
+        bounds: list[float | None] = []
+        screened: list[int] = []
+        for i, agent in enumerate(candidates):
+            if agent.travel_time_quotes:
+                points.append(agent.vehicle.decision_point(now, agent.engine.graph))
+                screened.append(i)
+            else:
+                points.append((None, now))
+            bounds.append(-inf)
+        if not screened:
+            return points, bounds
+        legs = fan_out_distances(
+            self.engine, request.origin, [points[i][0] for i in screened]
+        )
+        for i, leg in zip(screened, legs):
+            leg = float(leg)
+            if misses_pickup(request, points[i][1], leg):
+                bounds[i] = None
+                continue
+            bounds[i] = leg + request.direct_cost
+            if self.objective == "delta":
+                bounds[i] -= candidates[i].current_plan_cost()
+        return points, bounds
+
     def submit(self, request: TripRequest, now: float) -> AssignmentResult:
-        """Quote all candidates, assign the cheapest, commit the winner."""
+        """Quote the candidates that could win, assign the cheapest,
+        commit the winner.
+
+        Candidates are trial-inserted in ascending order of their
+        :meth:`_screen` bound, stopping once a bound exceeds the best
+        key found by more than :data:`SCREEN_MARGIN` plus the 1e-9 tie
+        band: no remaining vehicle can then win or tie. The winner is
+        picked from the quotes made, in candidate order, with the
+        comparison quoting every candidate would apply — keys within
+        1e-9 tie and go to the lowest vehicle id. Every skipped key lies
+        more than ``SCREEN_MARGIN`` above the minimum, so the winner is
+        the vehicle the quote-everyone loop picks (determinism
+        contract 11).
+        """
         # The stopwatches stay even when untraced: elapsed feeds ACRT
         # and the per-quote stamps feed the ART buckets either way. The
         # tracer just gets the same stamps as a finished span.
         started = clock()
         quote_timings: list[tuple[int, float]] = []
-        best: Quote | None = None
-        best_key = float("inf")
         candidates = self.candidates(request)
-        for agent in candidates:
+        points, bounds = self._screen(request, candidates, now)
+        keyed: list[tuple[float, Quote] | None] = [None] * len(candidates)
+        floor = inf
+        reachable = [i for i, bound in enumerate(bounds) if bound is not None]
+        for i in sorted(reachable, key=bounds.__getitem__):
+            if bounds[i] - SCREEN_MARGIN > floor + 1e-9:
+                break
+            agent = candidates[i]
             active = agent.num_active_trips
             t0 = clock()
-            quote = agent.quote(request, now)
+            quote = agent.quote_at(request, *points[i])
             quote_timings.append((active, clock() - t0))
             if quote is None:
                 continue
             key = quote.cost
             if self.objective == "delta":
                 key = quote.cost - agent.current_plan_cost()
+            keyed[i] = (key, quote)
+            floor = min(floor, key)
+        best: Quote | None = None
+        best_key = inf
+        for entry in keyed:
+            if entry is None:
+                continue
+            key, quote = entry
             if (
                 best is None
                 or key < best_key - 1e-9
                 or (
                     abs(key - best_key) <= 1e-9
-                    and agent.vehicle.vehicle_id < best.agent.vehicle.vehicle_id
+                    and quote.agent.vehicle.vehicle_id
+                    < best.agent.vehicle.vehicle_id
                 )
             ):
                 best = quote

@@ -79,7 +79,9 @@ class TripRequest:
         """Worst-case absolute dropoff time, ``pickup_deadline +
         max_ride_cost``. This is the latest-arrival time used by the
         slack filter for the dropoff of a not-yet-picked-up trip (see
-        DESIGN.md: it makes the filter safe — never over-pruning)."""
+        "Exactness and the slack filter" in
+        :mod:`repro.core.kinetic.tree`: it makes the filter safe — never
+        over-pruning)."""
         return self.pickup_deadline + self.max_ride_cost
 
     def __repr__(self) -> str:

@@ -120,7 +120,7 @@ def evaluate_schedule(
         location = stop.vertex
         request = stop.request
         if stop.is_pickup:
-            if time > request.pickup_deadline:
+            if time > request.pickup_deadline + _EPS:
                 return None
             load += 1
             if capacity is not None and load > capacity:

@@ -5,7 +5,7 @@ The paper evaluates on the Shanghai road network (122,319 vertices,
 street-like planar graphs with controllable size and irregularity; all
 matching algorithms interact with the network only through shortest-path
 distances, so any connected street-like graph exercises the same code
-paths (see DESIGN.md, "Substitutions").
+paths (see README.md, "Deviations from the paper").
 
 All edge weights are travel times in seconds at the paper's constant
 14 m/s, derived from generated street lengths in meters.

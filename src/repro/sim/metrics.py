@@ -134,6 +134,11 @@ class SimulationReport:
     occupancy: OccupancyTracker = field(default_factory=OccupancyTracker)
     total_assignment_cost: float = 0.0
     candidate_counts: RunningStats = field(default_factory=RunningStats)
+    #: Quotes made per settled request — the ART sample base. Immediate
+    #: dispatch quotes at most its candidates (the fleet screen skips
+    #: vehicles that cannot win); batched policies quote whole columns,
+    #: once per round.
+    quote_counts: RunningStats = field(default_factory=RunningStats)
     #: Batched dispatch (repro.dispatch): requests per flush, wall time
     #: inside the assignment solver per flush, rejections per flush.
     #: Immediate dispatch records each request as a singleton batch.
@@ -261,6 +266,7 @@ class SimulationReport:
         self.acrt.add(result.elapsed)
         self.registry.histogram("dispatch.acrt_s").add(result.elapsed)
         self.candidate_counts.add(result.num_candidates)
+        self.quote_counts.add(len(result.quote_timings))
         art_hist = self.registry.histogram("quote.art_s")
         for active, seconds in result.quote_timings:
             self.art.record(active, seconds)
@@ -415,7 +421,8 @@ class SimulationReport:
         return violations
 
     def summary(self) -> dict[str, float]:
-        """Flat dict for tables and EXPERIMENTS.md."""
+        """Flat dict for the paper tables (``python -m repro.bench``)
+        and ``--metrics-out``."""
         latency = self.registry.histogram("assign.latency_s")
         solve = self.registry.histogram("flush.solve_s")
         summary = {
@@ -425,6 +432,7 @@ class SimulationReport:
             "service_rate": round(self.service_rate, 4),
             "acrt_ms": round(self.acrt_ms, 4),
             "mean_candidates": round(self.candidate_counts.mean, 2),
+            "mean_quotes": round(self.quote_counts.mean, 2),
             "max_passengers": self.occupancy.max_passengers,
             "mean_max_occupancy": round(self.occupancy.mean_max_per_vehicle, 3),
             "top20_mean_occupancy": round(self.occupancy.top20_mean, 3),
@@ -493,11 +501,14 @@ class SimulationReport:
             "rejected",
             "service_rate",
             "acrt_ms",
-            "mean_candidates",
             "max_passengers",
             "wall_seconds",
         ):
             lines.append(f"{key:24s} {summary[key]}")
+        lines.append(
+            f"{'vehicles_per_request':24s} candidates "
+            f"{summary['mean_candidates']}, trial-inserted {summary['mean_quotes']}"
+        )
         if self.num_batches:
             lines.append("--- batched dispatch ---")
             lines.append(f"{'batches':24s} {self.num_batches}")

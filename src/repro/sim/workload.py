@@ -2,8 +2,8 @@
 
 The paper replays 432,327 real taxi trips of one Shanghai day (May 29,
 2009) over a 122,319-vertex road network. That dataset is proprietary, so
-this module generates the closest synthetic equivalent (see DESIGN.md,
-"Substitutions"):
+this module generates the closest synthetic equivalent (see README.md,
+"Deviations from the paper"):
 
 * **spatial structure** — origins/destinations drawn from a mixture of
   hotspot zones (airport/station/CBD analogues, which drive kinetic-tree

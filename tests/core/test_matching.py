@@ -63,7 +63,10 @@ def test_submit_collects_art_timings(city_engine, agents):
     dispatcher = Dispatcher(city_engine, agents)
     request = dispatcher.make_request(0, 20, 0.0, 600.0, 0.5)
     result = dispatcher.submit(request, 0.0)
-    assert len(result.quote_timings) == len(agents)
+    # One ART sample per trial insertion actually made: the fleet screen
+    # skips vehicles whose lower bound cannot beat the winner.
+    assert 1 <= len(result.quote_timings) <= result.num_candidates
+    assert result.num_candidates == len(agents)
     for active, seconds in result.quote_timings:
         assert active == 0
         assert seconds >= 0.0

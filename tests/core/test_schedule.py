@@ -43,6 +43,35 @@ def test_wait_exactly_at_deadline_ok():
     assert evaluate_schedule(ENGINE, 0, 0.0, [pickup(r), dropoff(r)], {}) is not None
 
 
+def test_pickup_within_tolerance_after_deadline_accepted_everywhere():
+    """A pickup reached 5e-7 s after its deadline is inside the shared
+    1e-6 s tolerance: the reference validator, brute force and the
+    kinetic tree (including its self-check against the validator) all
+    accept it."""
+    from repro.algorithms.brute_force import BruteForce
+    from repro.core.kinetic.tree import KineticTree
+    from repro.core.problem import SchedulingProblem
+    from repro.roadnet.graph import RoadNetwork
+    from repro.roadnet.matrix import MatrixEngine
+
+    engine = MatrixEngine(RoadNetwork(3, [(0, 1, 10.0), (1, 2, 10.0)]))
+    r = TripRequest(1, 1, 2, 0.0, 10.0 - 5e-7, 0.5, 10.0)
+    assert 0.0 < 10.0 - r.pickup_deadline < 1e-6
+
+    evaluation = evaluate_schedule(engine, 0, 0.0, [pickup(r), dropoff(r)], {})
+    assert evaluation is not None and evaluation.arrivals == (10.0, 20.0)
+
+    problem = SchedulingProblem(0, 0.0, {}, (), r, capacity=4)
+    result = BruteForce(engine).solve(problem)
+    assert result is not None and result.cost == 20.0
+
+    tree = KineticTree(engine, 0, 0.0, capacity=4)
+    trial = tree.try_insert(r, 0, 0.0)
+    assert trial is not None and trial.best_cost == 20.0
+    tree.commit(trial)
+    tree.validate()
+
+
 def test_ride_violation_via_detour():
     # Trip 1: 10 -> 20 with eps=0.1 (budget 11); detour to 25 makes the
     # on-road cost 5 + 5 + ... = 20 > 11.

@@ -89,6 +89,9 @@ def test_report_record_assignment():
     summary = report.summary()
     assert summary["requests"] == 2
     assert summary["service_rate"] == 0.5
+    # ART's sample base: 2 quotes made of 3 candidates per request.
+    assert (summary["mean_candidates"], summary["mean_quotes"]) == (3.0, 2.0)
+    assert "candidates 3.0, trial-inserted 2.0" in report.text_summary()
 
 
 def test_report_empty_summary():

@@ -92,6 +92,26 @@ def test_readme_names_every_bench_json():
         assert name in readme, f"{name} not described in README"
 
 
+def test_source_names_only_existing_markdown_files():
+    """Docstrings and comments under src/ cite only markdown files that
+    exist (paths relative to the repository root, e.g. ``README.md`` or
+    ``docs/determinism.md``)."""
+    cited = re.compile(r"(?<![\w/.-])((?:[\w-]+/)*[\w-]+\.md)\b")
+    missing = []
+    for folder, _, names in os.walk(os.path.join(REPO_ROOT, "src")):
+        for name in names:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as f:
+                for lineno, line in enumerate(f, 1):
+                    for match in cited.finditer(line):
+                        if not os.path.exists(os.path.join(REPO_ROOT, match.group(1))):
+                            rel = os.path.relpath(path, REPO_ROOT)
+                            missing.append(f"{rel}:{lineno} {match.group(1)}")
+    assert not missing, "src/ cites missing markdown files:\n" + "\n".join(missing)
+
+
 def test_determinism_contracts_point_at_real_tests():
     """Every test path named in docs/determinism.md exists."""
     path = os.path.join(REPO_ROOT, "docs", "determinism.md")
