@@ -50,9 +50,9 @@ def flush_scenario():
 
 
 def reference_flush(dispatcher, requests, tracer):
-    """Quote + solve one batch exactly as the pipeline stages do."""
+    """Quote + solve one batch exactly as a batched flush does."""
     dispatcher.tracer = tracer
-    service = QuoteService(workers=0, tracer=tracer)
+    service = QuoteService()
     with tracer.span("flush", requests=len(requests)):
         with tracer.span("quote.collect", cat="quote"):
             quote_set = service.begin(dispatcher, requests, 120.0).collect()

@@ -98,7 +98,7 @@ def main() -> None:
     trajectory = adaptive_report.window_trajectory
     step = max(1, len(trajectory) // 24)
     scale = 40.0 / WINDOW_MAX
-    for t, window, _overlap in trajectory[::step]:
+    for t, window in trajectory[::step]:
         bar = "#" * max(1, int(window * scale))
         phase = "surge" if t >= split else "lull"
         print(f"  t={t:7.1f}s [{phase:5s}] {window:5.1f}s |{bar}")

@@ -7,12 +7,9 @@ window) and iterative (repeated assignment rounds) — on the same fleet
 and request stream: service rate, assignment cost, batch sizes, and the
 wall time spent in the Hungarian solver.
 
-Each batched run flushes through the staged quote → solve → commit
-pipeline (here in its degenerate synchronous form: no quote workers, a
-zero overlap window — add ``quote_workers``/``quote_overlap_s`` to the
-config to overlap quoting with event execution, see
-``examples/sharded_dispatch.py`` and :mod:`repro.dispatch.quoting`).
-The window length is fixed for the whole run; see
+Each batched flush quotes, solves and commits at its instant, against
+the fleet as it stands (:mod:`repro.dispatch.quoting`). The window
+length is fixed for the whole run; see
 ``examples/adaptive_window.py`` for load-driven window autotuning and
 carry-over.
 

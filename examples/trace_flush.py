@@ -1,11 +1,11 @@
-"""Trace a rush-hour flush pipeline and read where the time went.
+"""Trace rush-hour flushes and read where the time went.
 
 Runs one batched LAP simulation on a bimodal workload (a lull, then a
 surge) with tracing on, then analyzes the collected spans in-process:
 the per-stage time breakdown (where does flush time go?) and the
-slowest flushes decomposed into their quote/solve/commit children —
-exactly what ``tools/trace_report.py`` prints from a trace file, plus
-the registry's p50/p99 assignment latency.
+slowest flushes decomposed into their snapshot/quote/solve/commit
+children — exactly what ``tools/trace_report.py`` prints from a trace
+file, plus the registry's p50/p99 assignment latency.
 
 Run:  python examples/trace_flush.py [--vehicles N] [--peak-trips N]
       python examples/trace_flush.py --trace-out trace.jsonl   # then
@@ -73,7 +73,7 @@ def main() -> None:
     print(f"\n{len(events)} spans collected — where flush time goes:\n")
     print(render_stage_table(stage_breakdown(events)))
 
-    print("\nslowest flushes (quote/solve/commit decomposition):")
+    print("\nslowest flushes (snapshot/quote/solve/commit decomposition):")
     print(render_slowest(slowest_flushes(events, top=3)))
 
     latency = report.registry.histogram("assign.latency_s")

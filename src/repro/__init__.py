@@ -33,16 +33,15 @@ Package map:
   requests, after Vakayil et al.) and ``sharded`` (the lap solve
   federated over grid-region shards with concurrent per-shard solves
   and boundary reconciliation, :mod:`repro.dispatch.sharding`). Each
-  flush runs the staged quote -> solve -> commit pipeline
+  flush quotes, solves and commits synchronously at its instant
   (:mod:`repro.dispatch.quoting`), the flush cadence is owned by a
   fixed or load-adaptive window controller
   (:mod:`repro.dispatch.adaptive`), and carry-over batching lets
   losing requests roll into the next window. Configure through
   :class:`SimulationConfig` (``dispatch_policy``, ``batch_window_s``,
   ``assignment_rounds``, ``num_shards``, ``shard_backend``,
-  ``shard_boundary_cells``, ``quote_workers``, ``quote_overlap_s``,
-  ``adaptive_window``, ``window_min_s``/``window_max_s``,
-  ``carry_over``);
+  ``shard_boundary_cells``, ``adaptive_window``,
+  ``window_min_s``/``window_max_s``, ``carry_over``);
 * :mod:`repro.algorithms` — brute force, branch & bound, MIP and
   insertion baselines;
 * :mod:`repro.sim` — event-driven simulator, synthetic Shanghai-like

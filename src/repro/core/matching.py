@@ -113,12 +113,6 @@ class VehicleAgent(abc.ABC):
     def __init__(self, vehicle: Vehicle, engine):
         self.vehicle = vehicle
         self.engine = engine
-        #: Staleness epoch: bumped on every schedule mutation (commit,
-        #: stop arrival). A quote captured together with the epoch it was
-        #: computed under can be re-validated at commit time — any bump in
-        #: between means the quote's payload references schedule state
-        #: that no longer exists (see :mod:`repro.dispatch.quoting`).
-        self.schedule_epoch = 0
 
     # -- scheduling ----------------------------------------------------
     @abc.abstractmethod
@@ -140,15 +134,9 @@ class VehicleAgent(abc.ABC):
     ) -> list["Quote | None"]:
         """Quote several requests from a pre-resolved decision point.
 
-        The split from :meth:`quote_batch` exists for the async quoting
-        pipeline (:mod:`repro.dispatch.quoting`): the simulator resolves
-        every candidate's decision point on the main thread
-        (decision-point resolution mutates the vehicle's lazy cruise
-        waypoints), then fans the pure scheduling work — which only
-        reads the agent's committed schedule and the engine — out to
-        worker threads. Subclasses override to compute the per-vehicle
-        setup (path prefixes, batched fan-outs) once instead of per
-        request; the fallback just quotes sequentially.
+        Subclasses override to compute the per-vehicle setup (path
+        prefixes, batched fan-outs) once instead of per request; the
+        fallback just quotes sequentially.
         """
         return [self.quote_at(request, vertex, t) for request in requests]
 
@@ -165,8 +153,7 @@ class VehicleAgent(abc.ABC):
 
     @abc.abstractmethod
     def commit(self, quote: Quote) -> None:
-        """Adopt a previously returned quote (the request is won).
-        Implementations must bump :attr:`schedule_epoch`."""
+        """Adopt a previously returned quote (the request is won)."""
 
     @abc.abstractmethod
     def next_stop(self) -> tuple[float, tuple[Stop, ...]] | None:
@@ -304,7 +291,6 @@ class KineticAgent(VehicleAgent):
     def commit(self, quote: Quote) -> None:
         trial: KineticTrial = quote.payload
         self.tree.commit(trial)
-        self.schedule_epoch += 1
         stops: list[Stop] = []
         for node in self.tree.committed:
             stops.extend(node.stops)
@@ -320,7 +306,6 @@ class KineticAgent(VehicleAgent):
 
     def arrive_next(self) -> list[tuple[float, Stop]]:
         node = self.tree.advance()
-        self.schedule_epoch += 1
         return list(zip(node.arrivals, node.stops))
 
     @property
@@ -405,7 +390,6 @@ class RescheduleAgent(VehicleAgent):
 
     def commit(self, quote: Quote) -> None:
         result: ScheduleResult = quote.payload
-        self.schedule_epoch += 1
         self.pending.append(quote.request)
         self.committed_stops = list(result.stops)
         self.committed_arrivals = list(result.arrivals)
@@ -423,7 +407,6 @@ class RescheduleAgent(VehicleAgent):
     def arrive_next(self) -> list[tuple[float, Stop]]:
         if not self.committed_stops:
             raise SimulationError("no committed stop to arrive at")
-        self.schedule_epoch += 1
         stop = self.committed_stops.pop(0)
         arrival = self.committed_arrivals.pop(0)
         if stop.is_pickup:

@@ -90,30 +90,10 @@ class Vehicle:
         if not self.busy:
             self._extend_cruise(now, graph)
         self._advance(now)
-        return self._decision_at(self._index, now)
-
-    def peek_decision_point(self, now: float, graph) -> tuple[int, float]:
-        """:meth:`decision_point` without advancing the waypoint cursor.
-
-        For resolving a decision point at a *future* simulated time (the
-        async quote stage quotes for the upcoming commit instant while
-        the simulation clock is still inside the overlap window):
-        ``_advance`` is forward-only and compacts passed waypoints, so
-        the plain ``decision_point`` would leave the cursor past every
-        position query issued between now and that future time. Idle
-        cruise is still extended (append-only and deterministic — it
-        never perturbs earlier positions).
-        """
-        if not self.busy:
-            self._extend_cruise(now, graph)
-        return self._decision_at(self._scan_index(now), now)
-
-    def _decision_at(self, index: int, now: float) -> tuple[int, float]:
-        """Decision point at a cursor position: the waypoint itself, or
-        — past the final waypoint (busy vehicle that finished its leg,
-        or exactly-at-vertex) — waiting at that vertex until ``now``."""
-        time, vertex = self.waypoints[index]
+        time, vertex = self.waypoints[self._index]
         if time < now:
+            # Past the final waypoint (busy vehicle that finished its
+            # leg): wait at that vertex until ``now``.
             return vertex, now
         return vertex, time
 
@@ -153,19 +133,13 @@ class Vehicle:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _scan_index(self, now: float) -> int:
-        """Cursor position of the first waypoint at/after ``now``
-        (scanning forward from the current cursor; no mutation)."""
+    def _advance(self, now: float) -> None:
+        """Move the waypoint cursor to the first waypoint at/after ``now``."""
         waypoints = self.waypoints
         index = self._index
         last = len(waypoints) - 1
         while index < last and waypoints[index][0] < now:
             index += 1
-        return index
-
-    def _advance(self, now: float) -> None:
-        """Move the waypoint cursor to the first waypoint at/after ``now``."""
-        index = self._scan_index(now)
         self._index = index
         if index > _COMPACT_THRESHOLD:
             del self.waypoints[: index - 1]

@@ -1,19 +1,15 @@
-"""Batched dispatch: a staged quote -> solve -> commit pipeline.
+"""Batched dispatch: quote -> solve -> commit in one synchronous flush.
 
 The layer between the request stream and the vehicle agents. Immediate
 dispatch (the paper's Section VI) is the degenerate case of a zero-length
 window under the ``greedy`` policy; with a positive ``batch_window_s``
 the simulator accumulates requests in a :class:`BatchWindow` and runs
-each flush through an explicit three-stage pipeline:
+each flush through three stages, back to back at the flush instant:
 
 * **quote** — a :class:`QuoteService` builds the batch's per-vehicle
   :class:`CostMatrix` columns (:func:`plan_columns` ->
-  :func:`quote_column` -> :func:`assemble_matrix`), either synchronously
-  or on a worker pool while the simulator keeps executing stop events
-  (async quoting; see :mod:`repro.dispatch.quoting`). Every schedule
-  mutation bumps the owning agent's ``schedule_epoch``, so quotes that
-  went stale between quote and commit are detected and re-quoted
-  deterministically at collect time.
+  :func:`quote_column` -> :func:`assemble_matrix`) under the
+  fault-tolerance layer (see :mod:`repro.dispatch.quoting`).
 * **solve** — a pluggable :class:`DispatchPolicy` consumes the completed
   :class:`QuoteSet`:
 
@@ -38,14 +34,11 @@ The flush cadence itself is owned by a window controller
 (:mod:`repro.dispatch.adaptive`): fixed (the configured
 ``batch_window_s``, bit-identical to the pre-controller scheduling) or
 adaptive (per-flush retuning from the observed arrival intensity,
-clamped to ``[window_min_s, window_max_s]``, with ``quote_overlap_s``
-scaled proportionally).
+clamped to ``[window_min_s, window_max_s]``).
 
 Cost matrices are built per vehicle, so a vehicle quoting many requests
 computes its decision point once and reuses its shortest-path locality
-across the batch. With ``quote_workers=0`` the pipeline defers all
-quoting to the solve instant and is bit-identical to the pre-pipeline
-synchronous order.
+across the batch.
 """
 
 from repro.dispatch.adaptive import (
@@ -75,12 +68,7 @@ from repro.dispatch.policies import (
     ShardedPolicy,
     make_policy,
 )
-from repro.dispatch.quoting import (
-    QUOTE_BACKENDS,
-    PendingQuotes,
-    QuoteService,
-    QuoteSet,
-)
+from repro.dispatch.quoting import PendingQuotes, QuoteService, QuoteSet
 from repro.dispatch.sharding import (
     SHARD_BACKENDS,
     BoundaryReconciler,
@@ -110,7 +98,6 @@ __all__ = [
     "LapPolicy",
     "POLICY_REGISTRY",
     "PendingQuotes",
-    "QUOTE_BACKENDS",
     "QuoteService",
     "QuoteSet",
     "SHARD_BACKENDS",

@@ -5,26 +5,25 @@ request wait out a window sized for rush hour; in rush hour it may give
 the solver batches too small for global matching to pay off. Simonetto
 et al. (*Real-time City-scale Ridesharing via Linear Assignment
 Problems*) adapt the batch length to the observed load instead; this
-module is that controller for the staged dispatch pipeline.
+module is that controller for the batched flush.
 
-Two controllers share one duck-typed interface (``window_s`` /
-``overlap_s`` attributes, :meth:`on_flush` and
-:meth:`observe_quote_stage` hooks, called by the simulator at every
-``BATCH_DISPATCH`` flush and ``QUOTE_READY`` commit respectively):
+Two controllers share one duck-typed interface (a ``window_s``
+attribute, :meth:`on_flush` and :meth:`observe_quote_stage` hooks,
+called by the simulator at the start of every ``BATCH_DISPATCH`` flush
+and after its quote stage respectively):
 
 * :class:`FixedWindowController` — the degenerate controller: echoes the
-  configured ``batch_window_s`` / ``quote_overlap_s`` constants
-  unchanged, so a run with ``adaptive_window=False`` schedules exactly
-  the same flush instants as before the controller existed
-  (bit-identical; pinned in ``tests/sim/test_carry_over.py``).
+  configured ``batch_window_s`` constant unchanged, so a run with
+  ``adaptive_window=False`` schedules exactly the same flush instants
+  as before the controller existed (bit-identical; pinned in
+  ``tests/sim/test_carry_over.py``).
 * :class:`AdaptiveWindowController` — retunes the window each flush from
   an EWMA of request arrival intensity, clamped to
   ``[window_min_s, window_max_s]``: short windows off-peak (requests are
   answered quickly; with idle vehicles around, global matching has
   little to add), long windows in rush hour (bigger batches let the
   linear-assignment round resolve conflicts over scarce vehicles
-  globally). ``quote_overlap_s`` scales proportionally so the pipeline's
-  flush/commit phase relationship is preserved at every window length.
+  globally).
 
 Determinism
 -----------
@@ -44,21 +43,20 @@ from __future__ import annotations
 
 
 class FixedWindowController:
-    """Echoes the configured window/overlap constants (adaptive off).
+    """Echoes the configured window constant (adaptive off).
 
     Exists so the simulator has exactly one scheduling code path: with
     adaptive tuning disabled this controller returns the *same float
-    objects* the config carries, making the flush chain bit-identical
+    object* the config carries, making the flush chain bit-identical
     to the pre-controller arithmetic.
     """
 
-    __slots__ = ("window_s", "overlap_s", "retunes")
+    __slots__ = ("window_s", "retunes")
 
-    def __init__(self, window_s: float, overlap_s: float):
+    def __init__(self, window_s: float):
         if window_s <= 0:
             raise ValueError("window_s must be positive")
         self.window_s = window_s
-        self.overlap_s = overlap_s
         #: Flushes observed (mirrors the adaptive controller's counter).
         self.retunes = 0
 
@@ -70,10 +68,7 @@ class FixedWindowController:
         """Measured-channel hook; ignored — nothing to guard."""
 
     def __repr__(self) -> str:
-        return (
-            f"FixedWindowController(window_s={self.window_s:g}, "
-            f"overlap_s={self.overlap_s:g})"
-        )
+        return f"FixedWindowController(window_s={self.window_s:g})"
 
 
 class AdaptiveWindowController:
@@ -90,10 +85,6 @@ class AdaptiveWindowController:
         where ``saturation = target_batch / window_max_s`` — i.e. the
         window reaches ``max`` exactly when the arrival intensity would
         fill a maximal window with ``target_batch`` requests.
-    overlap_fraction:
-        ``quote_overlap_s`` as a fraction of the window (taken from the
-        configured ratio); the overlap is retuned proportionally so it
-        always fits inside the window.
     ewma_alpha:
         Smoothing weight of the newest intensity sample (1 = no
         smoothing).
@@ -111,10 +102,8 @@ class AdaptiveWindowController:
 
     __slots__ = (
         "window_s",
-        "overlap_s",
         "window_min_s",
         "window_max_s",
-        "overlap_fraction",
         "ewma_alpha",
         "target_batch",
         "latency_headroom",
@@ -130,7 +119,6 @@ class AdaptiveWindowController:
         initial_window_s: float,
         window_min_s: float,
         window_max_s: float,
-        overlap_fraction: float = 0.0,
         ewma_alpha: float = 0.3,
         target_batch: float = 12.0,
         latency_headroom: float = 0.5,
@@ -141,8 +129,6 @@ class AdaptiveWindowController:
             raise ValueError(
                 "initial_window_s must lie inside [window_min_s, window_max_s]"
             )
-        if not 0.0 <= overlap_fraction < 1.0:
-            raise ValueError("overlap_fraction must be in [0, 1)")
         if not 0.0 < ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
         if target_batch <= 0:
@@ -151,12 +137,10 @@ class AdaptiveWindowController:
             raise ValueError("latency_headroom must be positive")
         self.window_min_s = window_min_s
         self.window_max_s = window_max_s
-        self.overlap_fraction = overlap_fraction
         self.ewma_alpha = ewma_alpha
         self.target_batch = target_batch
         self.latency_headroom = latency_headroom
         self.window_s = initial_window_s
-        self.overlap_s = overlap_fraction * initial_window_s
         self.retunes = 0
         self.guard_engagements = 0
         self._intensity_ewma: float | None = None
@@ -177,7 +161,7 @@ class AdaptiveWindowController:
         return self._intensity_ewma
 
     def on_flush(self, now: float, new_arrivals: int) -> None:
-        """Fold one flush's arrivals in and retune window + overlap.
+        """Fold one flush's arrivals in and retune the window.
 
         ``new_arrivals`` counts requests that entered the window since
         the previous flush (carry-over re-entries excluded — they were
@@ -200,10 +184,9 @@ class AdaptiveWindowController:
         self._last_flush_at = now
         self.retunes += 1
         self.window_s = self._target_window()
-        self.overlap_s = self.overlap_fraction * self.window_s
 
     def observe_quote_stage(self, quote_wall_seconds: float) -> None:
-        """Fold one commit's *measured* quote-stage wall time into the
+        """Fold one flush's *measured* quote-stage wall time into the
         real-time guard's EWMA (the controller's only wall-clock input)."""
         if quote_wall_seconds < 0:
             return
@@ -244,14 +227,11 @@ def make_window_controller(config):
     if config.batch_window_s <= 0:
         return None
     if not config.adaptive_window:
-        return FixedWindowController(
-            config.batch_window_s, config.quote_overlap_s
-        )
+        return FixedWindowController(config.batch_window_s)
     return AdaptiveWindowController(
         initial_window_s=config.batch_window_s,
         window_min_s=config.window_min_s,
         window_max_s=config.window_max_s,
-        overlap_fraction=config.quote_overlap_s / config.batch_window_s,
         ewma_alpha=config.adaptive_ewma_alpha,
         target_batch=config.adaptive_target_batch,
         latency_headroom=config.adaptive_latency_headroom,

@@ -83,9 +83,9 @@ class ColumnPlan:
     One plan per flush: the union of the per-request candidate sets,
     ordered by vehicle id (so cost ties resolve to the lowest vehicle
     id, like immediate dispatch), with the rows each vehicle must quote.
-    The quote stage — synchronous (:func:`build_cost_matrix`) or
-    asynchronous (:class:`~repro.dispatch.quoting.QuoteService`) — fills
-    one :class:`ColumnQuotes` per agent and hands both back to
+    The quote stage — :func:`build_cost_matrix` or the hardened
+    :class:`~repro.dispatch.quoting.QuoteService` — fills one
+    :class:`ColumnQuotes` per agent and hands both back to
     :func:`assemble_matrix`.
     """
 
@@ -154,23 +154,13 @@ def quote_column(
     requests: list[TripRequest],
     now: float,
     objective: str,
-    decision: tuple[int, float] | None = None,
 ) -> ColumnQuotes:
-    """Quote one vehicle against its slice of the batch.
-
-    With ``decision`` (a pre-resolved ``(vertex, time)`` pair) the quote
-    goes through :meth:`~repro.core.matching.VehicleAgent.quote_batch_at`
-    — the async pipeline's form, where decision points were resolved on
-    the simulator thread; without it, through ``quote_batch`` exactly as
-    the synchronous path always has.
-    """
+    """Quote one vehicle against its slice of the batch, from its
+    decision point at ``now``."""
     active = agent.num_active_trips
     plan_cost = agent.current_plan_cost() if objective == "delta" else 0.0
     t0 = clock()
-    if decision is None:
-        quotes = agent.quote_batch(requests, now)
-    else:
-        quotes = agent.quote_batch_at(requests, decision[0], decision[1])
+    quotes = agent.quote_batch(requests, now)
     per_quote = (clock() - t0) / len(requests)
     return ColumnQuotes(
         quotes=quotes,
@@ -229,10 +219,10 @@ def build_cost_matrix(
     exact costs — snapping only affects who wins, never the reported
     cost).
 
-    This is the synchronous composition of the three column stages
+    This is the bare composition of the three column stages
     (:func:`plan_columns` -> :func:`quote_column` per vehicle ->
-    :func:`assemble_matrix`); the async pipeline runs the same stages
-    with the middle one fanned out to a worker pool.
+    :func:`assemble_matrix`); :class:`~repro.dispatch.quoting.QuoteService`
+    runs the same stages under the fault-tolerance layer.
     """
     plan = plan_columns(dispatcher, requests)
     columns = [

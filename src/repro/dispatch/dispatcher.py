@@ -3,8 +3,8 @@
 :class:`BatchDispatcher` generalises the per-request
 :class:`~repro.core.matching.Dispatcher` to whole windows: the simulator
 hands it the batch a :class:`~repro.dispatch.window.BatchWindow`
-accumulated — together with the staged pipeline's completed quote stage,
-when one ran — and the configured
+accumulated — together with the flush's completed quote stage, when
+one ran — and the configured
 :class:`~repro.dispatch.policies.DispatchPolicy` solves and commits
 (re-quoting itself in later rounds and whenever no quote stage was
 handed in). Candidate filtering, quoting and commit semantics are the
@@ -12,7 +12,7 @@ underlying dispatcher's — this layer only changes *when* and *together
 with whom* requests are matched, which is why a zero-length window under
 the ``greedy`` policy reduces exactly to immediate dispatch. With
 carry-over enabled it also decides *whether now at all*: losing requests
-that can still make the next flush's commit come back in
+that can still make the next flush come back in
 :attr:`~repro.dispatch.policies.BatchResult.carried` instead of settling
 here.
 """
@@ -59,13 +59,13 @@ class BatchDispatcher:
         """Assign one batch at ``now``; winning quotes are committed.
 
         ``quote_set`` hands the policy a completed quote stage for this
-        exact batch (the staged pipeline's round-1 material); ``None``
-        means the policy quotes synchronously, as before the pipeline.
-        ``carry_deadline`` (the next flush's commit instant) enables
-        carry-over batching: unassigned requests that can still make it
-        come back in :attr:`BatchResult.carried` for re-entry into the
-        window instead of being settled in-batch. ``fault_deadline``
-        arms the fault-carry rung of the degradation ladder (see
+        exact batch (its round-1 material); ``None`` means the policy
+        quotes itself. ``carry_deadline`` (the next flush's instant)
+        enables carry-over batching: unassigned requests that can still
+        make it come back in :attr:`BatchResult.carried` for re-entry
+        into the window instead of being settled in-batch.
+        ``fault_deadline`` arms the fault-carry rung of the degradation
+        ladder (see
         :meth:`~repro.dispatch.policies.DispatchPolicy.assign`).
         """
         return self.policy.assign(

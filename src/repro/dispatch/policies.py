@@ -124,8 +124,8 @@ class DispatchPolicy(abc.ABC):
     name: str = ""
 
     #: Whether :meth:`assign` consumes a pre-built :class:`QuoteSet`
-    #: (the pipeline only runs the async quote stage for policies that
-    #: do — ``greedy`` quotes inline and would waste the workers).
+    #: (the flush only runs the quote stage for policies that do —
+    #: ``greedy`` quotes inline, request by request).
     uses_quote_set: bool = False
 
     @abc.abstractmethod
@@ -142,8 +142,8 @@ class DispatchPolicy(abc.ABC):
         committing every winning quote; returns one result per settled
         request (plus the carried remainder).
 
-        ``quote_set`` is the pipeline's completed quote stage for this
-        batch (``None`` = quote here, synchronously). Policies that
+        ``quote_set`` is the flush's completed quote stage for this
+        batch (``None`` = quote here). Policies that
         consume it must treat it as round-1 material only: later rounds
         re-quote against schedules the earlier rounds just changed.
 
@@ -227,9 +227,9 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
 
     Matrix construction lives in the shared quote service
     (:class:`~repro.dispatch.quoting.QuoteService`): round 1 consumes
-    the pipeline's completed :class:`QuoteSet` when one is handed in,
-    and every other build (later rounds, round 1 without a pipeline)
-    goes through the policy's own synchronous service — the same three
+    the flush's completed :class:`QuoteSet` when one is handed in, and
+    every other build (later rounds, round 1 of the end-of-run safety
+    flush) goes through the policy's own service — the same three
     column stages either way.
     """
 
@@ -239,9 +239,7 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
         self.rounds = rounds
-        self.quote_service = QuoteService(
-            workers=0, injector=injector, retry=retry
-        )
+        self.quote_service = QuoteService(injector=injector, retry=retry)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(rounds={self.rounds})"
@@ -266,8 +264,8 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
         tracer = getattr(dispatcher, "tracer", NULL_TRACER)
         started = clock()
         if quote_set is not None:
-            # Round 1's quoting already ran in the pipeline's quote
-            # stage; credit its wall time into the batch span so the
+            # Round 1's quoting already ran in the flush's quote stage;
+            # credit its wall time into the batch span so the
             # per-request ACRT share keeps covering the full search.
             started -= quote_set.quote_seconds
         solver_seconds = 0.0
@@ -300,8 +298,8 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
         while pending and rounds_used < self.rounds:
             batch = [requests[i] for i in pending]
             if quote_set is not None and rounds_used == 0:
-                # Round 1 of a pipelined flush: the quote stage already
-                # ran (and repaired staleness) for exactly this batch.
+                # Round 1 of a flush: its quote stage already ran for
+                # exactly this batch.
                 matrix = quote_set.matrix
             else:
                 with tracer.span(

@@ -1,62 +1,37 @@
-"""The quote stage of the staged dispatch pipeline.
+"""The quote stage of a batched flush.
 
-The batch path used to quote, solve and commit as one synchronous blob
-inside the ``BATCH_DISPATCH`` handler. This module is the refactor's
-first stage made explicit: a :class:`QuoteService` builds one batch's
-per-vehicle :class:`~repro.dispatch.costs.CostMatrix` columns — through
-the same :func:`~repro.dispatch.costs.plan_columns` /
+A :class:`QuoteService` builds one batch's per-vehicle
+:class:`~repro.dispatch.costs.CostMatrix` columns through the same
+:func:`~repro.dispatch.costs.plan_columns` /
 :func:`~repro.dispatch.costs.quote_column` /
 :func:`~repro.dispatch.costs.assemble_matrix` stages the synchronous
-:func:`~repro.dispatch.costs.build_cost_matrix` composes — either
-inline or on a worker pool (the sharding subsystem's
-:class:`~repro.dispatch.sharding.executor.WorkerPool`) while the
-simulator keeps executing stop events.
+:func:`~repro.dispatch.costs.build_cost_matrix` composes, on the calling
+thread, at the solve instant: the fleet is quoted as it stands when the
+batch is decided, as in the paper and in Simonetto et al.'s per-batch
+linear assignment.
 
-Staleness-safe by construction
-------------------------------
-
-Async quotes are computed *for* the commit time ``now`` (the simulated
-time of the ``QUOTE_READY`` event) but *at* quote-issue wall time, so a
-vehicle can mutate its schedule — win a request, reach a stop, finish
-its plan and go idle — between quote and commit. Every schedule
-mutation bumps the agent's
-:attr:`~repro.core.matching.VehicleAgent.schedule_epoch`;
-:meth:`PendingQuotes.collect` compares each column's epoch against the
-value captured at quote issue and deterministically re-quotes exactly
-the stale columns on the simulator thread. A worker quote that raced a
-mutation mid-read can therefore only ever be *discarded* (its epoch
-check fails, or it raised and is repaired the same way) — torn reads
-never reach the solver. Because every surviving quote is value-equal to
-what a synchronous quote at commit time would have produced (schedules
-untouched since issue, decision points deterministic), the repaired
-:class:`QuoteSet` — and with it every downstream assignment — is
-bit-identical across ``workers=0`` (deferred synchronous), the eager
-``serial`` backend and the ``thread`` pool.
-
-Decision points are resolved on the simulator thread at quote issue
-(they mutate the vehicle's lazy cruise waypoints); workers only read
-the agent's committed schedule and the engine.
+:meth:`QuoteService.begin` candidate-filters the batch into a column
+plan; :meth:`PendingQuotes.collect` quotes every column and assembles
+the matrix. The simulator calls the two back to back inside one flush.
 
 Hardened quoting
 ----------------
 
 Column quotes run under the fault-tolerance layer (:mod:`repro.faults`):
 every attempt may carry an injected fault directive, failures — injected
-or real — are retried on the simulator thread under the service's
+or real — are retried under the service's
 :class:`~repro.faults.RetryPolicy`, retry backoffs and injected delays
 are charged against the flush's :class:`~repro.faults.FlushBudget`, and
 a column that exhausts its budget is assembled *failed* (all-infeasible,
 no timing samples) with a structured
-:class:`~repro.faults.TaskFailure` on the :class:`QuoteSet` — never the
-old silent ``except Exception`` swallow. Its rows take the fault-carry
-rung of the degradation ladder downstream; a flush that exhausts its
-deadline budget stops quoting entirely and is flagged
+:class:`~repro.faults.TaskFailure` on the :class:`QuoteSet`. Its rows
+take the fault-carry rung of the degradation ladder downstream; a flush
+that exhausts its deadline budget stops quoting entirely and is flagged
 ``deadline_exceeded`` so the simulator can downgrade it to greedy.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from repro.core.matching import Dispatcher
@@ -70,7 +45,6 @@ from repro.dispatch.costs import (
     plan_columns,
     quote_column,
 )
-from repro.dispatch.sharding.executor import WorkerPool
 from repro.exceptions import FlushDeadlineExceededError, QuoteFailedError
 from repro.faults import (
     DEFAULT_RETRY,
@@ -81,26 +55,13 @@ from repro.faults import (
 )
 from repro.obs.trace import NULL_TRACER, clock
 
-#: Backends :class:`QuoteService` accepts. ``process`` is deliberately
-#: absent: quoting reads live agent schedules (kinetic trees, pending
-#: sets) that cannot cross a process boundary — only the *solve* stage
-#: ships to processes (see :mod:`repro.dispatch.sharding`).
-QUOTE_BACKENDS = ("serial", "thread")
-
 
 @dataclass(slots=True)
 class QuoteSet:
     """One batch's completed quote stage.
 
-    ``matrix`` is what the solve stage consumes; ``quoted_at`` the
-    simulated time every quote is valid for (the commit time);
-    ``quote_seconds`` the wall time from quote issue to the last column
-    completing (including any staleness repair); ``requotes`` how many
-    columns were rebuilt at collect because their vehicle's schedule
-    epoch moved (``failures`` of them because the racing worker quote
-    raised). ``began_perf`` / ``finished_perf`` are ``perf_counter``
-    stamps of quote start and end, from which the simulator derives how
-    much quote wall time overlapped event execution.
+    ``matrix`` is what the solve stage consumes; ``quote_seconds`` the
+    wall time :meth:`PendingQuotes.collect` spent quoting.
 
     The fault-tolerance fields: ``failed_columns`` are the matrix
     columns that could not be quoted at all (retry budget spent — their
@@ -111,22 +72,12 @@ class QuoteSet:
     """
 
     matrix: CostMatrix
-    quoted_at: float
     quote_seconds: float = 0.0
+    #: Always 0: nothing is ever re-quoted. Kept, like the separate
+    #: ``QuoteService.begin`` / ``PendingQuotes.collect`` entry points,
+    #: because the end-to-end benchmark (``benchmarks/e2e/``) wraps and
+    #: reads them; ROADMAP item 12 may drop all three.
     requotes: int = 0
-    failures: int = 0
-    began_perf: float = 0.0
-    finished_perf: float = 0.0
-    #: ``perf_counter`` at the end of the issue prologue (candidate
-    #: filtering, decision-point resolution, task submission) — all of
-    #: it runs inline on the simulator thread, so overlap accounting
-    #: starts here, not at ``began_perf``.
-    issued_perf: float = 0.0
-    #: True when the quote work ran inline on the simulator thread
-    #: (deferred mode, or the eager ``serial`` backend) — none of its
-    #: wall time can have overlapped event execution, whatever the
-    #: perf stamps suggest.
-    inline: bool = True
     failed_columns: tuple[int, ...] = ()
     failed_rows: frozenset[int] = frozenset()
     task_failures: list[TaskFailure] = field(default_factory=list)
@@ -134,27 +85,13 @@ class QuoteSet:
 
 
 class PendingQuotes:
-    """A quote stage in flight: collect() completes it.
+    """A planned quote stage: :meth:`collect` quotes and assembles it.
 
-    With ``columns is None`` (deferred mode, ``workers=0``) nothing has
-    been quoted yet — :meth:`collect` runs the whole stage inline, which
-    is exactly the old synchronous order. Otherwise ``columns`` holds
-    one future per matrix column plus the schedule epoch its vehicle had
-    at quote issue. ``budget`` is the flush's deadline budget (``None``
-    when the flush has no deadline).
+    ``budget`` is the flush's deadline budget (``None`` when the flush
+    has no deadline).
     """
 
-    __slots__ = (
-        "service",
-        "dispatcher",
-        "plan",
-        "now",
-        "columns",
-        "epochs",
-        "budget",
-        "began_perf",
-        "issued_perf",
-    )
+    __slots__ = ("service", "dispatcher", "plan", "now", "budget")
 
     def __init__(
         self,
@@ -162,39 +99,28 @@ class PendingQuotes:
         dispatcher: Dispatcher,
         plan: ColumnPlan,
         now: float,
-        columns: list[Future] | None,
-        epochs: list[int] | None,
         budget: FlushBudget | None = None,
-        began_perf: float | None = None,
     ):
         self.service = service
         self.dispatcher = dispatcher
         self.plan = plan
         self.now = now
-        self.columns = columns
-        self.epochs = epochs
         self.budget = budget
-        self.began_perf = clock() if began_perf is None else began_perf
-        #: Stamped when the issue prologue finished (begin's last line).
-        self.issued_perf = self.began_perf
 
-    def _column_requests(self, col: int) -> list[TripRequest]:
-        plan = self.plan
-        return [plan.requests[i] for i in plan.rows_by_col[col]]
-
-    def _quote_hardened(self, col: int, span_name: str) -> ColumnQuotes:
-        """Quote one column on the calling (simulator) thread under the
-        retry policy: bounded attempts, backoff charged virtually against
-        the flush budget (the simulator thread never sleeps), budget
-        checked between attempts. Raises
-        :class:`~repro.exceptions.FlushDeadlineExceededError` when the
-        budget trips and :class:`~repro.exceptions.QuoteFailedError`
-        when every attempt failed."""
+    def _quote_hardened(self, col: int) -> ColumnQuotes:
+        """Quote one column under the retry policy: bounded attempts,
+        backoff charged virtually against the flush budget (the
+        simulator thread never sleeps), budget checked between attempts.
+        Raises :class:`~repro.exceptions.FlushDeadlineExceededError`
+        when the budget trips and
+        :class:`~repro.exceptions.QuoteFailedError` when every attempt
+        failed."""
         plan = self.plan
         agent = plan.agents[col]
-        col_requests = self._column_requests(col)
+        rows = plan.rows_by_col[col]
+        col_requests = [plan.requests[i] for i in rows]
         objective = self.dispatcher.objective
-        tracer = self.service.tracer
+        tracer = getattr(self.dispatcher, "tracer", NULL_TRACER)
         injector = self.service.injector
         retry = self.service.retry
         budget = self.budget
@@ -209,7 +135,7 @@ class PendingQuotes:
             fault = injector.draw("quote.task", budget=budget)
             c0 = clock() if tracer.enabled else 0.0
             try:
-                with injector.engine_window(budget=budget, sleeping=False):
+                with injector.engine_window(budget=budget):
                     quoted = run_with_fault(
                         fault,
                         False,
@@ -227,12 +153,12 @@ class PendingQuotes:
                 continue
             if tracer.enabled:
                 tracer.emit(
-                    span_name,
+                    "quote.column",
                     "quote",
                     c0,
                     clock(),
                     vehicle=agent.vehicle.vehicle_id,
-                    rows=len(plan.rows_by_col[col]),
+                    rows=len(rows),
                 )
             return quoted
         raise QuoteFailedError(
@@ -240,255 +166,72 @@ class PendingQuotes:
         )
 
     def collect(self) -> QuoteSet:
-        """Join the quote stage; re-quote stale columns; assemble.
-
-        Blocks until every column future resolves. A column is *stale*
-        when its vehicle's schedule epoch moved since quote issue (the
-        vehicle committed another request, reached a stop, or went
-        idle) or the racing worker quote raised; stale columns are
-        re-quoted here, on the calling thread, in vehicle-id order —
-        the deterministic fallback that makes the assembled matrix
-        independent of worker timing. Unquotable columns degrade per
-        the ladder (see the module docstring) instead of raising.
-        """
+        """Quote every column in vehicle-id order and assemble the
+        matrix. Unquotable columns degrade per the ladder (see the
+        module docstring) instead of raising."""
         plan = self.plan
         budget = self.budget
-        retry = self.service.retry
-        n = len(plan.agents)
-
         task_failures: list[TaskFailure] = []
         failed_cols: list[int] = []
         deadline_exceeded = False
-
-        def settle(col: int, span_name: str, columns: list) -> None:
-            """Quote ``columns[col]`` under the retry policy, degrading
-            an unquotable column to the failed placeholder."""
-            nonlocal deadline_exceeded
-            num_rows = len(plan.rows_by_col[col])
-            if deadline_exceeded:
-                failed_cols.append(col)
-                columns[col] = failed_column(num_rows)
-                return
-            try:
-                columns[col] = self._quote_hardened(col, span_name)
-            except FlushDeadlineExceededError as error:
-                deadline_exceeded = True
-                task_failures.append(
-                    TaskFailure(
-                        site="quote.task",
-                        task_id=plan.agents[col].vehicle.vehicle_id,
-                        attempts=0,
-                        error=error,
+        t0 = clock()
+        columns: list[ColumnQuotes] = []
+        for col, agent in enumerate(plan.agents):
+            quoted = None
+            if not deadline_exceeded:
+                try:
+                    quoted = self._quote_hardened(col)
+                except FlushDeadlineExceededError as error:
+                    deadline_exceeded = True
+                    task_failures.append(
+                        TaskFailure(
+                            site="quote.task",
+                            task_id=agent.vehicle.vehicle_id,
+                            attempts=0,
+                            error=error,
+                        )
                     )
-                )
-                failed_cols.append(col)
-                columns[col] = failed_column(num_rows)
-            except QuoteFailedError as error:
-                task_failures.append(
-                    TaskFailure(
-                        site="quote.task",
-                        task_id=error.vehicle_id,
-                        attempts=error.attempts,
-                        error=error,
+                except QuoteFailedError as error:
+                    task_failures.append(
+                        TaskFailure(
+                            site="quote.task",
+                            task_id=error.vehicle_id,
+                            attempts=error.attempts,
+                            error=error,
+                        )
                     )
-                )
+            if quoted is None:
                 failed_cols.append(col)
-                columns[col] = failed_column(num_rows)
-
-        def finish(
-            columns: list,
-            *,
-            quote_seconds: float,
-            began_perf: float,
-            finished_perf: float,
-            issued_perf: float,
-            requotes: int = 0,
-            failures: int = 0,
-            inline: bool = True,
-        ) -> QuoteSet:
-            tripped = deadline_exceeded or (
-                budget is not None and budget.exceeded
-            )
-            return QuoteSet(
-                matrix=assemble_matrix(plan, columns),
-                quoted_at=self.now,
-                quote_seconds=quote_seconds,
-                requotes=requotes,
-                failures=failures,
-                began_perf=began_perf,
-                finished_perf=finished_perf,
-                issued_perf=issued_perf,
-                inline=inline,
-                failed_columns=tuple(failed_cols),
-                failed_rows=frozenset(
-                    row for col in failed_cols for row in plan.rows_by_col[col]
-                ),
-                task_failures=task_failures,
-                deadline_exceeded=tripped,
-            )
-
-        if self.columns is None:
-            # Deferred synchronous stage: the degenerate pipeline. Its
-            # wall time starts here — nothing ran between begin and
-            # collect, so none of it can overlap event execution.
-            t0 = clock()
-            columns: list = [None] * n
-            for col in range(n):
-                settle(col, "quote.column", columns)
-            finished = clock()
-            return finish(
-                columns,
-                quote_seconds=finished - t0,
-                began_perf=t0,
-                finished_perf=finished,
-                issued_perf=t0,
-            )
-
-        columns = [None] * n
-        finished = self.began_perf
-        failures = 0
-        stale: list[int] = []
-        awaits_with_timeout = (
-            self.service.backend == "thread" and retry.timeout_s is not None
+                quoted = failed_column(len(plan.rows_by_col[col]))
+            columns.append(quoted)
+        quote_seconds = clock() - t0
+        return QuoteSet(
+            matrix=assemble_matrix(plan, columns),
+            quote_seconds=quote_seconds,
+            failed_columns=tuple(failed_cols),
+            failed_rows=frozenset(
+                row for col in failed_cols for row in plan.rows_by_col[col]
+            ),
+            task_failures=task_failures,
+            deadline_exceeded=deadline_exceeded
+            or (budget is not None and budget.exceeded),
         )
-        for col, future in enumerate(self.columns):
-            agent = plan.agents[col]
-            try:
-                if awaits_with_timeout:
-                    quoted, done_at = future.result(timeout=retry.timeout_s)
-                else:
-                    quoted, done_at = future.result()
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:
-                # A mutation raced the worker mid-quote, the quote timed
-                # out, or an injected fault fired: repair below, same as
-                # stale — the hardened inline path retries it.
-                failures += 1
-                stale.append(col)
-                continue
-            if agent.schedule_epoch != self.epochs[col]:
-                stale.append(col)
-            else:
-                finished = max(finished, done_at)
-                columns[col] = quoted
-        for col in stale:
-            settle(col, "quote.requote", columns)
-        if stale:
-            finished = max(finished, clock())
-        return finish(
-            columns,
-            quote_seconds=finished - self.began_perf,
-            began_perf=self.began_perf,
-            finished_perf=finished,
-            issued_perf=self.issued_perf,
-            requotes=len(stale),
-            failures=failures,
-            inline=self.service.backend != "thread",
-        )
-
-
-def _quote_task(
-    agent,
-    requests,
-    now,
-    objective,
-    decision,
-    tracer,
-    parent,
-    fault=None,
-    injector=NULL_INJECTOR,
-    sleeping=False,
-    timeout_s=None,
-    budget=None,
-):
-    """One worker-side column quote; stamps its completion time.
-
-    ``parent`` is the span-id handle captured on the simulator thread at
-    quote issue — the deterministic anchor worker spans attach to,
-    whatever pool thread runs the task. ``fault`` is the directive drawn
-    parent-side at issue; engine faults open against this task's window.
-    """
-    t0 = clock()
-    with injector.engine_window(budget=budget, sleeping=sleeping):
-        quoted = run_with_fault(
-            fault,
-            sleeping,
-            timeout_s,
-            quote_column,
-            agent,
-            requests,
-            now,
-            objective,
-            decision=decision,
-        )
-    done = clock()
-    tracer.emit(
-        "quote.column",
-        "quote",
-        t0,
-        done,
-        parent=parent,
-        vehicle=agent.vehicle.vehicle_id,
-        rows=len(requests),
-    )
-    return quoted, done
 
 
 class QuoteService:
-    """Builds batch cost matrices, optionally on a worker pool.
-
-    ``workers=0`` (the default) is the synchronous service: *begin*
-    plans the columns but defers all quoting to *collect*, reproducing
-    the pre-pipeline order exactly. With ``workers >= 1`` the per-vehicle
-    column quotes are issued eagerly at *begin* — inline for the
-    ``serial`` backend, on a shared thread pool for ``thread`` — and
-    *collect* repairs whatever went stale in between.
+    """Builds batch cost matrices on the calling thread.
 
     ``injector`` / ``retry`` wire in the fault-tolerance layer
     (:mod:`repro.faults`); the defaults — a disabled injector and
     :data:`~repro.faults.DEFAULT_RETRY` — keep the fault-free path
-    bit-identical to the unhardened service.
+    bit-identical to the unhardened service. Spans go to the tracer of
+    the dispatcher being quoted for.
     """
 
-    def __init__(
-        self,
-        workers: int = 0,
-        backend: str = "thread",
-        tracer=NULL_TRACER,
-        injector=NULL_INJECTOR,
-        retry=None,
-    ):
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        if backend not in QUOTE_BACKENDS:
-            known = ", ".join(QUOTE_BACKENDS)
-            raise ValueError(f"quote backend must be one of: {known}")
-        self.workers = workers
-        self.backend = backend
-        self.tracer = tracer
+    def __init__(self, injector=NULL_INJECTOR, retry=None):
         self.injector = injector
         self.retry = retry if retry is not None else DEFAULT_RETRY
-        self._pool: WorkerPool | None = None
 
-    def __repr__(self) -> str:
-        return f"QuoteService(workers={self.workers}, backend={self.backend!r})"
-
-    def _get_pool(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = WorkerPool(
-                self.backend, max_workers=self.workers, injector=self.injector
-            )
-        return self._pool
-
-    def queue_depth(self) -> int | None:
-        """In-flight column quotes on the async pool; ``None`` before
-        the pool exists (deferred mode never builds one). The resource
-        monitor's queue-depth probe."""
-        pool = self._pool
-        return pool.queue_depth() if pool is not None else None
-
-    # ------------------------------------------------------------------
     def begin(
         self,
         dispatcher: Dispatcher,
@@ -496,84 +239,18 @@ class QuoteService:
         now: float,
         budget: FlushBudget | None = None,
     ) -> PendingQuotes:
-        """Start the quote stage for one batch, valid for commit at
-        ``now``. Candidate filtering and (in eager mode) decision-point
-        resolution happen here, on the calling thread. ``budget`` is the
+        """Candidate-filter one batch into a column plan, to be quoted
+        for ``now`` by :meth:`PendingQuotes.collect`. ``budget`` is the
         flush's deadline budget, threaded through to collect-time
         retries and injected delays."""
-        began = clock()
-        plan = plan_columns(dispatcher, requests)
-        if self.workers == 0:
-            # Deferred mode: nothing is quoted yet — the stage's wall
-            # time starts when collect() runs it.
-            return PendingQuotes(
-                self, dispatcher, plan, now, None, None, budget=budget
-            )
-        pool = self._get_pool()
-        graph = dispatcher.engine.graph
-        # Captured on this (the issuing) thread: worker column spans
-        # anchor to the currently open span — quote.issue — whatever
-        # pool thread later runs them.
-        parent = self.tracer.current_id()
-        sleeping = self.backend == "thread"
-        epochs: list[int] = []
-        columns: list[Future] = []
-        for col, agent in enumerate(plan.agents):
-            epochs.append(agent.schedule_epoch)
-            # Peek: ``now`` is the future commit instant — resolving it
-            # must not advance the vehicle's waypoint cursor past the
-            # position queries of the overlap window's own events.
-            decision = agent.vehicle.peek_decision_point(now, graph)
-            fault = self.injector.draw("quote.task", budget=budget)
-            columns.append(
-                pool.submit(
-                    _quote_task,
-                    agent,
-                    [requests[i] for i in plan.rows_by_col[col]],
-                    now,
-                    dispatcher.objective,
-                    decision,
-                    self.tracer,
-                    parent,
-                    fault,
-                    self.injector,
-                    sleeping,
-                    self.retry.timeout_s,
-                    budget,
-                )
-            )
-        pending = PendingQuotes(
-            self,
-            dispatcher,
-            plan,
-            now,
-            columns,
-            epochs,
-            budget=budget,
-            began_perf=began,
+        return PendingQuotes(
+            self, dispatcher, plan_columns(dispatcher, requests), now, budget
         )
-        pending.issued_perf = clock()
-        return pending
 
     def build(
         self, dispatcher: Dispatcher, requests: list[TripRequest], now: float
     ) -> QuoteSet:
-        """The whole quote stage, synchronously (begin + collect).
-
-        With ``workers=0`` this produces a matrix bit-identical to
-        :func:`~repro.dispatch.costs.build_cost_matrix` — it runs the
-        same three stages in the same order.
-        """
+        """The whole quote stage (begin + collect): a matrix
+        bit-identical to :func:`~repro.dispatch.costs.build_cost_matrix`,
+        which runs the same three stages in the same order."""
         return self.begin(dispatcher, requests, now).collect()
-
-    def close(self) -> None:
-        """Release the worker pool (no-op when none was created)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "QuoteService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -28,14 +28,8 @@ flush — the sharded solver re-solves it serially in the parent.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 
 import numpy as np
 
@@ -55,16 +49,12 @@ SHARD_BACKENDS = ("serial", "process")
 
 
 class WorkerPool:
-    """A lazily created, reusable ``concurrent.futures`` pool behind a
-    backend name.
+    """A lazily created, reusable process pool behind a backend name.
 
-    The shared substrate of the dispatch subsystem's two fan-out planes:
-    :class:`ShardExecutor` (per-shard assignment solves — serial/process)
-    and :class:`~repro.dispatch.quoting.QuoteService` (async per-vehicle
-    quoting — serial/thread only; agents never cross a process
-    boundary). The underlying pool is created on first use and
-    reused across flushes: a simulation performs thousands of flushes
-    and pool spin-up dwarfs one unit of work.
+    The substrate of :class:`ShardExecutor`'s per-shard assignment
+    solves. The underlying pool is created on first use and reused
+    across flushes: a simulation performs thousands of flushes and pool
+    spin-up dwarfs one unit of work.
 
     The ``serial`` backend runs submissions inline and returns
     already-resolved futures, so callers need no backend-specific code.
@@ -76,7 +66,7 @@ class WorkerPool:
     builds a fresh one.
     """
 
-    BACKENDS = ("serial", "thread", "process")
+    BACKENDS = SHARD_BACKENDS
 
     def __init__(
         self,
@@ -93,12 +83,6 @@ class WorkerPool:
         self.max_workers = max_workers
         self.injector = injector
         self._pool = None
-        # In-flight submissions on the real (concurrent) pool — the
-        # queue-depth signal the resource monitor samples. Serial and
-        # injected-fault submissions resolve before submit() returns,
-        # so they never count.
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
 
     def __repr__(self) -> str:
         return (
@@ -108,10 +92,7 @@ class WorkerPool:
 
     def _get_pool(self):
         if self._pool is None:
-            if self.backend == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._pool
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
@@ -143,7 +124,7 @@ class WorkerPool:
                 future.set_exception(error)
             return future
         try:
-            future = self._get_pool().submit(fn, *args, **kwargs)
+            return self._get_pool().submit(fn, *args, **kwargs)
         except BrokenExecutor as error:
             # The pool died before this submission (a worker was killed
             # out-of-band). Surface it as a failed future so hardened
@@ -152,20 +133,6 @@ class WorkerPool:
             future = Future()
             future.set_exception(error)
             return future
-        with self._inflight_lock:
-            self._inflight += 1
-        future.add_done_callback(self._submission_done)
-        return future
-
-    def _submission_done(self, _future: Future) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-
-    def queue_depth(self) -> int:
-        """Submissions currently in flight on the concurrent pool (0 on
-        the serial backend, where everything resolves inline)."""
-        with self._inflight_lock:
-            return self._inflight
 
     def recreate(self) -> None:
         """Drop the current pool (broken or injected-dead) so the next

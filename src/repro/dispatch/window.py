@@ -6,8 +6,8 @@ requests arriving within a short window (Simonetto et al. use 10-30 s)
 and matches the whole batch at once, trading a bounded extra wait for a
 globally better assignment. :class:`BatchWindow` is the accumulator: the
 simulator adds requests as they arrive, each periodic ``BATCH_DISPATCH``
-event *flushes* the pending batch into the staged quote → solve → commit
-pipeline, and — with carry-over batching enabled — requests that lose a
+event *flushes* the pending batch through quote → solve → commit, and
+— with carry-over batching enabled — requests that lose a
 flush's assignment :meth:`re-enter <carry>` the window for the next one.
 
 The window length only *shifts* when a request is answered; the service
@@ -15,7 +15,7 @@ guarantee is untouched because deadlines are anchored to the original
 request time, so every quote computed at flush time already absorbs the
 queueing delay. The same anchoring bounds carry-over: a carried request
 keeps its original ``pickup_deadline``, so it can only ride along while
-its remaining wait budget covers the next flush's commit instant
+its remaining wait budget covers the next flush
 (:mod:`repro.dispatch.policies` enforces the bound; the existing
 rejection path fires once the budget runs out).
 

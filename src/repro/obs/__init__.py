@@ -2,9 +2,9 @@
 
 Three pieces, one rule:
 
-* :class:`Tracer` — nested, thread-safe spans over the staged flush
-  (``flush → snapshot → quote → solve → commit``, per-shard and
-  per-worker children, engine-level fan-out spans). Disabled tracers
+* :class:`Tracer` — nested, thread-safe spans over the flush
+  (``flush → snapshot → quote → solve → commit``, per-column and
+  per-shard children, engine-level fan-out spans). Disabled tracers
   (:data:`NULL_TRACER`) are literal no-ops: no span is ever allocated.
 * :class:`MetricsRegistry` — named counters, gauges and streaming
   log-bucket :class:`Histogram` instruments (p50/p90/p99 without
@@ -18,7 +18,7 @@ Layered on top, the live-ops plane: :mod:`repro.obs.live` rolls the
 registry into sim-time windows (JSONL time series, rolling p50/p99),
 :mod:`repro.obs.slo` evaluates the paper's service guarantee as
 configurable objectives with burn-rate alerting, and
-:mod:`repro.obs.resources` samples RSS/GC/queue-depth health into the
+:mod:`repro.obs.resources` samples RSS/GC health into the
 same stream.
 
 The rule: **telemetry never steers dispatch**. Spans and instruments

@@ -288,16 +288,13 @@ class LiveTelemetry:
         slo_out: str | None = None,
         live_report_every: int = 0,
         monitor_resources: bool = False,
-        depth_probes=(),
         print_fn=print,
     ):
         self.slo_spec = slo_spec
         self.slo_out = slo_out
         self.slo_document: dict | None = None
         self.resource_monitor = (
-            ResourceMonitor(registry, depth_probes)
-            if monitor_resources
-            else None
+            ResourceMonitor(registry) if monitor_resources else None
         )
         objectives = parse_slo_spec(slo_spec)
         self.slo_engine = (
@@ -320,7 +317,7 @@ class LiveTelemetry:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_config(cls, config, registry, start_time, depth_probes=()):
+    def from_config(cls, config, registry, start_time):
         """Build from a ``SimulationConfig``; ``None`` when disabled."""
         enabled = (
             config.timeseries_out is not None
@@ -340,7 +337,6 @@ class LiveTelemetry:
             slo_out=config.slo_out,
             live_report_every=config.live_report_every,
             monitor_resources=config.resource_monitor,
-            depth_probes=depth_probes,
         )
 
     # ------------------------------------------------------------------

@@ -20,10 +20,7 @@ excluded from the deterministic ``slo.json`` verdict):
   would blow the live layer's ≤5 % overhead budget. Opt in from the
   caller (e.g. a soak harness) with ``tracemalloc.start()``.
 * ``gc.pause_s`` (histogram) / ``gc.collections`` (counter) —
-  stop-the-world collection pauses, timed via ``gc.callbacks``;
-* ``pool.queue_depth`` (gauge) — total in-flight submissions across
-  the registered worker-pool probes (see
-  :meth:`repro.dispatch.sharding.executor.WorkerPool.queue_depth`).
+  stop-the-world collection pauses, timed via ``gc.callbacks``.
 
 Sampling is pull-based — the live layer calls :meth:`sample` once per
 window roll — except GC pauses, which are pushed by the interpreter's
@@ -63,18 +60,11 @@ def read_rss_bytes(handle=None) -> int | None:
 
 
 class ResourceMonitor:
-    """Samples process health into the metrics registry.
+    """Samples process health into the metrics registry."""
 
-    ``depth_probes`` is an iterable of zero-argument callables, each
-    returning the current in-flight depth of one worker pool (or
-    ``None`` when that pool does not exist yet — pools are lazy).
-    """
-
-    def __init__(self, registry: MetricsRegistry, depth_probes=()):
+    def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        self.depth_probes = list(depth_probes)
         self._rss = registry.gauge("resource.rss_bytes")
-        self._queue_depth = registry.gauge("pool.queue_depth")
         self._gc_pause = registry.histogram("gc.pause_s")
         self._gc_count = registry.counter("gc.collections")
         self._gc_started: float | None = None
@@ -108,13 +98,6 @@ class ResourceMonitor:
         if tracemalloc.is_tracing():
             _, peak = tracemalloc.get_traced_memory()
             self.registry.gauge("resource.tracemalloc_peak_bytes").set(peak)
-        depth = None
-        for probe in self.depth_probes:
-            value = probe()
-            if value is not None:
-                depth = value if depth is None else depth + value
-        if depth is not None:
-            self._queue_depth.set(depth)
 
     def close(self) -> None:
         """Detach the GC hook and procfs handle (idempotent)."""

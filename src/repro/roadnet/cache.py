@@ -57,10 +57,9 @@ class LRUCache:
         """Insert or refresh ``key``; evicts the least recently used entry.
 
         Eviction tolerates the oldest key vanishing between selection and
-        deletion: the async quoting pipeline shares engine caches between
-        the simulator thread and quote workers, and every cached value is
-        a deterministic function of its key, so a lost eviction race only
-        means redundant work — never a wrong value.
+        deletion: every cached value is a deterministic function of its
+        key, so a lost eviction race between threads sharing an engine
+        only means redundant work — never a wrong value.
         """
         try:
             del self._data[key]
@@ -143,8 +142,8 @@ class SourceRowCache:
         self._cells = 0
         # get() and merge() both pop-and-reinsert row entries, and merge
         # additionally does read-modify-write bookkeeping on the _cells
-        # budget; concurrent quote workers interleaving those sequences
-        # would orphan entries' cell counts and drift the budget
+        # budget; threads sharing an engine and interleaving those
+        # sequences would orphan entries' cell counts and drift the budget
         # permanently. One lock over both keeps the counter exact; the
         # critical sections are dictionary ops, far cheaper than the
         # Dijkstra sweeps they guard.

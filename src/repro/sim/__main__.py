@@ -8,8 +8,6 @@ Run a full ridesharing simulation on a generated city from the shell::
     python -m repro.sim --dispatch-policy lap --batch-window 15
     python -m repro.sim --dispatch-policy sharded --batch-window 15 \\
         --shards 4 --shard-backend process
-    python -m repro.sim --dispatch-policy lap --batch-window 15 \\
-        --quote-workers 2 --quote-overlap 10
     python -m repro.sim --dispatch-policy lap --batch-window 10 \\
         --adaptive-window --window-min 5 --window-max 30 --carry-over
     python -m repro.sim --engine hub_label --vehicles 40
@@ -26,7 +24,6 @@ import sys
 from repro.algorithms.base import ALGORITHM_REGISTRY
 from repro.core.constraints import ConstraintConfig
 from repro.dispatch.policies import POLICY_REGISTRY
-from repro.dispatch.quoting import QUOTE_BACKENDS
 from repro.dispatch.sharding import SHARD_BACKENDS
 from repro.roadnet.engine import ENGINE_KINDS, make_engine
 from repro.roadnet.generators import grid_city
@@ -138,25 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: no halo, keep every feasible candidate)",
     )
     parser.add_argument(
-        "--quote-workers", type=int, default=0,
-        help="async quote-stage workers (0 = synchronous quoting at the "
-        "solve instant, the pre-pipeline order)",
-    )
-    parser.add_argument(
-        "--quote-backend",
-        default="thread",
-        choices=QUOTE_BACKENDS,
-        help="quote-stage executor: thread overlaps quoting with event "
-        "execution, serial quotes eagerly at flush time",
-    )
-    parser.add_argument(
-        "--quote-overlap", type=float, default=0.0,
-        help="simulated seconds between a flush (quote issue) and its "
-        "solve+commit; events in the gap run while quotes compute",
-    )
-    parser.add_argument(
         "--trace", action="store_true",
-        help="record structured flush-pipeline spans (repro.obs); "
+        help="record structured per-flush spans (repro.obs); "
         "telemetry never feeds dispatch, so results are bit-identical",
     )
     parser.add_argument(
@@ -201,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--resource-monitor", action="store_true",
-        help="sample RSS, GC pauses and worker-pool queue depth into "
-        "the registry once per telemetry window",
+        help="sample RSS and GC pauses into the registry once per "
+        "telemetry window",
     )
     parser.add_argument(
         "--prom-out", default=None, metavar="PATH",
@@ -255,9 +235,6 @@ def main(argv: list[str] | None = None) -> int:
         num_shards=args.shards,
         shard_backend=args.shard_backend,
         shard_boundary_cells=args.shard_boundary_cells,
-        quote_workers=args.quote_workers,
-        quote_backend=args.quote_backend,
-        quote_overlap_s=args.quote_overlap,
         trace=args.trace or args.trace_out is not None,
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,

@@ -63,8 +63,7 @@ class SimulationConfig:
         off-peak, longer in rush hour — clamped to
         ``[window_min_s, window_max_s]`` (both required; the configured
         ``batch_window_s`` is the initial value and must lie inside the
-        band). ``quote_overlap_s`` scales proportionally with the
-        window. ``False`` (default) keeps the fixed window and is
+        band). ``False`` (default) keeps the fixed window and is
         bit-identical to pre-controller runs.
     adaptive_ewma_alpha / adaptive_target_batch / adaptive_latency_headroom:
         Controller shape knobs (only honored with ``adaptive_window``):
@@ -78,19 +77,6 @@ class SimulationConfig:
         flush's assignment re-enter the next window — bounded by their
         remaining wait budget — instead of being settled in-batch.
         ``False`` (default) keeps today's in-batch cleanup/rejection.
-    quote_workers / quote_backend / quote_overlap_s:
-        Staged-pipeline quote stage (:mod:`repro.dispatch.quoting`).
-        ``quote_workers=0`` (default) quotes synchronously at the
-        solve instant — the pre-pipeline order, bit-identical to it;
-        ``>= 1`` issues the batch's per-vehicle column quotes eagerly
-        at flush time on the ``quote_backend`` (``"thread"`` overlaps
-        quoting with event execution; ``"serial"`` quotes inline at
-        flush — determinism reference). ``quote_overlap_s`` is the
-        simulated-time gap between a flush (quote issue) and its
-        ``QUOTE_READY`` solve+commit; stop events executing inside the
-        gap bump vehicle schedule epochs and force deterministic
-        re-quotes at commit. Assignments are identical for every
-        (workers, backend) combination at a fixed overlap.
     engine_kind:
         Shortest-path engine backing the run (see
         :data:`repro.roadnet.engine.ENGINE_KINDS`): ``"auto"`` picks
@@ -104,9 +90,9 @@ class SimulationConfig:
     grid_cell_meters:
         Grid-index cell size.
     trace / trace_out / metrics_out:
-        Flush-pipeline telemetry (:mod:`repro.obs`). ``trace=True``
-        records structured spans (flush → snapshot → quote → solve →
-        commit, with per-shard and per-worker children) on the run's
+        Flush telemetry (:mod:`repro.obs`). ``trace=True`` records
+        structured spans (flush → snapshot → quote → solve → commit,
+        with per-column and per-shard children) on the run's
         :class:`~repro.obs.Tracer`; ``trace_out`` additionally writes
         them as Chrome trace-event JSONL (Perfetto-loadable; requires
         ``trace=True``); ``metrics_out`` writes the run's
@@ -136,9 +122,9 @@ class SimulationConfig:
         Print one console status line every N completed time-series
         windows (0 = never). Implies the live layer.
     resource_monitor:
-        Sample RSS, GC pauses, worker-pool queue depth (and
-        tracemalloc peak, if the caller started tracemalloc) into the
-        registry once per time-series window
+        Sample RSS, GC pauses (and tracemalloc peak, if the caller
+        started tracemalloc) into the registry once per time-series
+        window
         (:mod:`repro.obs.resources`).
     fault_spec / fault_seed:
         Deterministic fault injection (:mod:`repro.faults`).
@@ -157,12 +143,12 @@ class SimulationConfig:
         greedy policy for that flush only (the degradation ladder's
         last rung). ``None`` (default) = no deadline.
     task_retries / task_timeout_s / retry_backoff_s / retry_backoff_cap_s:
-        Retry policy for hardened worker tasks (quote columns, shard
-        solves): up to ``task_retries`` retries after the first attempt,
-        each awaited at most ``task_timeout_s`` seconds (``None`` = no
+        Retry policy for hardened tasks (quote columns, shard solves):
+        up to ``task_retries`` retries after the first attempt, each
+        awaited at most ``task_timeout_s`` seconds (``None`` = no
         timeout), with exponential backoff from ``retry_backoff_s``
-        capped at ``retry_backoff_cap_s`` (slept only on genuinely
-        concurrent backends; charged to the flush budget otherwise).
+        capped at ``retry_backoff_cap_s`` (slept only on the process
+        shard backend; charged to the flush budget otherwise).
     seed:
         Master seed for fleet placement and cruising.
     """
@@ -189,9 +175,6 @@ class SimulationConfig:
     num_shards: int = 1
     shard_backend: str = "serial"
     shard_boundary_cells: int | None = None
-    quote_workers: int = 0
-    quote_backend: str = "thread"
-    quote_overlap_s: float = 0.0
     grid_cell_meters: float = 500.0
     use_grid_index: bool = True
     #: Assignment objective: "total" (the paper's — minimize the full
@@ -289,15 +272,10 @@ class SimulationConfig:
                 raise ValueError("adaptive_target_batch must be positive")
             if self.adaptive_latency_headroom <= 0:
                 raise ValueError("adaptive_latency_headroom must be positive")
-            overlap_fraction = self.quote_overlap_s / self.batch_window_s
-            if (
-                self.window_max_s * (1.0 + overlap_fraction)
-                >= self.constraints.max_wait_seconds
-            ):
+            if self.window_max_s >= self.constraints.max_wait_seconds:
                 raise ValueError(
-                    "window_max_s plus its proportional quote overlap "
-                    f"({self.window_max_s * (1.0 + overlap_fraction):g}) "
-                    "must stay under the waiting-time guarantee "
+                    f"window_max_s ({self.window_max_s:g}) must stay under "
+                    "the waiting-time guarantee "
                     f"({self.constraints.max_wait_seconds:g} s): requests "
                     "held through a maximal window would already have "
                     "expired at commit"
@@ -341,48 +319,6 @@ class SimulationConfig:
                 "sharded dispatch with num_shards > 1 requires the grid "
                 "index (use_grid_index=True): without it every flush "
                 "would silently degenerate to a single global shard"
-            )
-        if self.quote_workers < 0:
-            raise ValueError("quote_workers must be >= 0")
-        from repro.dispatch.quoting import QUOTE_BACKENDS
-
-        if self.quote_backend not in QUOTE_BACKENDS:
-            known = ", ".join(QUOTE_BACKENDS)
-            raise ValueError(
-                f"quote_backend must be one of: {known} (quoting reads "
-                "live agent schedules and cannot cross a process boundary)"
-            )
-        if self.quote_overlap_s < 0:
-            raise ValueError("quote_overlap_s must be >= 0")
-        if (
-            self.quote_workers > 0 or self.quote_overlap_s > 0
-        ) and self.batch_window_s <= 0:
-            raise ValueError(
-                "the staged quote pipeline (quote_workers/quote_overlap_s) "
-                "requires batched dispatch (batch_window_s > 0): immediate "
-                "per-request dispatch has no flush to overlap"
-            )
-        if (
-            self.batch_window_s > 0
-            and self.quote_overlap_s >= self.batch_window_s
-        ):
-            raise ValueError(
-                f"quote_overlap_s ({self.quote_overlap_s:g}) must be "
-                f"shorter than batch_window_s ({self.batch_window_s:g}): "
-                "a flush's quotes must commit before the next flush"
-            )
-        if (
-            self.batch_window_s > 0
-            and self.batch_window_s + self.quote_overlap_s
-            >= self.constraints.max_wait_seconds
-        ):
-            raise ValueError(
-                "batch_window_s + quote_overlap_s "
-                f"({self.batch_window_s + self.quote_overlap_s:g}) must "
-                "stay under the waiting-time guarantee "
-                f"({self.constraints.max_wait_seconds:g} s): requests held "
-                "through a full window plus the quote overlap would "
-                "already have expired at commit"
             )
         if self.trace_out is not None and not self.trace:
             raise ValueError(

@@ -13,16 +13,13 @@ from repro.exceptions import SimulationError
 class EventKind(enum.IntEnum):
     """Event types, ordered so simultaneous events resolve deterministically:
     stop arrivals apply before new requests at the same instant, batch
-    flushes see every request that arrived by their instant, quote
-    completions (and the solve+commit they trigger) land right after the
-    flush that issued them when the overlap window is zero, and location
-    reports come last."""
+    flushes see every request that arrived by their instant, and
+    location reports come last."""
 
     STOP_REACHED = 0
     REQUEST_ARRIVAL = 1
     BATCH_DISPATCH = 2
-    QUOTE_READY = 3
-    LOCATION_REPORT = 4
+    LOCATION_REPORT = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,12 +29,7 @@ class Event:
     ``payload`` is kind-specific: a workload trip spec for request
     arrivals, a ``(vehicle_id, plan_version)`` pair for stop arrivals
     (stale versions are dropped — vehicles re-plan), a vehicle id for
-    location reports, ``None`` for periodic batch-dispatch flushes, and
-    the in-flight pipeline stage — ``(batch,
-    :class:`~repro.dispatch.quoting.PendingQuotes`, carry deadline)`` —
-    for quote completions (the carry deadline is the next flush's
-    commit instant, or ``None`` when carry-over is off or no next flush
-    exists).
+    location reports, and ``None`` for periodic batch-dispatch flushes.
     """
 
     time: float

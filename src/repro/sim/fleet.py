@@ -2,10 +2,7 @@
 
 "A vehicle is initialized to a random vertex in the city" (Section VI);
 each vehicle gets its own deterministic cruising RNG stream derived from
-the master seed, and an agent matching the configured algorithm. Every
-agent starts at schedule epoch 0 (the staleness counter the staged
-dispatch pipeline validates quotes against; see
-:mod:`repro.dispatch.quoting`).
+the master seed, and an agent matching the configured algorithm.
 """
 
 from __future__ import annotations

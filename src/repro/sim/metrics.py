@@ -20,11 +20,6 @@ from statistics import mean
 from repro.obs.metrics import MetricsRegistry
 
 
-def _fmt_stat(value: float | None, spec: str = ".3f") -> str:
-    """Render a possibly-``None`` statistic (empty collector) as ``—``."""
-    return "—" if value is None else format(value, spec)
-
-
 class RunningStats:
     """Streaming mean/min/max/count without storing samples."""
 
@@ -156,10 +151,10 @@ class SimulationReport:
     #: Flushes whose shard plan silently degenerated to one global shard
     #: (no grid index / no coordinates) despite more being requested.
     shard_fallbacks: int = 0
-    #: Adaptive batching (repro.dispatch.adaptive): per-flush window and
-    #: overlap lengths as scheduled by the window controller, plus the
-    #: full trajectory (flush time, window_s, overlap_s). Populated for
-    #: every batched run (the fixed controller's trajectory is constant).
+    #: Adaptive batching (repro.dispatch.adaptive): per-flush window
+    #: lengths as scheduled by the window controller, plus the full
+    #: trajectory (flush time, window_s). Populated for every batched
+    #: run (the fixed controller's trajectory is constant).
     window_s_stats: RunningStats = field(default_factory=RunningStats)
     window_trajectory: list = field(default_factory=list)
     #: Carry-over batching: carried requests per flush (0 when disabled),
@@ -173,18 +168,10 @@ class SimulationReport:
     #: assigned request; 0 under immediate dispatch, and the metric the
     #: adaptive window shortens off-peak.
     assign_latency_s: RunningStats = field(default_factory=RunningStats)
-    #: Staged quote pipeline (repro.dispatch.quoting): per-flush quote
-    #: stage wall time, stale columns re-quoted at commit, and the
-    #: fraction of quote wall time that overlapped event execution
-    #: (async quoting's payoff; 0 for the synchronous/deferred stage).
-    #: Empty unless batched dispatch ran through the pipeline.
+    #: Flush quote stage (repro.dispatch.quoting): per-flush quote
+    #: stage wall time. Empty unless a batched flush ran a policy that
+    #: consumes a quote set.
     quote_seconds: RunningStats = field(default_factory=RunningStats)
-    staleness_requotes: RunningStats = field(default_factory=RunningStats)
-    overlap_ratio: RunningStats = field(default_factory=RunningStats)
-    #: Columns whose async worker quote raised because a schedule
-    #: mutation raced it (always repaired by a re-quote; a correctness
-    #: counter, not an error count).
-    quote_failures: int = 0
     #: Fault tolerance (repro.faults): the degradation ladder's rungs.
     #: Quote columns that exhausted their retry budget and were
     #: assembled failed (their rows became fault-carry candidates).
@@ -308,11 +295,11 @@ class SimulationReport:
             self.shard_serial_rescues += rescues
             self.registry.counter("shard.serial_rescue").inc(rescues)
 
-    def record_window(self, now: float, window_s: float, overlap_s: float) -> None:
-        """Record one flush's scheduled window/overlap lengths (the
-        window controller's output at that flush)."""
+    def record_window(self, now: float, window_s: float) -> None:
+        """Record one flush's scheduled window length (the window
+        controller's output at that flush)."""
         self.window_s_stats.add(window_s)
-        self.window_trajectory.append((now, window_s, overlap_s))
+        self.window_trajectory.append((now, window_s))
 
     def record_carry(self, age_seconds: float) -> None:
         """Record one carry event (a request re-entering the window);
@@ -345,26 +332,19 @@ class SimulationReport:
         self.registry.counter("carry.fault_rescued").inc()
 
     def record_flush_wall(self, seconds: float) -> None:
-        """Record one flush's total wall time (quote + solve + commit +
-        bookkeeping as seen by the simulator)."""
+        """Record one flush's total wall time (snapshot + quote + solve +
+        commit + bookkeeping as seen by the simulator)."""
         self.registry.histogram("flush.total_s").add(seconds)
 
-    def record_quote_stage(self, quote_set, overlap_seconds: float) -> None:
-        """Fold one flush's completed quote stage in
-        (:class:`~repro.dispatch.quoting.QuoteSet` plus how much of its
-        wall time ran concurrently with event execution)."""
+    def record_quote_stage(self, quote_set) -> None:
+        """Fold one flush's completed quote stage
+        (:class:`~repro.dispatch.quoting.QuoteSet`) in."""
         self.quote_seconds.add(quote_set.quote_seconds)
         self.registry.histogram("flush.quote_s").add(quote_set.quote_seconds)
-        self.staleness_requotes.add(quote_set.requotes)
-        self.quote_failures += quote_set.failures
-        failed = len(getattr(quote_set, "failed_columns", ()))
+        failed = len(quote_set.failed_columns)
         if failed:
             self.quote_columns_failed += failed
             self.registry.counter("quote.column_failed").inc(failed)
-        if quote_set.quote_seconds > 0:
-            self.overlap_ratio.add(
-                min(1.0, max(0.0, overlap_seconds / quote_set.quote_seconds))
-            )
 
     def record_stop_service(
         self,
@@ -463,9 +443,6 @@ class SimulationReport:
             "max_carries": self.max_carries,
             "pipeline_flushes": self.quote_seconds.count,
             "quote_ms_mean": round(self.quote_seconds.mean * 1000.0, 4),
-            "staleness_requotes": int(self.staleness_requotes.total),
-            "quote_failures": self.quote_failures,
-            "overlap_ratio_mean": round(self.overlap_ratio.mean, 4),
             "faults_injected": self.registry.counter("fault.injected").value,
             "retries": self.registry.counter("retry.count").value,
             "pool_recreations": self.registry.counter("pool.recreated").value,
@@ -570,26 +547,12 @@ class SimulationReport:
                     f"max {self.carry_age_s.max:.2f}"
                 )
         if self.quote_seconds.count:
-            lines.append("--- quote pipeline ---")
+            lines.append("--- quote stage ---")
             lines.append(f"{'pipeline_flushes':24s} {self.quote_seconds.count}")
             lines.append(
                 f"{'quote_ms':24s} mean {self.quote_seconds.mean * 1000:.3f} "
                 f"max {self.quote_seconds.max * 1000:.3f}"
             )
-            lines.append(
-                f"{'staleness_requotes':24s} total "
-                f"{int(self.staleness_requotes.total)} "
-                f"mean {self.staleness_requotes.mean:.3f}"
-            )
-            lines.append(
-                f"{'overlap_ratio':24s} mean {self.overlap_ratio.mean:.3f} "
-                f"max {_fmt_stat(self.overlap_ratio.as_dict()['max'])}"
-            )
-            if self.quote_failures:
-                lines.append(
-                    f"{'quote_failures':24s} {self.quote_failures} "
-                    "(worker quotes raced a schedule mutation; re-quoted)"
-                )
         faults = self.registry.counter("fault.injected").value
         retries = self.registry.counter("retry.count").value
         recreations = self.registry.counter("pool.recreated").value

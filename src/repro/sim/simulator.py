@@ -7,25 +7,20 @@ subsystem (:mod:`repro.dispatch`): with ``batch_window_s == 0`` each
 request is flushed the instant it arrives (the paper's immediate
 dispatch), otherwise requests accumulate in a
 :class:`~repro.dispatch.window.BatchWindow` and each periodic
-``BATCH_DISPATCH`` event runs the staged pipeline: the flush snapshots
-the batch and *issues* its quote stage (asynchronously on the quote
-workers when configured), a ``QUOTE_READY`` event ``quote_overlap_s``
-later *collects* the quotes — deterministically re-quoting any column
-whose vehicle mutated its schedule in between — and the policy solves
-and commits. With ``quote_workers=0`` and a zero overlap the pipeline
-degenerates to the old synchronous quote+solve+commit blob, and is
-bit-identical to it.
+``BATCH_DISPATCH`` event runs one synchronous flush at its instant:
+snapshot the batch, quote it against the fleet as it stands, and let
+the policy solve and commit.
 
 The flush cadence is owned by a window controller
 (:mod:`repro.dispatch.adaptive`): each flush asks the controller for
-the next window and overlap lengths. The fixed controller echoes the
-configured constants (bit-identical to the pre-controller chain); with
+the next window length. The fixed controller echoes the configured
+constant (bit-identical to the pre-controller chain); with
 ``adaptive_window=True`` the window is retuned per flush from the
 observed arrival intensity, clamped to the configured band. With
 ``carry_over=True``, requests that end a flush unassigned but whose
-wait budget still reaches the next flush's commit instant re-enter the
-window (:class:`~repro.dispatch.policies.CarriedRequest`) instead of
-being settled in-batch; their accumulated response-time debt is folded
+wait budget still reaches the next flush re-enter the window
+(:class:`~repro.dispatch.policies.CarriedRequest`) instead of being
+settled in-batch; their accumulated response-time debt is folded
 into the final :class:`~repro.core.matching.AssignmentResult` when a
 later flush settles them.
 
@@ -95,8 +90,8 @@ class Simulation:
             self.grid_index = GridIndex(bounds, cell_meters=config.grid_cell_meters)
 
         #: The run's span collector (repro.obs). Disabled (the default)
-        #: it is a literal no-op; enabled it records the staged flush
-        #: pipeline. Telemetry is write-only — nothing below ever reads
+        #: it is a literal no-op; enabled it records every flush's
+        #: stages. Telemetry is write-only — nothing below ever reads
         #: it back into a dispatch decision.
         self.tracer = Tracer(enabled=config.trace)
         self._flush_seq = 0
@@ -167,11 +162,7 @@ class Simulation:
         #: folded into its final AssignmentResult at settle.
         self._carry_debt: dict[int, tuple[float, list, int]] = {}
         self.quote_service = QuoteService(
-            workers=config.quote_workers,
-            backend=config.quote_backend,
-            tracer=self.tracer,
-            injector=self.fault_injector,
-            retry=self.retry_policy,
+            injector=self.fault_injector, retry=self.retry_policy
         )
         #: Live-ops layer (repro.obs.live): sim-time windowed time
         #: series, SLO engine and resource monitor. ``None`` (the
@@ -179,10 +170,7 @@ class Simulation:
         #: it is still write-only — determinism contract 9 extends to
         #: it (tests/sim/test_live_telemetry.py).
         self.live = LiveTelemetry.from_config(
-            config,
-            self.report.registry,
-            self.start_time,
-            depth_probes=(self.quote_service.queue_depth,),
+            config, self.report.registry, self.start_time
         )
 
     # ------------------------------------------------------------------
@@ -217,10 +205,9 @@ class Simulation:
         finally:
             if engine_faults:
                 del self.engine.distance_many
-            # The quote service and the sharded policy own worker
-            # pools; release them however the run ended — an exception
-            # must not strand worker processes until GC.
-            self.quote_service.close()
+            # The sharded policy owns a worker pool; release it however
+            # the run ended — an exception must not strand worker
+            # processes until GC.
             policy_close = getattr(self.batch_dispatcher.policy, "close", None)
             if policy_close is not None:
                 policy_close()
@@ -280,8 +267,6 @@ class Simulation:
                     self._handle_stop(event.payload, event.time, queue)
                 elif event.kind is EventKind.BATCH_DISPATCH:
                     self._handle_batch_flush(event.time, queue)
-                elif event.kind is EventKind.QUOTE_READY:
-                    self._handle_quote_ready(event.payload, event.time, queue)
                 else:
                     self._handle_report(event.payload, event.time, queue)
             if self.batch_window is not None and self.batch_window:
@@ -298,8 +283,7 @@ class Simulation:
             break
 
         if live is not None:
-            # Final partial window + JSONL flush + SLO verdict, while
-            # the quote pool still exists for the last depth sample.
+            # Final partial window + JSONL flush + SLO verdict.
             slo_document = live.finish(
                 max(queue.current_time, self.start_time)
             )
@@ -328,181 +312,82 @@ class Simulation:
             self._arrivals_since_flush += 1
 
     def _handle_batch_flush(self, now: float, queue: EventQueue) -> None:
-        """Periodic ``BATCH_DISPATCH``: retune the window controller on
-        the flush-to-flush arrival count, snapshot the window's
-        accumulated requests and *issue* their quote stage; the matching
-        ``QUOTE_READY`` event one (possibly retuned) overlap later
-        solves and commits. Then schedule the next flush — the chain
-        runs until the first flush at or after the last request arrival
-        (same flush instants as the old ``next <= horizon + window``
-        rule, but immune to float accumulation stopping the chain one
-        window early and stranding tail requests)."""
+        """Periodic ``BATCH_DISPATCH``: one synchronous flush under one
+        ``flush`` span. Retune the window controller on the
+        flush-to-flush arrival count, snapshot the window's accumulated
+        requests, quote them, solve and commit through the policy. Then
+        schedule the next flush — the chain runs until the first flush
+        at or after the last request arrival (same flush instants as the
+        old ``next <= horizon + window`` rule, but immune to float
+        accumulation stopping the chain one window early and stranding
+        tail requests)."""
         controller = self.window_controller
         flush_id = self._flush_seq
         self._flush_seq += 1
+        wall_start = clock()
         with self.tracer.span(
-            "flush.issue", flush=flush_id, sim_now=round(now, 3)
-        ) as issue_span:
+            "flush", flush=flush_id, sim_now=round(now, 3)
+        ) as flush_span:
             controller.on_flush(now, self._arrivals_since_flush)
             self._arrivals_since_flush = 0
             self.batch_window.window_s = controller.window_s
-            self.report.record_window(
-                now, controller.window_s, controller.overlap_s
-            )
+            self.report.record_window(now, controller.window_s)
             next_flush = now + controller.window_s if now < self.horizon else None
             with self.tracer.span("snapshot", flush=flush_id):
                 requests = self.batch_window.flush()
-            issue_span.annotate(requests=len(requests))
+            flush_span.annotate(requests=len(requests))
             if requests:
-                commit_time = now + controller.overlap_s
-                # Carry bound: a carried request must still be assignable at
-                # the *next* flush's commit. That commit's overlap is only
-                # retuned at the next flush, so the current overlap stands
-                # in — deterministically; a request carried on a slightly
-                # stale bound just takes the normal rejection path there.
-                carry_deadline = None
-                if self.config.carry_over and next_flush is not None:
-                    carry_deadline = next_flush + controller.overlap_s
-                # Fault-carry bound: same instant, but armed whenever a
-                # next flush exists — the ladder's carry rescue must work
-                # even with carry-over batching disabled.
-                fault_deadline = (
-                    next_flush + controller.overlap_s
-                    if next_flush is not None
-                    else None
-                )
-                budget = (
-                    FlushBudget(self.config.flush_deadline_s)
-                    if self.config.flush_deadline_s is not None
-                    else None
-                )
-                pending = None
+                quote_set = None
+                degraded = False
                 if self.batch_dispatcher.policy.uses_quote_set:
-                    # Quote stage: candidate filtering and decision points
-                    # resolve here; with quote workers the column quotes
-                    # start computing while we return to executing events.
-                    with self.tracer.span(
-                        "quote.issue",
-                        cat="quote",
-                        flush=flush_id,
-                        requests=len(requests),
-                    ):
-                        pending = self.quote_service.begin(
-                            self.dispatcher,
-                            requests,
-                            commit_time,
-                            budget=budget,
-                        )
-                queue.push(
-                    Event(
-                        commit_time,
-                        EventKind.QUOTE_READY,
-                        (
-                            requests,
-                            pending,
-                            carry_deadline,
-                            fault_deadline,
-                            flush_id,
-                        ),
+                    budget = (
+                        FlushBudget(self.config.flush_deadline_s)
+                        if self.config.flush_deadline_s is not None
+                        else None
                     )
+                    with self.tracer.span(
+                        "quote.collect", cat="quote", flush=flush_id
+                    ):
+                        quote_set = self.quote_service.begin(
+                            self.dispatcher, requests, now, budget=budget
+                        ).collect()
+                    self.report.record_quote_stage(quote_set)
+                    controller.observe_quote_stage(quote_set.quote_seconds)
+                    if quote_set.deadline_exceeded:
+                        # Ladder's last rung: the flush blew its deadline
+                        # budget mid-quote. Drop the partial quote set and
+                        # dispatch this one flush greedily — the next
+                        # flush starts a fresh budget.
+                        degraded = True
+                        quote_set = None
+                        self.report.record_flush_degraded()
+                # A carried request must still be assignable at the next
+                # flush. The fault-carry bound is the same instant, but
+                # armed whenever a next flush exists: the ladder's rescue
+                # must work even with carry-over batching disabled.
+                self._commit_batch(
+                    requests,
+                    now,
+                    queue,
+                    quote_set=quote_set,
+                    carry_deadline=next_flush if self.config.carry_over else None,
+                    fault_deadline=next_flush,
+                    degraded=degraded,
                 )
+        if requests:
+            self.report.record_flush_wall(clock() - wall_start)
         if next_flush is not None:
             queue.push(Event(next_flush, EventKind.BATCH_DISPATCH))
 
-    def _handle_quote_ready(self, payload, now: float, queue: EventQueue) -> None:
-        """Commit stage: collect the flush's quotes (re-quoting stale
-        columns), then solve and commit through the policy — all under
-        the flush's main ``flush`` span (its ``flush`` arg links it to
-        the issuing ``flush.issue`` span)."""
-        requests, pending, carry_deadline, fault_deadline, flush_id = payload
-        wall_start = clock()
-        with self.tracer.span(
-            "flush", flush=flush_id, requests=len(requests), sim_now=round(now, 3)
-        ):
-            quote_set = None
-            degraded = False
-            if pending is not None:
-                collect_start = clock()
-                with self.tracer.span(
-                    "quote.collect", cat="quote", flush=flush_id
-                ) as collect_span:
-                    quote_set = pending.collect()
-                collect_span.annotate(requotes=quote_set.requotes)
-                # Quote wall time that ran while this thread was still
-                # executing events: the stage's span — counted from the end
-                # of the issue prologue, which ran inline in the flush
-                # handler — clipped at the moment we came back to collect
-                # it. Inline stages (deferred mode, eager serial backend)
-                # blocked this thread throughout, so nothing overlapped by
-                # construction.
-                overlapped = (
-                    0.0
-                    if quote_set.inline
-                    else max(
-                        0.0,
-                        min(quote_set.finished_perf, collect_start)
-                        - quote_set.issued_perf,
-                    )
-                )
-                self.report.record_quote_stage(quote_set, overlapped)
-                self.window_controller.observe_quote_stage(quote_set.quote_seconds)
-                if quote_set.deadline_exceeded:
-                    # Ladder's last rung: the flush blew its deadline
-                    # budget mid-quote. Drop the partial quote set and
-                    # dispatch this one flush greedily — the next flush
-                    # starts a fresh budget and recovers the full
-                    # pipeline.
-                    degraded = True
-                    quote_set = None
-                    self.report.record_flush_degraded()
-            self._dispatch_batch(
-                requests,
-                now,
-                queue,
-                quote_set=quote_set,
-                carry_deadline=carry_deadline,
-                fault_deadline=fault_deadline,
-                degraded=degraded,
-                in_flush=True,
-            )
-        self.report.record_flush_wall(clock() - wall_start)
-
-    def _dispatch_batch(
-        self,
-        requests,
-        now: float,
-        queue: EventQueue,
-        quote_set=None,
-        carry_deadline: float | None = None,
-        fault_deadline: float | None = None,
-        degraded: bool = False,
-        in_flush: bool = False,
-    ) -> None:
-        """Assign one batch and fold the outcome into the report; each
-        winning vehicle gets exactly one fresh stop event (its final
-        post-batch plan), and one location report. Carried requests
-        (carry-over batching) re-enter the window for the next flush,
-        accumulating their response-time debt until a later flush
-        settles them; ``carry_deadline=None`` (immediate dispatch, the
-        end-of-run safety net, final flushes) settles everything here.
-        ``in_flush=True`` (the pipelined path) means the caller already
-        opened the flush span and owns the flush wall-time sample.
-        ``degraded=True`` is the ladder's last rung: dispatch through
-        the greedy fallback policy for this flush only."""
-        if in_flush:
-            self._commit_batch(
-                requests, now, queue, quote_set, carry_deadline,
-                fault_deadline=fault_deadline, degraded=degraded,
-            )
-            return
+    def _dispatch_batch(self, requests, now: float, queue: EventQueue) -> None:
+        """Assign one batch outside the periodic flush chain — immediate
+        dispatch, and the end-of-run safety net — under its own
+        ``flush`` span, settling every request here."""
         wall_start = clock()
         with self.tracer.span(
             "flush", requests=len(requests), sim_now=round(now, 3)
         ):
-            self._commit_batch(
-                requests, now, queue, quote_set, carry_deadline,
-                fault_deadline=fault_deadline, degraded=degraded,
-            )
+            self._commit_batch(requests, now, queue)
         self.report.record_flush_wall(clock() - wall_start)
 
     def _commit_batch(
@@ -510,15 +395,23 @@ class Simulation:
         requests,
         now,
         queue,
-        quote_set,
-        carry_deadline,
+        quote_set=None,
+        carry_deadline=None,
         fault_deadline=None,
         degraded=False,
     ) -> None:
+        """Dispatch one batch and fold the outcome into the report; each
+        winning vehicle gets exactly one fresh stop event (its final
+        post-batch plan), and one location report. Carried requests
+        (carry-over batching) re-enter the window for the next flush,
+        accumulating their response-time debt until a later flush
+        settles them; ``carry_deadline=None`` settles everything here.
+        ``degraded=True`` is the ladder's last rung: dispatch through
+        the greedy fallback policy for this flush only."""
         if degraded:
             # Greedy downgrade: sequential cheapest-quote dispatch, no
-            # batch solve, no quote workers, no fault hardening — the
-            # one rung guaranteed not to consume any failed machinery.
+            # batch solve, no fault hardening — the one rung guaranteed
+            # not to consume any failed machinery.
             batch = self._fallback_policy.assign(
                 self.dispatcher,
                 list(requests),

@@ -18,6 +18,7 @@ import pytest
 from repro.dispatch.sharding import (
     ShardExecutor,
     ShardPartitioner,
+    WorkerPool,
     solve_sharded,
 )
 from repro.dispatch.sharding.partitioner import Shard, ShardPlan
@@ -182,10 +183,12 @@ def test_reconciled_shards_match_nearly_as_many_pairs_as_global(four_shards):
 
 
 def test_thread_shard_backend_is_rejected():
-    """``thread`` is a quote-service backend only: the shard executor
-    and the config name the two shard backends that exist."""
+    """The shard executor, its worker pool and the config all name the
+    two backends that exist."""
     with pytest.raises(ValueError, match="serial, process"):
         ShardExecutor("thread")
+    with pytest.raises(ValueError, match="serial, process"):
+        WorkerPool("thread")
     with pytest.raises(ValueError, match="serial, process"):
         SimulationConfig(
             dispatch_policy="sharded", shard_backend="thread"

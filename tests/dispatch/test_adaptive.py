@@ -15,7 +15,6 @@ def _controller(**overrides):
         initial_window_s=10.0,
         window_min_s=5.0,
         window_max_s=30.0,
-        overlap_fraction=0.0,
         ewma_alpha=0.5,
         target_batch=12.0,
     )
@@ -27,19 +26,17 @@ def _controller(**overrides):
 # Fixed controller: the degenerate, bit-identical cadence
 # ----------------------------------------------------------------------
 def test_fixed_controller_echoes_config_floats():
-    """The fixed controller must hand back the *same float objects* the
+    """The fixed controller must hand back the *same float object* the
     config carries: flush arithmetic is then literally the pre-controller
     expression ``now + config.batch_window_s``."""
-    config = SimulationConfig(batch_window_s=17.0, quote_overlap_s=3.0)
+    config = SimulationConfig(batch_window_s=17.0)
     controller = make_window_controller(config)
     assert isinstance(controller, FixedWindowController)
-    assert controller.window_s == config.batch_window_s
-    assert controller.overlap_s == config.quote_overlap_s
+    assert controller.window_s is config.batch_window_s
     for i in range(5):
         controller.on_flush(i * 17.0, new_arrivals=i)
         controller.observe_quote_stage(123.0)
     assert controller.window_s == 17.0
-    assert controller.overlap_s == 3.0
     assert controller.retunes == 5
 
 
@@ -50,7 +47,6 @@ def test_make_controller_returns_none_for_immediate_dispatch():
 def test_make_controller_builds_adaptive_from_config():
     config = SimulationConfig(
         batch_window_s=10.0,
-        quote_overlap_s=2.0,
         adaptive_window=True,
         window_min_s=5.0,
         window_max_s=30.0,
@@ -58,8 +54,7 @@ def test_make_controller_builds_adaptive_from_config():
     controller = make_window_controller(config)
     assert isinstance(controller, AdaptiveWindowController)
     assert controller.window_s == 10.0
-    assert controller.overlap_fraction == pytest.approx(0.2)
-    assert controller.overlap_s == pytest.approx(2.0)
+    assert (controller.window_min_s, controller.window_max_s) == (5.0, 30.0)
 
 
 # ----------------------------------------------------------------------
@@ -111,19 +106,6 @@ def test_ewma_smooths_the_intensity_signal():
     assert smooth.window_s > 5.0
 
 
-def test_overlap_scales_proportionally_and_fits_inside_window():
-    c = _controller(overlap_fraction=0.4, ewma_alpha=1.0)
-    assert c.overlap_s == pytest.approx(4.0)
-    c.on_flush(0.0, new_arrivals=0)
-    c.on_flush(10.0, new_arrivals=0)
-    assert c.window_s == 5.0
-    assert c.overlap_s == pytest.approx(2.0)
-    c.on_flush(15.0, new_arrivals=500)
-    assert c.window_s == 30.0
-    assert c.overlap_s == pytest.approx(12.0)
-    assert c.overlap_s < c.window_s
-
-
 def test_controller_is_deterministic_given_the_same_inputs():
     """Same flush history -> same trajectory: the controller keeps no
     hidden wall-clock or RNG state on the intensity channel."""
@@ -132,9 +114,9 @@ def test_controller_is_deterministic_given_the_same_inputs():
     trajectory_a, trajectory_b = [], []
     for now, arrivals in history:
         a.on_flush(now, arrivals)
-        trajectory_a.append((a.window_s, a.overlap_s))
+        trajectory_a.append(a.window_s)
         b.on_flush(now, arrivals)
-        trajectory_b.append((b.window_s, b.overlap_s))
+        trajectory_b.append(b.window_s)
     assert trajectory_a == trajectory_b
 
 
@@ -175,7 +157,7 @@ def test_latency_guard_raises_the_window_floor():
         {"window_min_s": 40.0},  # min > max
         {"initial_window_s": 2.0},  # outside the band
         {"initial_window_s": 31.0},
-        {"overlap_fraction": 1.0},
+        {"ewma_alpha": 1.5},
         {"ewma_alpha": 0.0},
         {"target_batch": 0.0},
         {"latency_headroom": 0.0},

@@ -1,26 +1,18 @@
-"""The staged quote -> solve -> commit pipeline.
+"""The batched flush: quote -> solve -> commit at the flush instant.
 
-Three guarantee families:
-
-* **degeneration** — with ``quote_workers=0`` and a zero overlap window
-  the pipeline is bit-identical to the pre-pipeline synchronous order
-  (pinned against a reference simulation that re-implements the old
-  single-event flush verbatim), for both the global ``lap`` solve and
-  the ``sharded`` policy;
-* **worker invisibility** — at a fixed overlap window, assignments are
-  identical across the deferred stage (``workers=0``), the eager
-  ``serial`` backend and ``thread`` pools of any size: staleness epochs
-  plus deterministic re-quotes erase worker timing;
-* **staleness edges** — a vehicle that re-plans between quote and
-  commit, finishes its schedule mid-solve, or invalidates *every*
-  quote is detected by its schedule epoch and repaired by a
-  deterministic re-quote, even when the racing worker quote raised.
+* **degeneration** — the flush (controller retune, snapshot, the
+  hardened quote stage, then the policy) is bit-identical to the
+  pre-pipeline synchronous order, pinned against a reference simulation
+  that re-implements the old single-event flush verbatim, for the
+  global ``lap`` solve, the ``sharded`` policy and ``iterative``;
+* **the quote stage** — ``QuoteService`` builds exactly the matrix
+  ``build_cost_matrix`` builds, and is skipped for ``greedy``, which
+  quotes inline.
 """
 
 import pytest
 
 from repro.core.matching import Dispatcher
-from repro.dispatch import quoting as quoting_module
 from repro.dispatch.costs import build_cost_matrix
 from repro.dispatch.quoting import QuoteService
 from repro.roadnet.generators import grid_city
@@ -77,7 +69,7 @@ def _run(scenario, policy, **overrides):
 
 
 # ----------------------------------------------------------------------
-# Degeneration: workers=0 / overlap=0 is the old synchronous order
+# Degeneration: the flush is the old synchronous order
 # ----------------------------------------------------------------------
 class SynchronousReferenceSimulation(Simulation):
     """The pre-pipeline flush handler, verbatim: quote+solve+commit as
@@ -99,6 +91,7 @@ class SynchronousReferenceSimulation(Simulation):
 def test_workers_zero_pipeline_is_bit_identical_to_synchronous(
     scenario, policy, overrides
 ):
+    """Contract 4: the batched flush ≡ the pre-pipeline reference."""
     engine, trips = scenario
     config = SimulationConfig(
         num_vehicles=10,
@@ -106,84 +99,26 @@ def test_workers_zero_pipeline_is_bit_identical_to_synchronous(
         seed=5,
         dispatch_policy=policy,
         batch_window_s=20.0,
-        quote_workers=0,
-        quote_overlap_s=0.0,
         **overrides,
     )
-    pipelined = Simulation(engine, config, trips).run()
+    flushed = Simulation(engine, config, trips).run()
     reference = SynchronousReferenceSimulation(engine, config, trips).run()
-    assert _deterministic_state(pipelined) == _deterministic_state(reference)
-    # The degenerate stage records itself but never overlaps anything.
-    assert pipelined.quote_seconds.count == pipelined.num_batches
-    assert pipelined.staleness_requotes.total == 0
-    assert pipelined.overlap_ratio.mean == 0.0
+    assert _deterministic_state(flushed) == _deterministic_state(reference)
+    # Every non-empty flush ran the quote stage exactly once.
+    assert flushed.quote_seconds.count == flushed.num_batches
 
 
 def test_greedy_pipeline_skips_quote_stage(scenario):
-    """The greedy policy quotes inline, so the pipeline must not spend
-    workers on a matrix it would ignore — and still dispatch."""
-    report = _run(
-        scenario, "greedy", quote_workers=2, quote_overlap_s=10.0
-    )
+    """The greedy policy quotes inline, so the flush must not build a
+    matrix it would ignore — and still dispatch."""
+    report = _run(scenario, "greedy")
     assert report.quote_seconds.count == 0
     assert report.num_assigned > 0
     assert report.verify_service_guarantees() == []
 
 
 # ----------------------------------------------------------------------
-# Worker invisibility at a fixed overlap window
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("policy", ["lap", "sharded"])
-@pytest.mark.parametrize(
-    "workers,backend", [(1, "serial"), (1, "thread"), (4, "thread")]
-)
-def test_workers_and_backends_agree_with_deferred(
-    scenario, policy, workers, backend
-):
-    overrides = {"num_shards": 3} if policy == "sharded" else {}
-    deferred = _run(
-        scenario, policy, quote_workers=0, quote_overlap_s=10.0, **overrides
-    )
-    serial_eager = _run(
-        scenario,
-        policy,
-        quote_workers=1,
-        quote_backend="serial",
-        quote_overlap_s=10.0,
-        **overrides,
-    )
-    eager = _run(
-        scenario,
-        policy,
-        quote_workers=workers,
-        quote_backend=backend,
-        quote_overlap_s=10.0,
-        **overrides,
-    )
-    assert _deterministic_state(eager) == _deterministic_state(deferred)
-    # Requote counts are simulated-time facts (which vehicles mutated
-    # inside the overlap window), so every eager run agrees — deferred
-    # quoting (workers=0) quotes at the solve instant and never requotes.
-    assert (
-        eager.staleness_requotes.total == serial_eager.staleness_requotes.total
-    )
-    assert deferred.staleness_requotes.total == 0
-
-
-def test_overlap_window_requotes_replanned_vehicles(scenario):
-    """With a positive overlap window some vehicle reaches a stop or
-    wins a commit between quote and commit — the epoch check must catch
-    it (requotes > 0) without ever leaking a guarantee violation."""
-    report = _run(scenario, "lap", quote_workers=1, quote_overlap_s=10.0)
-    assert int(report.staleness_requotes.total) > 0
-    assert report.verify_service_guarantees() == []
-    for rid, entry in report.service_log.items():
-        assert "pickup" in entry, f"request {rid} assigned but never picked up"
-        assert "dropoff" in entry, f"request {rid} never dropped off"
-
-
-# ----------------------------------------------------------------------
-# Staleness edges on the QuoteService itself
+# The QuoteService itself
 # ----------------------------------------------------------------------
 def _flush_fixture(num_vehicles=8, num_requests=10, seed=3):
     city = grid_city(12, 12, seed=seed)
@@ -215,138 +150,10 @@ def _matrices_equal(a, b):
     return bool(same.all())
 
 
-def test_peek_decision_point_leaves_past_positions_intact():
-    """Resolving a decision point at the future commit instant must not
-    advance the vehicle's waypoint cursor: position queries at earlier
-    times inside the overlap window still interpolate correctly."""
-    from repro.core.vehicle import Vehicle
-
-    engine, _, _ = _flush_fixture()
-    graph = engine.graph
-    # Twin idle vehicles: identical ids, start vertices and cruise RNGs.
-    probe = Vehicle(0, start_vertex=5, start_time=0.0, seed=123)
-    twin = Vehicle(0, start_vertex=5, start_time=0.0, seed=123)
-    future = 120.0
-    peeked = probe.peek_decision_point(future, graph)
-    advanced = twin.decision_point(future, graph)
-    assert peeked == advanced  # same value...
-    # ...but the peeking vehicle's position at an *earlier* time matches
-    # a vehicle that never looked ahead (the cursor did not move).
-    control = Vehicle(0, start_vertex=5, start_time=0.0, seed=123)
-    for t in (3.0, 17.0, 60.0, 119.0):
-        assert probe.position_at(t, graph) == control.position_at(t, graph)
-
-
-def test_epoch_bumps_on_commit_and_arrival():
-    engine, dispatcher, requests = _flush_fixture()
-    agent = dispatcher.agents[0]
-    before = agent.schedule_epoch
-    quote = agent.quote(requests[0], 0.0)
-    assert agent.schedule_epoch == before  # quoting never mutates
-    assert quote is not None
-    agent.commit(quote)
-    assert agent.schedule_epoch == before + 1
-    agent.arrive_next()
-    assert agent.schedule_epoch == before + 2
-
-
-def test_vehicle_finishing_schedule_mid_solve_is_requoted():
-    """A vehicle that executes its whole schedule between quote and
-    commit (arrive_next + idle) must be detected and re-quoted."""
-    engine, dispatcher, requests = _flush_fixture()
-    agent = dispatcher.agents[0]
-    quote = agent.quote(requests[0], 0.0)
-    agent.commit(quote)
-
-    with QuoteService(workers=1, backend="serial") as service:
-        pending = service.begin(dispatcher, requests[1:], 5.0)
-        # The vehicle reaches (and finishes) its committed stops
-        # mid-solve; each arrival bumps the epoch.
-        while agent.next_stop() is not None:
-            arrivals = agent.arrive_next()
-        agent.vehicle.set_idle(arrivals[-1][1].vertex, arrivals[-1][0])
-        quote_set = pending.collect()
-
-    assert quote_set.requotes >= 1
-    fresh = build_cost_matrix(dispatcher, requests[1:], 5.0)
-    assert _matrices_equal(quote_set.matrix, fresh)
-
-
-def test_all_quotes_stale_falls_back_deterministically():
-    """Every candidate mutates between quote and commit: collect must
-    rebuild every column and agree with a fresh synchronous build."""
-    engine, dispatcher, requests = _flush_fixture()
-    with QuoteService(workers=2, backend="thread") as service:
-        pending = service.begin(dispatcher, requests, 0.0)
-        for agent in dispatcher.agents:
-            agent.schedule_epoch += 1  # every schedule "moved"
-        quote_set = pending.collect()
-    assert quote_set.requotes == len(quote_set.matrix.agents)
-    fresh = build_cost_matrix(dispatcher, requests, 0.0)
-    assert _matrices_equal(quote_set.matrix, fresh)
-
-
-def test_worker_failure_is_repaired_by_requote(monkeypatch):
-    """A worker quote that raises (a schedule mutation tearing the read
-    mid-flight) is recorded as a failure and repaired like any stale
-    column — the assembled matrix never sees the wreckage."""
-    engine, dispatcher, requests = _flush_fixture()
-    poisoned = dispatcher.agents[2]
-    real_task = quoting_module._quote_task
-
-    def exploding_task(agent, reqs, now, objective, decision, tracer, parent,
-                       *fault_args, **fault_kwargs):
-        if agent is poisoned:
-            raise RuntimeError("schedule mutated mid-quote")
-        return real_task(agent, reqs, now, objective, decision, tracer, parent,
-                         *fault_args, **fault_kwargs)
-
-    monkeypatch.setattr(quoting_module, "_quote_task", exploding_task)
-    with QuoteService(workers=2, backend="thread") as service:
-        quote_set = service.begin(dispatcher, requests, 0.0).collect()
-    assert quote_set.failures == 1
-    assert quote_set.requotes == 1
-    fresh = build_cost_matrix(dispatcher, requests, 0.0)
-    assert _matrices_equal(quote_set.matrix, fresh)
-
-
 def test_quote_service_sync_build_matches_build_cost_matrix():
     engine, dispatcher, requests = _flush_fixture()
-    quote_set = QuoteService(workers=0).build(dispatcher, requests, 0.0)
+    quote_set = QuoteService().build(dispatcher, requests, 0.0)
     fresh = build_cost_matrix(dispatcher, requests, 0.0)
     assert _matrices_equal(quote_set.matrix, fresh)
-    assert quote_set.requotes == 0 and quote_set.failures == 0
-    assert quote_set.inline is True
-
-
-# ----------------------------------------------------------------------
-# Config validation
-# ----------------------------------------------------------------------
-def test_process_backend_is_rejected():
-    with pytest.raises(ValueError, match="process boundary"):
-        SimulationConfig(
-            batch_window_s=10.0, quote_workers=2, quote_backend="process"
-        )
-
-
-def test_pipeline_requires_batched_dispatch():
-    with pytest.raises(ValueError, match="batch_window_s > 0"):
-        SimulationConfig(quote_workers=2)
-    with pytest.raises(ValueError, match="batch_window_s > 0"):
-        SimulationConfig(quote_overlap_s=5.0)
-
-
-def test_overlap_must_fit_inside_the_window():
-    with pytest.raises(ValueError, match="shorter than batch_window_s"):
-        SimulationConfig(batch_window_s=10.0, quote_overlap_s=10.0)
-
-
-def test_window_plus_overlap_must_respect_wait_budget():
-    from repro.core.constraints import ConstraintConfig
-
-    with pytest.raises(ValueError, match="waiting-time guarantee"):
-        SimulationConfig(
-            batch_window_s=80.0,
-            quote_overlap_s=50.0,
-            constraints=ConstraintConfig.from_minutes(2, 20),
-        )
+    assert quote_set.requotes == 0
+    assert quote_set.failed_columns == () and not quote_set.deadline_exceeded

@@ -40,7 +40,7 @@ def _die():  # pragma: no cover - runs in a worker process
 # ----------------------------------------------------------------------
 # close() idempotence
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_close_is_idempotent(backend):
     pool = WorkerPool(backend, max_workers=1)
     if backend != "serial":
@@ -61,7 +61,7 @@ def test_close_after_breakage_is_safe():
 
 
 def test_close_never_resurrects_a_pool():
-    pool = WorkerPool("thread", max_workers=1)
+    pool = WorkerPool("process", max_workers=1)
     pool.submit(int, 1).result()
     pool.close()
     assert pool._pool is None
@@ -76,7 +76,7 @@ def test_del_interpreter_shutdown_path():
     Run in a subprocess so we exercise the real interpreter shutdown."""
     code = (
         "from repro.dispatch.sharding.executor import WorkerPool\n"
-        "pool = WorkerPool('thread', max_workers=1)\n"
+        "pool = WorkerPool('process', max_workers=1)\n"
         "pool.submit(int, 1).result()\n"
         "broken = WorkerPool('process', max_workers=1)\n"
         "broken.submit(int, 2).result()\n"
@@ -102,7 +102,7 @@ def test_del_interpreter_shutdown_path():
 def test_recreate_drops_the_pool_and_counts():
     registry = MetricsRegistry()
     injector = FaultInjector(registry=registry)
-    pool = WorkerPool("thread", max_workers=1, injector=injector)
+    pool = WorkerPool("process", max_workers=1, injector=injector)
     pool.submit(int, 1).result()
     first = pool._pool
     pool.recreate()

@@ -127,12 +127,12 @@ def test_prom_counter_and_gauge_lines():
     registry = MetricsRegistry()
     registry.counter("fault.injected").inc(3)
     registry.gauge("resource.rss_bytes").set(1024.0)
-    registry.gauge("pool.queue_depth")  # never set: must be skipped
+    registry.gauge("resource.tracemalloc_peak_bytes")  # never set: skipped
     lines = prom_text_lines(registry)
     assert "# TYPE repro_fault_injected_total counter" in lines
     assert "repro_fault_injected_total 3" in lines
     assert "repro_resource_rss_bytes 1024" in lines
-    assert not any("queue_depth" in line for line in lines)
+    assert not any("tracemalloc" in line for line in lines)
 
 
 def test_prom_histogram_buckets_are_cumulative(tmp_path):

@@ -1,4 +1,4 @@
-"""Resource-monitor tests: RSS, GC hooks, queue-depth probes."""
+"""Resource-monitor tests: RSS, GC hooks, tracemalloc."""
 
 import gc
 import tracemalloc
@@ -14,8 +14,8 @@ def monitor_factory():
     """Build monitors and guarantee their GC hooks are detached."""
     monitors = []
 
-    def build(registry, probes=()):
-        monitor = ResourceMonitor(registry, probes)
+    def build(registry):
+        monitor = ResourceMonitor(registry)
         monitors.append(monitor)
         return monitor
 
@@ -56,22 +56,6 @@ def test_gc_pause_histogram_captures_collections(monitor_factory):
     gc.collect()
     assert registry.snapshot()["counters"]["gc.collections"] == frozen
     monitor.close()  # idempotent
-
-
-def test_queue_depth_sums_probes(monitor_factory):
-    registry = MetricsRegistry()
-    monitor = monitor_factory(
-        registry, probes=[lambda: 2, lambda: None, lambda: 3]
-    )
-    monitor.sample()
-    assert registry.snapshot()["gauges"]["pool.queue_depth"] == 5
-
-
-def test_queue_depth_absent_when_no_probe_answers(monitor_factory):
-    registry = MetricsRegistry()
-    monitor = monitor_factory(registry, probes=[lambda: None])
-    monitor.sample()
-    assert registry.snapshot()["gauges"]["pool.queue_depth"] is None
 
 
 def test_tracemalloc_gauge_only_when_already_tracing(monitor_factory):

@@ -12,10 +12,10 @@ Two contracts matter most here:
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.dispatch.sharding.executor import WorkerPool
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, Span, Tracer
 
 
@@ -189,37 +189,34 @@ def test_clear_empties_the_record_buffer():
 # Cross-thread parent handles (the worker-pool shape)
 # ----------------------------------------------------------------------
 def test_worker_spans_carry_the_submit_time_parent_handle():
-    """The async-quote shape: the issuing thread opens ``quote.issue``,
-    captures ``current_id()`` and hands it to each pool task. Whatever
-    thread runs the task, the recorded parent is the issue span —
+    """The submitting thread opens ``fanout``, captures
+    ``current_id()`` and hands it to each pool task. Whatever thread
+    runs the task, the recorded parent is the fanout span —
     deterministically, run after run."""
     tracer = Tracer(enabled=True)
-    pool = WorkerPool(backend="thread", max_workers=2)
     started = threading.Barrier(3, timeout=5.0)
 
     def task(parent, index):
         started.wait()  # force both workers to participate
-        with tracer.span("quote.column", cat="quote", parent=parent, col=index):
+        with tracer.span("task", parent=parent, col=index):
             pass
 
-    try:
-        with tracer.span("quote.issue", cat="quote") as issue:
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with tracer.span("fanout"):
             parent = tracer.current_id()
             futures = [pool.submit(task, parent, i) for i in range(2)]
             started.wait()
             for future in futures:
                 future.result(timeout=5.0)
-    finally:
-        pool.close()
 
     records = {r.name: r for r in tracer.records()}
-    columns = [r for r in tracer.records() if r.name == "quote.column"]
-    assert len(columns) == 2
-    assert {c.parent_id for c in columns} == {records["quote.issue"].span_id}
-    assert records["quote.issue"].span_id == "0:1"  # deterministic
-    # Worker ordinals are non-zero: the simulator thread owns 0.
-    assert all(c.thread > 0 for c in columns)
-    assert all(c.span_id != records["quote.issue"].span_id for c in columns)
+    tasks = [r for r in tracer.records() if r.name == "task"]
+    assert len(tasks) == 2
+    assert {t.parent_id for t in tasks} == {records["fanout"].span_id}
+    assert records["fanout"].span_id == "0:1"  # deterministic
+    # Worker ordinals are non-zero: the creating thread owns 0.
+    assert all(t.thread > 0 for t in tasks)
+    assert all(t.span_id != records["fanout"].span_id for t in tasks)
 
 
 def test_thread_ordinals_are_first_use_order_and_stable():

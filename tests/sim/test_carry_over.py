@@ -10,9 +10,7 @@ Four guarantee families:
 * **conservation** — with carry-over on, every request is settled
   exactly once (assigned or rejected), never lost in the window and
   never double-counted, including requests that expire mid-carry;
-* **interplay** — carry-over composes with the async quote pipeline
-  (staleness re-quotes fire; worker counts stay invisible) and with the
-  sharded policy;
+* **interplay** — carry-over composes with the sharded policy;
 * **determinism** — adaptive + carry-over runs are reproducible given
   the seed, and the window trajectory stays clamped to the band under
   burst load and silence.
@@ -97,26 +95,14 @@ def test_disabled_config_matches_pre_controller_fixed_window(scenario):
 
     class PreControllerSimulation(Simulation):
         """Schedules flushes exactly as the code did before the window
-        controller existed (PR 4's handler, config arithmetic inline)."""
+        controller existed (config arithmetic inline)."""
 
         def _handle_batch_flush(self, now, queue):
             from repro.sim.events import Event, EventKind
 
             requests = self.batch_window.flush()
             if requests:
-                commit_time = now + self.config.quote_overlap_s
-                pending = None
-                if self.batch_dispatcher.policy.uses_quote_set:
-                    pending = self.quote_service.begin(
-                        self.dispatcher, requests, commit_time
-                    )
-                queue.push(
-                    Event(
-                        commit_time,
-                        EventKind.QUOTE_READY,
-                        (requests, pending, None, None, 0),
-                    )
-                )
+                self._dispatch_batch(requests, now, queue)
             if now < self.horizon:
                 queue.push(
                     Event(
@@ -144,13 +130,13 @@ def test_disabled_config_matches_pre_controller_fixed_window(scenario):
     assert state == ref_state
     assert current.carry_events == 0
     # And the fixed trajectory really is constant at the config value.
-    assert all(w == 15.0 and o == 0.0 for _, w, o in current.window_trajectory)
+    assert all(w == 15.0 for _, w in current.window_trajectory)
 
 
 def test_degenerate_band_is_bit_identical_to_fixed_window(scenario):
     """``window_min == initial == window_max`` clamps the adaptive
-    controller into a constant — the wiring (retunes, proportional
-    overlap, trajectory recording) must perturb nothing."""
+    controller into a constant — the wiring (retunes, trajectory
+    recording) must perturb nothing."""
     fixed = _run(scenario)
     pinned = _run(
         scenario,
@@ -240,28 +226,8 @@ def test_carry_rescues_requests_the_in_batch_path_rejects(overload):
 
 
 # ----------------------------------------------------------------------
-# Interplay with the quote pipeline and sharding
+# Interplay with sharding
 # ----------------------------------------------------------------------
-def test_carry_composes_with_staleness_requotes(scenario):
-    """Carried requests re-enter windows whose vehicles move between
-    quote and commit: the staleness machinery must keep repairing
-    columns, and worker timing must stay invisible."""
-    deferred = _run(
-        scenario, carry_over=True, quote_workers=0, quote_overlap_s=7.0
-    )
-    threaded = _run(
-        scenario,
-        carry_over=True,
-        quote_workers=2,
-        quote_backend="thread",
-        quote_overlap_s=7.0,
-    )
-    assert _deterministic_state(threaded) == _deterministic_state(deferred)
-    assert int(threaded.staleness_requotes.total) > 0
-    assert threaded.carry_events > 0
-    assert threaded.verify_service_guarantees() == []
-
-
 def test_carry_composes_with_sharded_policy(scenario):
     expected = _expected_requests(scenario)
     report = _run(
@@ -307,7 +273,7 @@ def test_window_is_clamped_under_burst_and_silence(scenario):
         carry_over=True,
     )
     report = simulate(engine, config, trips)
-    windows = [w for _, w, _ in report.window_trajectory]
+    windows = [w for _, w in report.window_trajectory]
     assert windows, "no flush ever recorded a window"
     assert min(windows) >= 3.0 - 1e-12
     assert max(windows) <= 24.0 + 1e-12
@@ -324,9 +290,6 @@ def test_adaptive_carry_runs_are_deterministic_given_the_seed(scenario):
         window_min_s=5.0,
         window_max_s=30.0,
         carry_over=True,
-        quote_workers=1,
-        quote_backend="serial",
-        quote_overlap_s=2.0,
     )
     first = _run(scenario, **kwargs)
     second = _run(scenario, **kwargs)
@@ -392,7 +355,7 @@ def test_adaptive_beats_the_best_fixed_window_on_the_bimodal_workload():
     assert adaptive["peak_service_rate"] >= best_fixed["peak_service_rate"]
     # The trajectory stays inside the band and visits both regimes: the
     # floor during the lull, the ceiling during the surge.
-    windows = [w for _, w, _ in report.window_trajectory]
+    windows = [w for _, w in report.window_trajectory]
     assert min(windows) >= window_min_s - 1e-9
     assert max(windows) <= window_max_s + 1e-9
     assert min(windows) <= window_min_s + 1.0

@@ -118,20 +118,6 @@ def test_empty_plan_identical_across_shard_backends(scenario, backend):
     assert _deterministic_state(run) == reference
 
 
-def test_empty_plan_identical_with_async_quote_pipeline(scenario):
-    """The hardened quote service (worker-side fault hooks, retry-aware
-    collect) with no plan matches the deferred synchronous reference."""
-    reference = _deterministic_state(_run(scenario, quote_overlap_s=5.0))
-    for workers, backend in ((1, "serial"), (2, "thread")):
-        run = _run(
-            scenario,
-            quote_overlap_s=5.0,
-            quote_workers=workers,
-            quote_backend=backend,
-        )
-        assert _deterministic_state(run) == reference
-
-
 # ----------------------------------------------------------------------
 # Contract 10: seeded replay
 # ----------------------------------------------------------------------
@@ -249,8 +235,8 @@ def test_no_deadline_means_no_degradation(scenario):
 # ----------------------------------------------------------------------
 def test_a_run_that_raises_leaves_no_live_worker_pool(scenario):
     """An exception out of the event loop (here a blown tree-expansion
-    budget) must still shut the shard pool and the quote pool down —
-    worker processes may not wait for GC."""
+    budget) must still shut the shard pool down — worker processes may
+    not wait for GC."""
     _, engine, trips = scenario
     sim = Simulation(
         engine,
@@ -261,8 +247,6 @@ def test_a_run_that_raises_leaves_no_live_worker_pool(scenario):
             num_shards=2,
             shard_backend="process",
             batch_window_s=10.0,
-            quote_workers=2,
-            quote_overlap_s=5.0,
             tree_expansion_budget=3,
         ),
         trips,
@@ -270,7 +254,6 @@ def test_a_run_that_raises_leaves_no_live_worker_pool(scenario):
     with pytest.raises(TreeBudgetExceeded):
         sim.run()
     assert sim.batch_dispatcher.policy.executor.pool._pool is None
-    assert sim.quote_service._pool is None
 
 
 # ----------------------------------------------------------------------

@@ -89,8 +89,8 @@ def test_every_request_is_dispatched_for_awkward_windows(
 
 
 def test_pipeline_final_flush_commits_after_horizon(scenario):
-    """The last flush's QUOTE_READY lands after the final arrival; its
-    batch must still solve, commit and be serviced."""
+    """The last flush lands at or after the final arrival; its batch
+    must still quote, solve, commit and be serviced to the dropoff."""
     engine, trips = scenario
     expected = _expected_requests(engine, trips)
     config = SimulationConfig(
@@ -99,9 +99,6 @@ def test_pipeline_final_flush_commits_after_horizon(scenario):
         seed=2,
         dispatch_policy="lap",
         batch_window_s=20.0,
-        quote_workers=1,
-        quote_backend="serial",
-        quote_overlap_s=15.0,
     )
     report = simulate(engine, config, trips)
     assert report.num_requests == expected

@@ -2,20 +2,21 @@
 
 The contract under test is *telemetry never steers dispatch*: a traced
 run must be bit-identical to the untraced run on every configuration
-the determinism pins cover (batched LAP, sharded, async quoting), while
-producing a span tree whose ``flush`` spans decompose into the
-quote/solve/commit stages and whose exports load back intact.
+the determinism pins cover (batched LAP, sharded, greedy immediate),
+while producing a span tree whose ``flush`` spans decompose into the
+snapshot/quote/solve/commit stages and whose exports load back intact.
 """
 
 import json
 
 import pytest
 
-from repro.obs.export import read_chrome_trace
+from repro.obs.export import chrome_trace_events, read_chrome_trace
+from repro.obs.report import slowest_flushes
 from repro.roadnet.generators import grid_city
 from repro.roadnet.matrix import MatrixEngine
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import simulate
+from repro.sim.simulator import Simulation, simulate
 from repro.sim.workload import ShanghaiLikeWorkload
 
 
@@ -69,11 +70,9 @@ def _deterministic_state(report):
         {},
         {"dispatch_policy": "sharded", "num_shards": 3,
          "shard_backend": "process"},
-        {"quote_workers": 2, "quote_backend": "thread",
-         "quote_overlap_s": 2.0},
         {"dispatch_policy": "greedy", "batch_window_s": 0.0},
     ],
-    ids=["lap", "sharded_process", "async_quotes", "greedy_immediate"],
+    ids=["lap", "sharded_process", "greedy_immediate"],
 )
 def test_traced_run_is_bit_identical_to_untraced(scenario, overrides):
     untraced = _run(scenario, **overrides)
@@ -92,29 +91,67 @@ def test_untraced_run_collects_no_spans(scenario):
 # Span tree structure
 # ----------------------------------------------------------------------
 def test_flush_spans_decompose_into_pipeline_stages(scenario):
+    """Every non-empty batched flush is exactly one ``flush`` span whose
+    direct children are its stages, and the slowest-flush drilldown
+    shows the snapshot beside them."""
     report = _run(scenario, trace=True)
     records = report.tracer.records()
-    by_id = {r.span_id: r for r in records}
     flushes = [r for r in records if r.name == "flush"]
     assert flushes, "a batched traced run must record flush spans"
-    for flush in flushes:
-        kids = sorted(
-            r.name for r in records if r.parent_id == flush.span_id
-        )
-        assert kids == ["cleanup", "commit", "quote.collect", "solve"]
-        assert flush.parent_id is None
-        assert "flush" in flush.args and "requests" in flush.args
-    # The issue side pairs up: every flush id also has a flush.issue
-    # span with a snapshot child, linked by the flush arg.
-    issue_ids = {
-        r.args["flush"]
-        for r in records
-        if r.name == "flush.issue" and "flush" in r.args
+    assert all(f.parent_id is None for f in flushes)
+    ids = [f.args["flush"] for f in flushes]
+    assert len(ids) == len(set(ids))  # one span per flush
+    busy = [f for f in flushes if f.args["requests"] > 0]
+    assert len(busy) == report.num_batches
+    for flush in busy:
+        kids = {r.name for r in records if r.parent_id == flush.span_id}
+        assert kids >= {"snapshot", "quote.collect", "solve", "commit"}
+    for flush in slowest_flushes(chrome_trace_events(records), top=3):
+        assert flush["children"][0]["name"] == "snapshot"
+
+
+def _column_children(records, name):
+    """Spans called ``name``, each with its ``quote.column`` children."""
+    return {
+        span.span_id: [
+            r for r in records
+            if r.parent_id == span.span_id and r.name == "quote.column"
+        ]
+        for span in records
+        if span.name == name
     }
-    assert {f.args["flush"] for f in flushes} <= issue_ids
-    for record in records:
-        if record.name == "snapshot":
-            assert by_id[record.parent_id].name == "flush.issue"
+
+
+def test_later_round_quote_spans_have_column_children(scenario):
+    """The iterative policy's own re-quote rounds trace their columns
+    like the flush's quote stage does."""
+    report = _run(scenario, trace=True, dispatch_policy="iterative")
+    rounds = _column_children(report.tracer.records(), "quote")
+    assert rounds, "no later-round quote span recorded"
+    assert all(rounds.values())
+
+
+def test_safety_net_flush_traces_its_quote_columns(scenario):
+    """The end-of-run safety-net flush quotes inside the policy; its
+    columns are traced too."""
+
+    class NoFlushChain(Simulation):
+        def _handle_batch_flush(self, now, queue):
+            pass  # every request waits for the safety net
+
+    engine, trips = scenario
+    config = SimulationConfig(
+        num_vehicles=6,
+        algorithm="kinetic",
+        seed=2,
+        dispatch_policy="lap",
+        batch_window_s=15.0,
+        trace=True,
+    )
+    report = NoFlushChain(engine, config, trips).run()
+    rounds = _column_children(report.tracer.records(), "quote")
+    assert rounds, "the safety-net flush recorded no quote span"
+    assert all(rounds.values())
 
 
 def test_shard_spans_nest_under_solve(scenario):
@@ -132,21 +169,6 @@ def test_shard_spans_nest_under_solve(scenario):
     for shard in shard_solves:
         assert by_id[shard.parent_id].name == "solve"
         assert "shard" in shard.args
-
-
-def test_worker_quote_spans_parent_to_the_issue_span(scenario):
-    report = _run(
-        scenario,
-        trace=True,
-        quote_workers=2,
-        quote_backend="thread",
-        quote_overlap_s=2.0,
-    )
-    records = report.tracer.records()
-    by_id = {r.span_id: r for r in records}
-    columns = [r for r in records if r.name == "quote.column"]
-    assert columns, "async quoting must record per-column worker spans"
-    assert {by_id[c.parent_id].name for c in columns} == {"quote.issue"}
 
 
 # ----------------------------------------------------------------------

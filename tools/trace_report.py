@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Summarize a flush-pipeline trace from the command line.
+"""Summarize a flush trace from the command line.
 
 Loads a Chrome trace-event file written by ``--trace-out`` (JSONL or a
 strict JSON array) and prints the two views ``repro.obs.report``
@@ -8,7 +8,7 @@ computes:
 * the per-stage breakdown — where flush time goes, aggregated by span
   name (count, total/mean/p50/p99/max ms), sorted by total time;
 * the top-N slowest ``flush`` spans, each decomposed into its direct
-  children (quote.collect / solve / commit / cleanup).
+  children (snapshot / quote.collect / solve / commit / cleanup).
 
 ``--json`` emits the same two views as one machine-readable document
 instead of text tables. A missing, unreadable, malformed or empty
