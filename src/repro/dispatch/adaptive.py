@@ -16,7 +16,7 @@ and after its quote stage respectively):
   configured ``batch_window_s`` constant unchanged, so a run with
   ``adaptive_window=False`` schedules exactly the same flush instants
   as before the controller existed (bit-identical; pinned in
-  ``tests/sim/test_carry_over.py``).
+  ``tests/test_contracts.py``).
 * :class:`AdaptiveWindowController` — retunes the window each flush from
   an EWMA of request arrival intensity, clamped to
   ``[window_min_s, window_max_s]``: short windows off-peak (requests are

@@ -29,7 +29,7 @@ The standing contract holds: this layer is write-only. It reads
 instruments and the event clock, and steers nothing — a run with the
 live layer fully enabled is bit-identical to one without it
 (determinism contract 9, pinned in
-``tests/sim/test_live_telemetry.py``).
+``tests/test_contracts.py``).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ Supported operators are ``>=`` and ``<=``; supported metrics:
 
 All five are *simulated-time* quantities: a fixed seed reproduces the
 per-window values — and therefore the whole ``slo.json`` verdict —
-exactly (pinned in ``tests/sim/test_live_telemetry.py``).
+exactly (pinned in ``tests/test_contracts.py``).
 
 Burn-rate semantics
 -------------------

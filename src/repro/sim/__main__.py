@@ -297,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nservice-guarantee audit: {len(violations)} violation(s)")
     for line in violations[:10]:
         print("  " + line)
+    print(f"decision digest: {report.decision_digest()}")
     return 0 if not violations else 1
 
 

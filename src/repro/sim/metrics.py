@@ -13,6 +13,7 @@ Paper definitions (Section VI):
 
 from __future__ import annotations
 
+import hashlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 from statistics import mean
@@ -196,8 +197,8 @@ class SimulationReport:
     #: hand-built reports). ``report.tracer.records()`` is what the
     #: trace exporters and the bench stage breakdown read.
     tracer: object | None = None
-    #: request_id -> {"request", "vehicle", "assigned_cost", "pickup",
-    #: "dropoff"} — everything needed to audit the service guarantee.
+    #: request_id -> {"request", "vehicle", "assigned_cost", "assigned_at",
+    #: "pickup", "dropoff"}: the guarantee audit and the decision rows.
     service_log: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
@@ -399,6 +400,39 @@ class SimulationReport:
                         f"(1+eps)d = {request.max_ride_cost:.1f}"
                     )
         return violations
+
+    def decision_rows(self) -> tuple:
+        """What the run decided — the meaning of "bit-identical" in
+        ``docs/determinism.md``. Element 0 is the header
+        ``(num_requests, num_assigned, num_rejected,
+        repr(total_assignment_cost))``; the rest are the assigned
+        requests in id order, ``(rid, vehicle, repr(assigned_cost),
+        repr(assigned_at), repr(pickup), repr(dropoff))``. ``repr``
+        keeps every float to the last ulp. Wall-clock fields and ART
+        sample counts are not decisions and stay out."""
+        header = (
+            self.num_requests,
+            self.num_assigned,
+            self.num_rejected,
+            repr(self.total_assignment_cost),
+        )
+        rows = sorted(
+            (
+                rid,
+                entry["vehicle"],
+                repr(entry["assigned_cost"]),
+                repr(entry.get("assigned_at")),
+                repr(entry.get("pickup")),
+                repr(entry.get("dropoff")),
+            )
+            for rid, entry in self.service_log.items()
+            if "vehicle" in entry
+        )
+        return (header, *rows)
+
+    def decision_digest(self) -> str:
+        """SHA-256 of :meth:`decision_rows`: equal digests, same decisions."""
+        return hashlib.sha256(repr(self.decision_rows()).encode()).hexdigest()
 
     def summary(self) -> dict[str, float]:
         """Flat dict for the paper tables (``python -m repro.bench``)

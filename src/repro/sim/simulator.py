@@ -168,7 +168,7 @@ class Simulation:
         #: series, SLO engine and resource monitor. ``None`` (the
         #: default) keeps the event loop's fast path untouched; enabled
         #: it is still write-only — determinism contract 9 extends to
-        #: it (tests/sim/test_live_telemetry.py).
+        #: it (tests/test_contracts.py).
         self.live = LiveTelemetry.from_config(
             config, self.report.registry, self.start_time
         )

@@ -1,15 +1,12 @@
-"""Sharded dispatch determinism guarantees.
+"""Sharded dispatch determinism, on the numeric plane.
 
-Four pins:
-
-* ``sharded`` with ``num_shards=1`` (serial backend) is byte-identical
-  to the unsharded global ``lap`` solve on every deterministic metric;
-* for a fixed seed, assignments are identical across the ``serial``
-  and ``process`` backends;
-* worker count and a mid-run pool recreation never change the result
+* worker count and a mid-run pool recreation never change the pairs
   (completion order is sorted away before reconciliation);
 * injected shard-solve crashes — retried on the pool, or exhausted into
-  the parent's serial rescue — never change the result either.
+  the parent's serial rescue — never change them either.
+
+End to end, ``shards=1`` ≡ ``lap`` and serial ≡ process are determinism
+contracts 2 and 3, pinned in ``tests/test_contracts.py``.
 """
 
 import numpy as np
@@ -41,27 +38,6 @@ def scenario():
     return engine, trips
 
 
-def _deterministic_state(report):
-    """Everything a run produces except wall-clock timings."""
-    return {
-        "num_requests": report.num_requests,
-        "num_assigned": report.num_assigned,
-        "num_rejected": report.num_rejected,
-        "total_cost": report.total_assignment_cost,
-        "art_counts": {k: v.count for k, v in report.art.buckets.items()},
-        "occupancy": dict(report.occupancy._max_by_vehicle),
-        "service_log": {
-            rid: {
-                "vehicle": entry.get("vehicle"),
-                "assigned_cost": entry.get("assigned_cost"),
-                "pickup": entry.get("pickup"),
-                "dropoff": entry.get("dropoff"),
-            }
-            for rid, entry in report.service_log.items()
-        },
-    }
-
-
 def _run(scenario, policy, **overrides):
     engine, trips = scenario
     config = SimulationConfig(
@@ -73,24 +49,6 @@ def _run(scenario, policy, **overrides):
         **overrides,
     )
     return simulate(engine, config, trips)
-
-
-def test_one_shard_serial_equals_global_lap(scenario):
-    lap = _run(scenario, "lap")
-    sharded = _run(scenario, "sharded", num_shards=1)
-    assert _deterministic_state(sharded) == _deterministic_state(lap)
-    # No sharded run records zero-shard batches.
-    assert sharded.shard_sizes.count == sharded.num_batches
-    assert int(sharded.boundary_conflicts.total) == 0
-
-
-@pytest.mark.parametrize("backend", ["process"])
-def test_backends_agree_with_serial(scenario, backend):
-    serial = _run(scenario, "sharded", num_shards=3)
-    other = _run(
-        scenario, "sharded", num_shards=3, shard_backend=backend
-    )
-    assert _deterministic_state(other) == _deterministic_state(serial)
 
 
 def test_boundary_cells_zero_still_serves_every_request(scenario):

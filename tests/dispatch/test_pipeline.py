@@ -1,13 +1,9 @@
-"""The batched flush: quote -> solve -> commit at the flush instant.
+"""The batched flush's quote stage.
 
-* **degeneration** — the flush (controller retune, snapshot, the
-  hardened quote stage, then the policy) is bit-identical to the
-  pre-pipeline synchronous order, pinned against a reference simulation
-  that re-implements the old single-event flush verbatim, for the
-  global ``lap`` solve, the ``sharded`` policy and ``iterative``;
-* **the quote stage** — ``QuoteService`` builds exactly the matrix
-  ``build_cost_matrix`` builds, and is skipped for ``greedy``, which
-  quotes inline.
+``QuoteService`` builds exactly the matrix ``build_cost_matrix`` builds,
+and the flush skips it for ``greedy``, which quotes inline. That the
+flush decides exactly as the pre-pipeline synchronous block did is
+determinism contract 4, pinned in ``tests/test_contracts.py``.
 """
 
 import pytest
@@ -18,9 +14,8 @@ from repro.dispatch.quoting import QuoteService
 from repro.roadnet.generators import grid_city
 from repro.roadnet.matrix import MatrixEngine
 from repro.sim.config import SimulationConfig
-from repro.sim.events import Event, EventKind
 from repro.sim.fleet import build_fleet
-from repro.sim.simulator import Simulation, simulate
+from repro.sim.simulator import simulate
 from repro.sim.workload import ShanghaiLikeWorkload
 
 
@@ -34,27 +29,6 @@ def scenario():
     return engine, trips
 
 
-def _deterministic_state(report):
-    """Everything a run produces except wall-clock timings."""
-    return {
-        "num_requests": report.num_requests,
-        "num_assigned": report.num_assigned,
-        "num_rejected": report.num_rejected,
-        "total_cost": report.total_assignment_cost,
-        "art_counts": {k: v.count for k, v in report.art.buckets.items()},
-        "occupancy": dict(report.occupancy._max_by_vehicle),
-        "service_log": {
-            rid: {
-                "vehicle": entry.get("vehicle"),
-                "assigned_cost": entry.get("assigned_cost"),
-                "pickup": entry.get("pickup"),
-                "dropoff": entry.get("dropoff"),
-            }
-            for rid, entry in report.service_log.items()
-        },
-    }
-
-
 def _run(scenario, policy, **overrides):
     engine, trips = scenario
     config = SimulationConfig(
@@ -66,46 +40,6 @@ def _run(scenario, policy, **overrides):
         **overrides,
     )
     return simulate(engine, config, trips)
-
-
-# ----------------------------------------------------------------------
-# Degeneration: the flush is the old synchronous order
-# ----------------------------------------------------------------------
-class SynchronousReferenceSimulation(Simulation):
-    """The pre-pipeline flush handler, verbatim: quote+solve+commit as
-    one blob inside ``BATCH_DISPATCH``, old chain-end condition."""
-
-    def _handle_batch_flush(self, now, queue):
-        requests = self.batch_window.flush()
-        if requests:
-            self._dispatch_batch(requests, now, queue)
-        next_time = now + self.config.batch_window_s
-        if next_time <= self.horizon + self.config.batch_window_s:
-            queue.push(Event(next_time, EventKind.BATCH_DISPATCH))
-
-
-@pytest.mark.parametrize(
-    "policy,overrides",
-    [("lap", {}), ("sharded", {"num_shards": 3}), ("iterative", {})],
-)
-def test_workers_zero_pipeline_is_bit_identical_to_synchronous(
-    scenario, policy, overrides
-):
-    """Contract 4: the batched flush ≡ the pre-pipeline reference."""
-    engine, trips = scenario
-    config = SimulationConfig(
-        num_vehicles=10,
-        algorithm="kinetic",
-        seed=5,
-        dispatch_policy=policy,
-        batch_window_s=20.0,
-        **overrides,
-    )
-    flushed = Simulation(engine, config, trips).run()
-    reference = SynchronousReferenceSimulation(engine, config, trips).run()
-    assert _deterministic_state(flushed) == _deterministic_state(reference)
-    # Every non-empty flush ran the quote stage exactly once.
-    assert flushed.quote_seconds.count == flushed.num_batches
 
 
 def test_greedy_pipeline_skips_quote_stage(scenario):

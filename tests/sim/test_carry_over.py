@@ -1,19 +1,17 @@
 """Carry-over batching and the adaptive window, end to end.
 
-Four guarantee families:
+Three guarantee families:
 
-* **pinned degeneration** — ``adaptive_window=False, carry_over=False``
-  runs through the very same controller-scheduled code path and must be
-  bit-identical to the pre-controller fixed window; a degenerate
-  adaptive band (``min == initial == max``) must be bit-identical too
-  (the controller wiring itself perturbs nothing);
 * **conservation** — with carry-over on, every request is settled
   exactly once (assigned or rejected), never lost in the window and
   never double-counted, including requests that expire mid-carry;
 * **interplay** — carry-over composes with the sharded policy;
-* **determinism** — adaptive + carry-over runs are reproducible given
-  the seed, and the window trajectory stays clamped to the band under
+* **clamping** — the window trajectory stays inside the band under
   burst load and silence.
+
+Adaptive-off ≡ fixed window, carry-off is inert, and adaptive + carry
+runs are seed-deterministic are determinism contracts 6–8, pinned in
+``tests/test_contracts.py``.
 """
 
 import pytest
@@ -21,7 +19,7 @@ import pytest
 from repro.roadnet.generators import grid_city
 from repro.roadnet.matrix import MatrixEngine
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import Simulation, simulate
+from repro.sim.simulator import simulate
 from repro.sim.workload import (
     ShanghaiLikeWorkload,
     bimodal_trips,
@@ -38,29 +36,6 @@ def scenario():
         num_trips=80, duration_seconds=1200
     )
     return city, engine, trips
-
-
-def _deterministic_state(report):
-    """Everything a run produces except wall-clock timings."""
-    return {
-        "num_requests": report.num_requests,
-        "num_assigned": report.num_assigned,
-        "num_rejected": report.num_rejected,
-        "total_cost": report.total_assignment_cost,
-        "carry_events": report.carry_events,
-        "max_carries": report.max_carries,
-        "window_trajectory": list(report.window_trajectory),
-        "service_log": {
-            rid: {
-                "vehicle": entry.get("vehicle"),
-                "assigned_cost": entry.get("assigned_cost"),
-                "assigned_at": entry.get("assigned_at"),
-                "pickup": entry.get("pickup"),
-                "dropoff": entry.get("dropoff"),
-            }
-            for rid, entry in report.service_log.items()
-        },
-    }
 
 
 def _run(scenario, **overrides):
@@ -81,78 +56,6 @@ def _expected_requests(scenario):
     _, engine, trips = scenario
     config = SimulationConfig(num_vehicles=8, algorithm="kinetic", seed=3)
     return simulate(engine, config, trips).num_requests
-
-
-# ----------------------------------------------------------------------
-# Pinned degeneration
-# ----------------------------------------------------------------------
-def test_disabled_config_matches_pre_controller_fixed_window(scenario):
-    """The named contract (docs/determinism.md): adaptive-off ≡ fixed
-    window. The controller-scheduled chain with everything disabled must
-    reproduce the pre-controller flush arithmetic bit for bit — pinned
-    against a reference that schedules flushes with the literal
-    pre-controller expression."""
-
-    class PreControllerSimulation(Simulation):
-        """Schedules flushes exactly as the code did before the window
-        controller existed (config arithmetic inline)."""
-
-        def _handle_batch_flush(self, now, queue):
-            from repro.sim.events import Event, EventKind
-
-            requests = self.batch_window.flush()
-            if requests:
-                self._dispatch_batch(requests, now, queue)
-            if now < self.horizon:
-                queue.push(
-                    Event(
-                        now + self.config.batch_window_s,
-                        EventKind.BATCH_DISPATCH,
-                    )
-                )
-
-    _, engine, trips = scenario
-    config = SimulationConfig(
-        num_vehicles=8,
-        algorithm="kinetic",
-        seed=3,
-        dispatch_policy="lap",
-        batch_window_s=15.0,
-    )
-    current = Simulation(engine, config, trips).run()
-    reference = PreControllerSimulation(engine, config, trips).run()
-    state = _deterministic_state(current)
-    ref_state = _deterministic_state(reference)
-    # The reference never records a trajectory (it bypasses the
-    # controller); everything else must agree bit for bit.
-    state.pop("window_trajectory")
-    ref_state.pop("window_trajectory")
-    assert state == ref_state
-    assert current.carry_events == 0
-    # And the fixed trajectory really is constant at the config value.
-    assert all(w == 15.0 for _, w in current.window_trajectory)
-
-
-def test_degenerate_band_is_bit_identical_to_fixed_window(scenario):
-    """``window_min == initial == window_max`` clamps the adaptive
-    controller into a constant — the wiring (retunes, trajectory
-    recording) must perturb nothing."""
-    fixed = _run(scenario)
-    pinned = _run(
-        scenario,
-        adaptive_window=True,
-        window_min_s=15.0,
-        window_max_s=15.0,
-    )
-    assert _deterministic_state(pinned) == _deterministic_state(fixed)
-
-
-def test_carry_over_off_leaves_results_untouched(scenario):
-    """``carry_over=False`` must not change a single assignment even
-    though the dispatch call now threads a carry deadline parameter."""
-    baseline = _run(scenario)
-    explicit = _run(scenario, carry_over=False)
-    assert _deterministic_state(explicit) == _deterministic_state(baseline)
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +142,7 @@ def test_carry_composes_with_sharded_policy(scenario):
 
 
 # ----------------------------------------------------------------------
-# Adaptive trajectory: clamping and determinism
+# Adaptive trajectory: clamping
 # ----------------------------------------------------------------------
 def _bursty_trips(city):
     """Silence, then an airport burst, then silence again."""
@@ -282,19 +185,6 @@ def test_window_is_clamped_under_burst_and_silence(scenario):
     assert min(windows) == pytest.approx(3.0)
     assert max(windows) == pytest.approx(24.0)
     assert report.verify_service_guarantees() == []
-
-
-def test_adaptive_carry_runs_are_deterministic_given_the_seed(scenario):
-    kwargs = dict(
-        adaptive_window=True,
-        window_min_s=5.0,
-        window_max_s=30.0,
-        carry_over=True,
-    )
-    first = _run(scenario, **kwargs)
-    second = _run(scenario, **kwargs)
-    assert _deterministic_state(first) == _deterministic_state(second)
-    assert first.window_trajectory == second.window_trajectory
 
 
 # ----------------------------------------------------------------------

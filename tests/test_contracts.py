@@ -1,0 +1,419 @@
+"""Determinism contracts 1–10 (``docs/determinism.md``) as one table.
+
+Each row runs one scenario under two sides and asserts that they decided
+the same: equal :meth:`SimulationReport.decision_rows`, which is what
+"bit-identical" means. A side is ``SimulationConfig`` overrides on the
+scenario's base config, optionally run through a reference
+``Simulation`` subclass that re-implements the code a layer replaced. A
+row without side B is a same-seed rerun of side A (the contracts about
+a layer's own randomness). ``extra`` names further diagnostics the row
+compares; ``checks`` are assertions on side A that keep the row from
+passing vacuously; a ``same=False`` row is a control whose sides must
+differ. Runs are memoised per (scenario, config, reference), so a
+baseline shared by several rows runs once.
+
+Contract 11 keeps its Hypothesis oracle in
+``tests/properties/test_screened_submit.py``.
+"""
+
+import functools
+import hashlib
+import os
+import sys
+from collections import namedtuple
+from dataclasses import dataclass
+
+import pytest
+
+from repro.roadnet.generators import grid_city
+from repro.roadnet.matrix import MatrixEngine
+from repro.sim.config import SimulationConfig
+from repro.sim.events import Event, EventKind
+from repro.sim.simulator import Simulation
+from repro.sim.workload import ShanghaiLikeWorkload, bimodal_trips
+
+
+# ----------------------------------------------------------------------
+# Reference simulations: the code a layer replaced
+# ----------------------------------------------------------------------
+class ImmediateReferenceSimulation(Simulation):
+    """The seed's request handler: submit each request to the plain
+    :class:`~repro.core.matching.Dispatcher` and commit inline, with no
+    batch layer in between (contract 1)."""
+
+    def _handle_request(self, spec, now, queue):
+        request = self.dispatcher.make_request(
+            spec.origin,
+            spec.destination,
+            now,
+            self.config.constraints.max_wait_seconds,
+            self.config.constraints.detour_epsilon,
+        )
+        if request is None:
+            return
+        result = self.dispatcher.submit(request, now)
+        self.report.record_assignment(result)
+        if result.assigned:
+            self.report.service_log[request.request_id] = {
+                "request": request,
+                "vehicle": result.winner.vehicle.vehicle_id,
+                "assigned_cost": result.cost,
+                "assigned_at": now,
+            }
+            agent = result.winner
+            self._schedule_next_stop(agent, queue)
+            if self.grid_index is not None:
+                self._report_location(agent, now)
+
+
+class PrePipelineReferenceSimulation(Simulation):
+    """The flush before the pipeline and the window controller: settle
+    the whole batch in one block and schedule the next flush with the
+    config arithmetic inline (contracts 4, 6 and 7)."""
+
+    def _handle_batch_flush(self, now, queue):
+        requests = self.batch_window.flush()
+        if requests:
+            self._dispatch_batch(requests, now, queue)
+        if now < self.horizon:
+            queue.push(
+                Event(now + self.config.batch_window_s, EventKind.BATCH_DISPATCH)
+            )
+
+
+IMMEDIATE = ImmediateReferenceSimulation
+PRE_PIPELINE = PrePipelineReferenceSimulation
+
+
+# ----------------------------------------------------------------------
+# Scenarios and sides
+# ----------------------------------------------------------------------
+def _stream(grid, seed, min_trip_m, trips, duration_s):
+    city = grid_city(grid, grid, seed=seed)
+    workload = ShanghaiLikeWorkload(city, seed=seed, min_trip_meters=min_trip_m)
+    return MatrixEngine(city), workload.generate(trips, duration_s)
+
+
+def _bimodal():
+    city = grid_city(12, 12, seed=7)
+    trips, _ = bimodal_trips(
+        city, seed=7, offpeak_s=600.0, peak_s=300.0,
+        offpeak_trips=15, peak_trips=45, min_trip_meters=500.0,
+    )
+    return MatrixEngine(city), trips
+
+
+BASE = dict(algorithm="kinetic", dispatch_policy="lap", batch_window_s=15.0)
+
+#: name -> (engine and trip stream builder, base config overrides)
+SCENARIOS = {
+    "small": (lambda: _stream(12, 5, 500.0, 50, 900), dict(num_vehicles=6, seed=2)),
+    "medium": (lambda: _stream(14, 11, 600.0, 80, 1200), dict(num_vehicles=8, seed=3)),
+    "large": (
+        lambda: _stream(16, 9, 800.0, 90, 1500),
+        dict(num_vehicles=10, seed=5, batch_window_s=20.0),
+    ),
+    "bimodal": (_bimodal, dict(num_vehicles=8, seed=3)),
+}
+
+
+@functools.cache
+def _scenario(name):
+    return SCENARIOS[name][0]()
+
+
+@dataclass(frozen=True)
+class Side:
+    overrides: tuple
+    reference: type | None
+
+
+def side(reference=None, **overrides):
+    """Config overrides; a string value may name the run's output
+    directory as ``{out}``."""
+    return Side(tuple(sorted(overrides.items())), reference)
+
+
+GREEDY_0 = dict(dispatch_policy="greedy", batch_window_s=0.0)
+SHARDED_2 = dict(dispatch_policy="sharded", num_shards=2)
+SHARDED_PROCESS = dict(dispatch_policy="sharded", num_shards=3, shard_backend="process")
+ADAPTIVE = dict(adaptive_window=True, window_min_s=5.0, window_max_s=30.0)
+SLO = "service_rate>=0.5,wait_compliance>=0.5,wait_p99<=600"
+SLO_OUT = dict(
+    timeseries_out="{out}/ts.jsonl", timeseries_window_s=120.0,
+    slo=SLO, slo_out="{out}/slo.json", resource_monitor=True,
+)
+LIVE = dict(SLO_OUT, timeseries_ring=3, live_report_every=4)
+REPLAY = dict(
+    SHARDED_2,
+    fault_spec="quote.task:crash:0.1,quote.task:delay:0.05:0.2,shard.solve:crash:0.05",
+    fault_seed=21,
+    flush_deadline_s=5.0,
+)
+
+
+# ----------------------------------------------------------------------
+# Diagnostics beyond the decisions, and checks on side A
+# ----------------------------------------------------------------------
+FAULT_COUNTERS = (
+    "faults_injected", "retries", "pool_recreations", "quote_columns_failed",
+    "shard_serial_rescues", "flushes_degraded", "fault_rescued_carries",
+)
+
+#: name -> what of a run (report, output directory) a row also compares
+EXTRA = {
+    "candidates": lambda r: (
+        r.report.candidate_counts.count, r.report.candidate_counts.total
+    ),
+    "art_counts": lambda r: {k: v.count for k, v in r.report.art.buckets.items()},
+    "occupancy": lambda r: dict(r.report.occupancy._max_by_vehicle),
+    "carry": lambda r: (r.report.carry_events, r.report.max_carries),
+    "window_trajectory": lambda r: r.report.window_trajectory,
+    "faults": lambda r: {k: r.report.summary()[k] for k in FAULT_COUNTERS},
+    "slo.json": lambda r: (r.out / "slo.json").read_bytes(),
+}
+
+
+def _quote_stage_every_flush(report):
+    assert report.quote_seconds.count == report.num_batches
+
+
+def _one_global_shard(report):
+    assert report.shard_sizes.count == report.num_batches
+    assert int(report.boundary_conflicts.total) == 0
+
+
+def _fixed_window(report):
+    assert report.carry_events == 0
+    assert report.window_trajectory
+    assert all(w == 15.0 for _, w in report.window_trajectory)
+
+
+def _carries(report):
+    assert report.carry_events > 0
+
+
+def _faults(**expected):
+    """Check fault counters: an int is exact, ``...`` means "> 0"."""
+
+    def check(report):
+        summary = report.summary()
+        for key, value in expected.items():
+            assert summary[key] > 0 if value is ... else summary[key] == value, key
+
+    return check
+
+
+def _slo_verdict(report):
+    document = report.extra["slo"]
+    assert document["spec"] == SLO
+    assert document["num_windows"] >= 2
+    objectives = document["objectives"]
+    assert {o["label"] for o in objectives} == set(SLO.split(","))
+    rate = next(o for o in objectives if o["metric"] == "service_rate")
+    assert rate["overall_value"] is not None
+    assert rate["overall_pass"] is not None
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Row:
+    contract: int
+    scenario: str
+    a: Side
+    b: Side | None = None  # None: a same-seed rerun of side a
+    extra: tuple = ()
+    checks: tuple = ()
+    same: bool = True
+
+
+def _row(id, *args, **kwargs):
+    return pytest.param(Row(*args, **kwargs), id=id)
+
+
+CONTRACTS = [
+    # 1. window 0 + greedy ≡ immediate dispatch
+    *(
+        _row(
+            f"1-immediate-{algorithm}", 1, "medium",
+            side(num_vehicles=10, algorithm=algorithm, **GREEDY_0),
+            side(IMMEDIATE, num_vehicles=10, algorithm=algorithm, **GREEDY_0),
+            extra=("candidates", "art_counts", "occupancy"),
+        )
+        for algorithm in ("kinetic", "insertion")
+    ),
+    # Singleton batches leave LAP nothing to optimise. ART counts differ
+    # by design: greedy quotes only what its fleet screen lets through.
+    _row(
+        "1-lap-vs-greedy", 1, "medium",
+        side(num_vehicles=10, batch_window_s=0.0), side(num_vehicles=10, **GREEDY_0),
+        extra=("candidates", "occupancy"),
+    ),
+    # 2. shards=1 ≡ lap; 3. shard backends agree
+    _row(
+        "2-one-shard-vs-lap", 2, "large",
+        side(dispatch_policy="sharded", num_shards=1), side(),
+        extra=("art_counts", "occupancy"), checks=(_one_global_shard,),
+    ),
+    _row(
+        "3-process-vs-serial", 3, "large",
+        side(**SHARDED_PROCESS), side(dispatch_policy="sharded", num_shards=3),
+        extra=("art_counts", "occupancy"),
+    ),
+    # 4. batched flush ≡ pre-pipeline reference
+    *(
+        _row(
+            f"4-{policy}", 4, "large",
+            side(dispatch_policy=policy, **more),
+            side(PRE_PIPELINE, dispatch_policy=policy, **more),
+            extra=("art_counts", "occupancy"), checks=(_quote_stage_every_flush,),
+        )
+        for policy, more in (
+            ("lap", {}), ("sharded", {"num_shards": 3}), ("iterative", {})
+        )
+    ),
+    # 6. adaptive-off ≡ fixed window (the reference bypasses the window
+    # controller, so it records no trajectory to compare)
+    _row(
+        "6-fixed-window", 6, "medium", side(), side(PRE_PIPELINE),
+        extra=("carry",), checks=(_fixed_window,),
+    ),
+    _row(
+        "6-degenerate-band", 6, "medium",
+        side(adaptive_window=True, window_min_s=15.0, window_max_s=15.0), side(),
+        extra=("carry", "window_trajectory"),
+    ),
+    # 7. carry-over-off is inert — and the row can fail: with carry-over
+    # on, requests are carried and the decisions change.
+    _row(
+        "7-carry-off", 7, "medium", side(carry_over=False), side(PRE_PIPELINE),
+        extra=("carry",),
+    ),
+    _row(
+        "7-carry-on-differs", 7, "medium", side(carry_over=True), side(PRE_PIPELINE),
+        checks=(_carries,), same=False,
+    ),
+    # 8. adaptive + carry runs are seed-deterministic
+    _row(
+        "8-adaptive-carry-rerun", 8, "medium", side(carry_over=True, **ADAPTIVE),
+        extra=("carry", "window_trajectory"), checks=(_carries,),
+    ),
+    # 9. telemetry never steers dispatch
+    *(
+        _row(f"9-{mode}-{name}", 9, "small", side(**on, **o), side(**o))
+        for mode, on in (("traced", {"trace": True}), ("live", LIVE))
+        for name, o in (
+            ("lap", {}),
+            ("sharded-process", SHARDED_PROCESS),
+            ("greedy-immediate", GREEDY_0),
+        )
+    ),
+    _row(
+        "9-traced-carry", 9, "medium",
+        side(trace=True, carry_over=True), side(carry_over=True), extra=("carry",),
+    ),
+    _row(
+        "9-slo-rerun", 9, "bimodal", side(**ADAPTIVE, **SLO_OUT),
+        extra=("slo.json",), checks=(_slo_verdict,),
+    ),
+    # 10. faults are deterministic; no faults, no change
+    _row(
+        "10-unfireable-plan", 10, "medium",
+        side(fault_spec="quote.task:crash:0.0", fault_seed=9), side(),
+        extra=("carry",), checks=(_faults(faults_injected=0),),
+    ),
+    _row(
+        "10-empty-plan-process", 10, "medium",
+        side(shard_backend="process", **SHARDED_2), side(**SHARDED_2), extra=("carry",),
+    ),
+    _row(
+        "10-replay", 10, "medium", side(**REPLAY),
+        extra=("carry", "faults"), checks=(_faults(faults_injected=...),),
+    ),
+    # The degradation ladder's retry and serial-rescue rungs decide as
+    # the fault-free run does.
+    _row(
+        "10-quote-crash-retried", 10, "medium",
+        side(fault_spec="quote.task:crash:@1"), side(), extra=("carry",),
+        checks=(_faults(faults_injected=1, retries=1, quote_columns_failed=0),),
+    ),
+    _row(
+        "10-engine-crash-retried", 10, "medium",
+        side(fault_spec="engine.distance_many:crash:@1"), side(), extra=("carry",),
+        checks=(_faults(retries=...),),
+    ),
+    _row(
+        "10-shard-rescued", 10, "medium",
+        side(fault_spec="shard.solve:crash:%1", task_retries=1, **SHARDED_2),
+        side(**SHARDED_2), extra=("carry",),
+        checks=(_faults(shard_serial_rescues=..., retries=...),),
+    ),
+]
+
+
+Run = namedtuple("Run", "report out")
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """``run(scenario, side, fresh=False) -> Run``, memoised unless
+    ``fresh``."""
+    memo = {}
+
+    def run(scenario, side, fresh=False):
+        params = {**BASE, **SCENARIOS[scenario][1], **dict(side.overrides)}
+        key = (scenario, side.reference, repr(SimulationConfig(**params)))
+        if fresh or key not in memo:
+            out = tmp_path_factory.mktemp("run")
+            config = SimulationConfig(
+                **{
+                    name: value.format(out=out) if isinstance(value, str) else value
+                    for name, value in params.items()
+                }
+            )
+            engine, trips = _scenario(scenario)
+            report = (side.reference or Simulation)(engine, config, trips).run()
+            # Engines are shared across runs: a run's fault wrapper
+            # must be gone when it ends.
+            assert "distance_many" not in vars(engine)
+            if fresh:
+                return Run(report, out)
+            memo[key] = Run(report, out)
+        return memo[key]
+
+    return run
+
+
+@pytest.mark.parametrize("row", CONTRACTS)
+def test_contract(run, row):
+    a = run(row.scenario, row.a)
+    b = run(row.scenario, row.b) if row.b else run(row.scenario, row.a, fresh=True)
+    if row.same:
+        assert a.report.decision_rows() == b.report.decision_rows()
+        for name in row.extra:
+            assert EXTRA[name](a) == EXTRA[name](b), name
+    else:
+        assert a.report.decision_rows() != b.report.decision_rows()
+    for check in row.checks:
+        check(a.report)
+
+
+def test_every_contract_has_a_row():
+    """Contracts 1–10, less the retired 5."""
+    assert {p.values[0].contract for p in CONTRACTS} == set(range(1, 11)) - {5}
+
+
+def test_e2e_digest_is_a_projection_of_decision_rows():
+    """The e2e driver's ``decision_digest`` hashes the first three
+    fields of each decision row."""
+    here = os.path.dirname(__file__)
+    sys.path.insert(0, os.path.join(here, os.pardir, "benchmarks", "e2e"))
+    import e2e_workloads
+
+    for spec in e2e_workloads.WORKLOADS.values():
+        report = e2e_workloads.build(spec.smoke(), seed=3).run()
+        projected = sorted(row[:3] for row in report.decision_rows()[1:])
+        expected = hashlib.sha256(repr(projected).encode()).hexdigest()
+        assert e2e_workloads.decision_digest(report) == expected, spec.name
