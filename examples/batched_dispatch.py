@@ -5,7 +5,7 @@ rolling-window policies of :mod:`repro.dispatch` — greedy (sequential
 cheapest quote), lap (one global request x vehicle linear assignment per
 window) and iterative (repeated assignment rounds) — on the same fleet
 and request stream: service rate, assignment cost, batch sizes, and the
-wall time spent in the Hungarian solver.
+wall time spent in the LAP solver.
 
 Each batched flush quotes, solves and commits at its instant, against
 the fleet as it stands (:mod:`repro.dispatch.quoting`). The window

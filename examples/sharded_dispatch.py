@@ -4,7 +4,7 @@ Runs the same fleet and request stream under the global ``lap`` policy
 and the ``sharded`` policy (the lap solve federated over grid-region
 shards, :mod:`repro.dispatch.sharding`), showing that sharding keeps the
 matching quality of the global solve while splitting each flush's
-Hungarian solve into concurrent regional blocks — plus the new
+LAP solve into concurrent regional blocks — plus the new
 per-shard metrics (shard sizes, in-worker solve times, boundary
 conflicts) the report exposes.
 

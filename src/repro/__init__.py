@@ -28,9 +28,9 @@ Package map:
   policies behind :class:`DispatchPolicy` — ``greedy`` (the paper's
   sequential cheapest-quote; with ``batch_window_s=0`` it *is* immediate
   dispatch), ``lap`` (one optimal request x vehicle linear assignment per
-  window via a pure-numpy Hungarian solver, after Simonetto et al.) and
-  ``iterative`` (repeated assignment rounds re-quoting unassigned
-  requests, after Vakayil et al.) and ``sharded`` (the lap solve
+  window via ``scipy.optimize.linear_sum_assignment``, after Simonetto
+  et al.) and ``iterative`` (repeated assignment rounds re-quoting
+  unassigned requests, after Vakayil et al.) and ``sharded`` (the lap solve
   federated over grid-region shards with concurrent per-shard solves
   and boundary reconciliation, :mod:`repro.dispatch.sharding`). Each
   flush quotes, solves and commits synchronously at its instant

@@ -16,12 +16,12 @@ each flush through three stages, back to back at the flush instant:
   * :class:`GreedyPolicy` — paper-equivalent sequential cheapest-quote
     (quotes inline; no matrix);
   * :class:`LapPolicy` — one optimal request x vehicle linear assignment
-    (pure-numpy Hungarian solver, :func:`solve_assignment`);
+    (:func:`solve_assignment`, scipy's LAP solver);
   * :class:`IterativePolicy` — repeated assignment rounds re-quoting
     unassigned requests against updated schedules;
   * :class:`ShardedPolicy` — ``lap`` with the global solve federated over
     grid-region shards (:mod:`repro.dispatch.sharding`): concurrent
-    per-shard Hungarian solves plus deterministic boundary
+    per-shard LAP solves plus deterministic boundary
     reconciliation; ``shards=1`` is bit-identical to ``lap``.
 
 * **commit** — winning quotes are adopted by their vehicles; the

@@ -461,7 +461,7 @@ class ShardedPolicy(_AssignmentRoundsPolicy):
     Identical quoting, bookkeeping and cleanup to :class:`LapPolicy`
     (same base machinery); only the solve step differs — the batch is
     partitioned by grid region (:class:`~repro.dispatch.sharding.
-    partitioner.ShardPartitioner`), per-shard Hungarian solves fan out
+    partitioner.ShardPartitioner`), per-shard LAP solves fan out
     over a :class:`~repro.dispatch.sharding.executor.ShardExecutor`, and
     the :class:`~repro.dispatch.sharding.reconciler.BoundaryReconciler`
     resolves vehicles claimed by several shards. With ``num_shards=1``

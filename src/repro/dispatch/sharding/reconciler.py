@@ -11,7 +11,7 @@ each — a double-assignment no single vehicle can honor. The
    more than once — is re-solved as one small linear assignment against
    every not-yet-accepted column of the global key matrix.
 
-Stage 2 uses the same Hungarian solver as the shards, so the outcome is
+Stage 2 uses the same LAP solver as the shards, so the outcome is
 deterministic and maximum-cardinality: a request that loses a contested
 vehicle immediately falls back to its best remaining alternative rather
 than being dropped, and no feasible boundary match is silently lost

@@ -1,172 +1,29 @@
-"""Pure-numpy linear assignment for batched dispatch.
+"""Linear assignment for batched dispatch.
 
-The ``lap``/``iterative`` policies need a minimum-cost one-to-one
-matching between a batch of requests (rows) and candidate vehicles
-(columns) where many pairs are infeasible (no valid augmented schedule —
-``np.inf`` in the cost matrix). No new dependencies: this is the classic
-O(n^3) Hungarian algorithm in its shortest-augmenting-path (potentials)
-form, the same algorithm behind ``scipy.optimize.linear_sum_assignment``.
+The ``lap``/``iterative``/``sharded`` policies need a minimum-cost
+one-to-one matching between a batch of requests (rows) and candidate
+vehicles (columns) where many pairs are infeasible (no valid augmented
+schedule — ``np.inf`` in the cost matrix). The solve is
+:func:`scipy.optimize.linear_sum_assignment` (shortest augmenting path,
+in C++); the brute-force oracle in ``tests/dispatch/test_solver.py``
+checks it.
 
 Infeasibility is handled by the standard "big-M" reduction: infeasible
 cells are replaced by a constant larger than any possible finite
 assignment-cost difference, so the solver first *maximizes the number of
 feasible pairs* and only then minimizes total cost among them; pairs that
-still land on a big-M cell are dropped from the result. Callers that
-require *every* row matched (rather than as many as feasibility allows)
-pass ``require_assignment=True`` and get a typed
-:class:`~repro.exceptions.AssignmentInfeasibleError` naming the
-unassignable rows instead of a silently partial pairing.
+still land on a big-M cell are dropped from the result.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from repro.exceptions import AssignmentInfeasibleError
 
 
-#: Column count below which :func:`_hungarian_rect` runs its pure-Python
-#: inner loop instead of the vectorized one. Each augmentation step costs
-#: ~10 numpy dispatches in the vectorized form — tens of microseconds
-#: regardless of width — while a plain Python scan is ~0.15us per column.
-#: Narrow problems (the boundary reconciler's second-stage solve, small
-#: per-shard blocks, the lap policy's per-flush matrices) therefore solve
-#: several times faster in Python; wide ones stay vectorized. Both loops
-#: perform the identical element-wise float operations in the identical
-#: order, so the crossover is pure tuning: results are bit-identical on
-#: either side of it.
-_SMALL_COLS = 120
-
-
-def _hungarian_rect_small(cost: np.ndarray) -> np.ndarray:
-    """Pure-Python twin of :func:`_hungarian_rect` for narrow matrices.
-
-    Same shortest-augmenting-path algorithm, same arithmetic, same
-    first-lowest-index tie-breaking — only the per-step execution differs
-    (scalar loops instead of numpy fancy indexing). Kept bit-identical so
-    the :data:`_SMALL_COLS` dispatch can never change an assignment.
-    """
-    m, n = cost.shape
-    rows = cost.tolist()
-    u = [0.0] * (m + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)
-    way = [0] * (n + 1)
-    inf = float("inf")
-    for i in range(1, m + 1):
-        p[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
-        # ``minv`` subtractions are fused into the next step's scan (the
-        # scan visits every free column anyway, so deferring the single
-        # pending delta performs the identical float ops in the identical
-        # per-element order), and u/v updates walk the used-column list
-        # instead of all n columns — each element still receives exactly
-        # one ``+= delta`` / ``-= delta`` per step, and the updates are
-        # element-wise independent, so iteration order cannot change a
-        # single bit.
-        used_cols: list[int] = []
-        pending = 0.0
-        while True:
-            used[j0] = True
-            used_cols.append(j0)
-            i0 = p[j0]
-            row = rows[i0 - 1]
-            ui = u[i0]
-            best = inf
-            j1 = 0
-            if pending:
-                for j in range(1, n + 1):
-                    if used[j]:
-                        continue
-                    mj = minv[j] - pending
-                    reduced = (row[j - 1] - ui) - v[j]
-                    if reduced < mj:
-                        mj = reduced
-                        way[j] = j0
-                    minv[j] = mj
-                    if mj < best:
-                        best = mj
-                        j1 = j
-            else:
-                for j in range(1, n + 1):
-                    if used[j]:
-                        continue
-                    reduced = (row[j - 1] - ui) - v[j]
-                    if reduced < minv[j]:
-                        minv[j] = reduced
-                        way[j] = j0
-                    if minv[j] < best:
-                        best = minv[j]
-                        j1 = j
-            delta = best
-            for j in used_cols:
-                u[p[j]] += delta
-                v[j] -= delta
-            pending = delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    return np.asarray(p, dtype=np.int64)
-
-
-def _hungarian_rect(cost: np.ndarray) -> np.ndarray:
-    """Optimal assignment of an all-finite cost matrix with ``m <= n``.
-
-    The shortest-augmenting-path algorithm runs one augmentation per
-    *row* and keeps columns unpadded, so a wide rectangular matrix costs
-    O(m n^2) — no degenerate all-equal dummy rows, which matters a lot
-    for the sharded solve where per-shard blocks are short and wide.
-
-    Returns ``p`` of length ``n + 1`` where ``p[j]`` (1-based) is the row
-    assigned to column ``j`` (0 = unassigned); index 0 is the
-    algorithm's sentinel column.
-    """
-    m, n = cost.shape
-    if n <= _SMALL_COLS:
-        return _hungarian_rect_small(cost)
-    u = np.zeros(m + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
-    cols = np.arange(1, n + 1)
-    for i in range(1, m + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        # m <= n guarantees a free column is always reachable.
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = cols[~used[1:]]
-            reduced = cost[i0 - 1, free - 1] - u[i0] - v[free]
-            better = reduced < minv[free]
-            improved = free[better]
-            minv[improved] = reduced[better]
-            way[improved] = j0
-            j1 = free[np.argmin(minv[free])]
-            delta = minv[j1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        # Augment along the alternating path back to the sentinel.
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    return p
-
-
-def solve_assignment(costs, *, require_assignment: bool = False) -> list[tuple[int, int]]:
+def solve_assignment(costs) -> list[tuple[int, int]]:
     """Minimum-cost maximum-cardinality assignment with infeasible cells.
 
     Parameters
@@ -178,54 +35,29 @@ def solve_assignment(costs, *, require_assignment: bool = False) -> list[tuple[i
         with more rows than columns at most ``n`` rows are matched, a
         single row degenerates to an argmin over its finite cells, and
         an all-infeasible matrix yields no pairs at all.
-    require_assignment:
-        When true, demand that *every* row is matched: if infeasibility
-        (or a row/column shortage) leaves any row unpaired, raise
-        :class:`~repro.exceptions.AssignmentInfeasibleError` carrying
-        the unassigned row indices instead of returning the partial
-        pairing.
 
     Returns
     -------
     Sorted ``(row, column)`` pairs — at most one per row and per column,
     covering as many rows as feasibility allows, with minimum total cost
-    among all such maximum matchings.
+    among all such maximum matchings. The pairs are a deterministic
+    function of ``costs``; among equal-cost optima the choice is
+    scipy's, which for a single row (column) is the lowest-index
+    cheapest column (row).
     """
     matrix = np.asarray(costs, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("cost matrix must be 2-dimensional")
-    m, n = matrix.shape
-    if m == 0 or n == 0:
-        pairs: list[tuple[int, int]] = []
-    else:
-        feasible = np.isfinite(matrix)
-        if not feasible.any():
-            pairs = []
-        else:
-            # The rectangular algorithm needs rows <= columns; a tall
-            # matrix is solved transposed and the pairs swapped back.
-            transposed = m > n
-            work = matrix.T if transposed else matrix
-            mask = feasible.T if transposed else feasible
-            finite = work[mask]
-            # Big enough that one extra infeasible cell always costs more
-            # than any rearrangement of finite cells can save.
-            big = 2.0 * float(np.abs(finite).sum()) + 1.0
-            p = _hungarian_rect(np.where(mask, work, big))
-            pairs = [
-                (int(p[j] - 1), j - 1)
-                for j in range(1, work.shape[1] + 1)
-                if p[j] > 0 and mask[p[j] - 1, j - 1]
-            ]
-            if transposed:
-                pairs = [(j, i) for i, j in pairs]
-            pairs.sort()
-    if require_assignment and len(pairs) < m:
-        matched = {i for i, _ in pairs}
-        raise AssignmentInfeasibleError(
-            [i for i in range(m) if i not in matched]
-        )
-    return pairs
+    feasible = np.isfinite(matrix)
+    if not feasible.any():
+        return []
+    # Big enough that one extra infeasible cell always costs more than
+    # any rearrangement of finite cells can save.
+    big = 2.0 * float(np.abs(matrix[feasible]).sum()) + 1.0
+    rows, cols = linear_sum_assignment(np.where(feasible, matrix, big))
+    keep = feasible[rows, cols]
+    # linear_sum_assignment returns rows ascending, one pair per row.
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
 def assignment_cost(costs, pairs) -> float:

@@ -1,4 +1,4 @@
-"""The pure-numpy Hungarian solver against brute-force optimal assignment."""
+"""The LAP solver against brute-force optimal assignment."""
 
 import itertools
 
@@ -23,17 +23,45 @@ def brute_force_best(costs: np.ndarray) -> tuple[int, float]:
     return best_card, best_cost
 
 
-@pytest.mark.parametrize("seed", range(20))
-@pytest.mark.parametrize("infeasible_fraction", [0.0, 0.3, 0.7])
-def test_matches_brute_force_on_random_matrices(seed, infeasible_fraction):
+def random_costs(kind: str, rng: np.random.Generator, m: int, n: int):
+    """An ``(m, n)`` cost matrix of one of the oracle's input kinds."""
+    if kind == "uniform":
+        return rng.uniform(0.0, 100.0, size=(m, n))
+    if kind == "ties":
+        # Four values only: exact ties everywhere.
+        return rng.integers(0, 4, size=(m, n)).astype(float)
+    # "mixed": magnitudes from 1e-3 to 1e6 stress the big-M constant.
+    return 10.0 ** rng.uniform(-3.0, 6.0, size=(m, n))
+
+
+# The "uniform" kind keeps its original ids (``[<fraction>-<seed>]``).
+ORACLE_CASES = [
+    pytest.param(
+        kind,
+        fraction,
+        seed,
+        id=("" if kind == "uniform" else f"{kind}-") + f"{fraction}-{seed}",
+    )
+    for kind in ("uniform", "ties", "mixed")
+    for fraction in (0.0, 0.3, 0.7)
+    for seed in range(20)
+]
+
+
+@pytest.mark.parametrize("kind, infeasible_fraction, seed", ORACLE_CASES)
+def test_matches_brute_force_on_random_matrices(kind, infeasible_fraction, seed):
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-    costs = rng.uniform(0.0, 100.0, size=(m, n))
+    costs = random_costs(kind, rng, m, n)
     costs[rng.random((m, n)) < infeasible_fraction] = np.inf
     pairs = solve_assignment(costs)
     card, cost = brute_force_best(costs)
     assert len(pairs) == card
-    assert assignment_cost(costs, pairs) == pytest.approx(cost)
+    if kind == "ties":
+        # Small integers sum exactly in any order: no tolerance.
+        assert assignment_cost(costs, pairs) == cost
+    else:
+        assert assignment_cost(costs, pairs) == pytest.approx(cost)
     # One-to-one: no row or column used twice.
     assert len({i for i, _ in pairs}) == len(pairs)
     assert len({j for _, j in pairs}) == len(pairs)
@@ -55,6 +83,24 @@ def test_rectangular_more_rows_than_columns():
 def test_rectangular_more_columns_than_rows():
     costs = np.array([[9.0, 1.0, 5.0]])
     assert solve_assignment(costs) == [(0, 1)]
+
+
+@pytest.mark.parametrize(
+    "costs, expected",
+    [
+        ([[3.0, 1.0, 1.0, 1.0]], [(0, 1)]),
+        ([[1.0], [1.0], [0.5], [0.5]], [(2, 0)]),
+        ([[2.0, 2.0, 2.0]], [(0, 0)]),
+        ([[np.inf, 5.0, 5.0]], [(0, 1)]),
+        ([[np.inf], [4.0], [4.0]], [(1, 0)]),
+    ],
+)
+def test_single_row_or_column_ties_go_to_lowest_index(costs, expected):
+    """On exact ties a single row takes its lowest cheapest column and a
+    single column its lowest cheapest row. Contract ``1-lap-vs-greedy``
+    (lowest vehicle id wins a tie, as in the greedy policy) relies on
+    this; a solver upgrade that changes it must fail here."""
+    assert solve_assignment(np.array(costs)) == expected
 
 
 def test_infeasible_cells_never_assigned():
@@ -122,89 +168,10 @@ def test_single_row_all_infeasible():
     assert solve_assignment(np.array([[np.inf, np.nan, np.inf]])) == []
 
 
-def test_require_assignment_raises_typed_error_on_all_infeasible():
-    with pytest.raises(AssignmentInfeasibleError) as excinfo:
-        solve_assignment(np.full((3, 2), np.inf), require_assignment=True)
-    assert excinfo.value.rows == (0, 1, 2)
-    # Part of the library hierarchy, catchable as ReproError.
-    assert isinstance(excinfo.value, ReproError)
-
-
-def test_require_assignment_names_only_unmatched_rows():
-    costs = np.array([[1.0, 2.0], [np.inf, np.inf], [3.0, np.inf]])
-    with pytest.raises(AssignmentInfeasibleError) as excinfo:
-        solve_assignment(costs, require_assignment=True)
-    assert excinfo.value.rows == (1,)
-    assert "1" in str(excinfo.value)
-
-
-def test_require_assignment_raises_when_rows_exceed_columns():
-    # All-feasible but more rows than columns: someone must lose.
-    costs = np.ones((3, 2))
-    with pytest.raises(AssignmentInfeasibleError) as excinfo:
-        solve_assignment(costs, require_assignment=True)
-    assert len(excinfo.value.rows) == 1
-
-
-def test_require_assignment_passes_when_complete():
-    costs = np.array([[1.0, 5.0], [5.0, 1.0]])
-    assert solve_assignment(costs, require_assignment=True) == [
-        (0, 0),
-        (1, 1),
-    ]
-
-
 def test_assignment_cost_raises_on_infeasible_pair():
     costs = np.array([[1.0, np.inf]])
     with pytest.raises(AssignmentInfeasibleError) as excinfo:
         assignment_cost(costs, [(0, 1)])
     assert excinfo.value.rows == (0,)
-
-
-# ----------------------------------------------------------------------
-# The _SMALL_COLS dispatch: pure-Python and vectorized paths bit-identical
-# ----------------------------------------------------------------------
-def test_small_and_vectorized_paths_are_bit_identical(monkeypatch):
-    """_hungarian_rect dispatches to a pure-Python inner loop below
-    _SMALL_COLS columns. Both loops must perform the identical float
-    ops in the identical order, so the crossover is pure tuning — this
-    drives adversarial matrices (heavy ties, big-M-style cells) through
-    both paths and demands identical column potentials, not merely
-    equally-good assignments."""
-    import repro.dispatch.solver as solver_module
-    from repro.dispatch.solver import _hungarian_rect, _hungarian_rect_small
-
-    rng = np.random.default_rng(99)
-    for trial in range(120):
-        m = int(rng.integers(1, 30))
-        n = int(rng.integers(m, 45))
-        cost = rng.random((m, n)) * 10
-        if trial % 3 == 0:
-            cost = np.round(cost, 1)  # heavy ties
-        if trial % 4 == 0:
-            cost[rng.random((m, n)) < 0.4] = 1e6  # big-M regime
-        small = _hungarian_rect_small(np.asarray(cost, dtype=float))
-        monkeypatch.setattr(solver_module, "_SMALL_COLS", 0)
-        vectorized = _hungarian_rect(np.asarray(cost, dtype=float))
-        monkeypatch.undo()
-        assert np.array_equal(
-            small, np.asarray(vectorized, dtype=np.int64)
-        ), f"paths diverged on trial {trial} ({m}x{n})"
-
-
-def test_solve_assignment_identical_across_the_crossover(monkeypatch):
-    """End to end: forcing every matrix through the vectorized path
-    changes no solve_assignment result."""
-    import repro.dispatch.solver as solver_module
-
-    rng = np.random.default_rng(7)
-    matrices = []
-    for _ in range(30):
-        m, n = int(rng.integers(1, 25)), int(rng.integers(1, 25))
-        keys = rng.uniform(1.0, 50.0, size=(m, n))
-        keys[rng.random((m, n)) < 0.35] = np.inf
-        matrices.append(keys)
-    with_dispatch = [solve_assignment(k) for k in matrices]
-    monkeypatch.setattr(solver_module, "_SMALL_COLS", 0)
-    vectorized_only = [solve_assignment(k) for k in matrices]
-    assert with_dispatch == vectorized_only
+    # Part of the library hierarchy, catchable as ReproError.
+    assert isinstance(excinfo.value, ReproError)
