@@ -30,17 +30,14 @@ Package map:
   dispatch), ``lap`` (one optimal request x vehicle linear assignment per
   window via ``scipy.optimize.linear_sum_assignment``, after Simonetto
   et al.) and ``iterative`` (repeated assignment rounds re-quoting
-  unassigned requests, after Vakayil et al.) and ``sharded`` (the lap solve
-  federated over grid-region shards with concurrent per-shard solves
-  and boundary reconciliation, :mod:`repro.dispatch.sharding`). Each
-  flush quotes, solves and commits synchronously at its instant
+  unassigned requests, after Vakayil et al.). Each flush quotes, solves
+  and commits synchronously at its instant, in one process
   (:mod:`repro.dispatch.quoting`), the flush cadence is owned by a
   fixed or load-adaptive window controller
   (:mod:`repro.dispatch.adaptive`), and carry-over batching lets
   losing requests roll into the next window. Configure through
   :class:`SimulationConfig` (``dispatch_policy``, ``batch_window_s``,
-  ``assignment_rounds``, ``num_shards``, ``shard_backend``,
-  ``shard_boundary_cells``, ``adaptive_window``,
+  ``assignment_rounds``, ``adaptive_window``,
   ``window_min_s``/``window_max_s``, ``carry_over``);
 * :mod:`repro.algorithms` — brute force, branch & bound, MIP and
   insertion baselines;
@@ -94,14 +91,9 @@ from repro.dispatch import (
     IterativePolicy,
     LapPolicy,
     POLICY_REGISTRY,
-    ShardedPolicy,
-    ShardExecutor,
-    ShardPartitioner,
-    BoundaryReconciler,
     build_cost_matrix,
     make_policy,
     solve_assignment,
-    solve_sharded,
 )
 from repro.roadnet import (
     DijkstraEngine,
@@ -179,14 +171,9 @@ __all__ = [
     "IterativePolicy",
     "LapPolicy",
     "POLICY_REGISTRY",
-    "ShardedPolicy",
-    "ShardExecutor",
-    "ShardPartitioner",
-    "BoundaryReconciler",
     "build_cost_matrix",
     "make_policy",
     "solve_assignment",
-    "solve_sharded",
     # algorithms
     "SchedulingAlgorithm",
     "BruteForce",

@@ -562,14 +562,6 @@ DISPATCH_POLICY_CELLS: list[tuple[str, dict]] = [
         "iterative",
         {"dispatch_policy": "iterative", "batch_window_s": DISPATCH_WINDOW_S},
     ),
-    (
-        "sharded",
-        {
-            "dispatch_policy": "sharded",
-            "batch_window_s": DISPATCH_WINDOW_S,
-            "num_shards": 4,
-        },
-    ),
 ]
 
 

@@ -18,11 +18,7 @@ each flush through three stages, back to back at the flush instant:
   * :class:`LapPolicy` — one optimal request x vehicle linear assignment
     (:func:`solve_assignment`, scipy's LAP solver);
   * :class:`IterativePolicy` — repeated assignment rounds re-quoting
-    unassigned requests against updated schedules;
-  * :class:`ShardedPolicy` — ``lap`` with the global solve federated over
-    grid-region shards (:mod:`repro.dispatch.sharding`): concurrent
-    per-shard LAP solves plus deterministic boundary
-    reconciliation; ``shards=1`` is bit-identical to ``lap``.
+    unassigned requests against updated schedules.
 
 * **commit** — winning quotes are adopted by their vehicles; the
   simulator schedules fresh stop events for the winners. With
@@ -65,19 +61,9 @@ from repro.dispatch.policies import (
     IterativePolicy,
     LapPolicy,
     POLICY_REGISTRY,
-    ShardedPolicy,
     make_policy,
 )
 from repro.dispatch.quoting import PendingQuotes, QuoteService, QuoteSet
-from repro.dispatch.sharding import (
-    SHARD_BACKENDS,
-    BoundaryReconciler,
-    ShardExecutor,
-    ShardPartitioner,
-    ShardPlan,
-    WorkerPool,
-    solve_sharded,
-)
 from repro.dispatch.solver import assignment_cost, solve_assignment
 from repro.dispatch.window import BatchWindow
 
@@ -86,7 +72,6 @@ __all__ = [
     "BatchDispatcher",
     "BatchResult",
     "BatchWindow",
-    "BoundaryReconciler",
     "CarriedRequest",
     "ColumnPlan",
     "ColumnQuotes",
@@ -100,12 +85,6 @@ __all__ = [
     "PendingQuotes",
     "QuoteService",
     "QuoteSet",
-    "SHARD_BACKENDS",
-    "ShardExecutor",
-    "ShardPartitioner",
-    "ShardPlan",
-    "ShardedPolicy",
-    "WorkerPool",
     "assemble_matrix",
     "assignment_cost",
     "build_cost_matrix",
@@ -113,6 +92,5 @@ __all__ = [
     "make_window_controller",
     "plan_columns",
     "quote_column",
-    "solve_sharded",
     "solve_assignment",
 ]

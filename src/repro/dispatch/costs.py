@@ -177,9 +177,7 @@ def assemble_matrix(
     request x vehicle :class:`CostMatrix` the assignment policies solve
     over, snapping keys to the :data:`KEY_EPSILON` grid."""
     m, n = plan.shape
-    # C-contiguous float64, spelled out: the sharded solve gathers row
-    # blocks from the keys.
-    keys = np.full((m, n), np.inf, dtype=np.float64, order="C")
+    keys = np.full((m, n), np.inf, dtype=np.float64)
     quotes: list[list[Quote | None]] = [[None] * n for _ in range(m)]
     timings: list[list[tuple[int, float] | None]] = [
         [None] * n for _ in range(m)

@@ -18,12 +18,6 @@ quotes. Three policies ship:
   Assignment*): unassigned requests are re-quoted against the updated
   vehicle schedules each round, then the same cleanup runs. ``lap`` is
   exactly ``iterative`` with one round.
-* ``sharded`` — ``lap`` with the global solve federated over spatial
-  shards (:mod:`repro.dispatch.sharding`): the batch is partitioned by
-  grid-index region, the per-shard assignments run concurrently on a
-  configurable backend, and boundary conflicts are reconciled by a
-  deterministic second-stage solve. ``shards=1`` is bit-identical to
-  ``lap``.
 
 Within one flush a request that quotes infeasible against every
 candidate is rejected outright and not retried: vehicle decision points
@@ -84,25 +78,13 @@ class BatchResult:
     (empty unless carry-over is enabled — see :class:`CarriedRequest`);
     ``solver_seconds`` is the wall time spent inside the assignment
     solver proper (0 for ``greedy``); ``rounds`` counts the
-    linear-assignment rounds actually run. The shard fields are only
-    populated by the ``sharded`` policy: requests per solved shard,
-    in-worker solve seconds per shard, and how many vehicles were
-    claimed by more than one shard (boundary conflicts).
+    linear-assignment rounds actually run.
     """
 
     results: list[AssignmentResult] = field(default_factory=list)
     carried: list[CarriedRequest] = field(default_factory=list)
     solver_seconds: float = 0.0
     rounds: int = 0
-    shard_sizes: list[int] = field(default_factory=list)
-    shard_solve_seconds: list[float] = field(default_factory=list)
-    boundary_conflicts: int = 0
-    #: Solve rounds whose shard plan degenerated to one global shard
-    #: despite more being requested (no grid index / no coordinates).
-    shard_fallbacks: int = 0
-    #: Shards re-solved serially in the parent after their fan-out task
-    #: exhausted its retry budget (sharded policy only).
-    shard_serial_rescues: int = 0
 
     @property
     def batch_size(self) -> int:
@@ -244,14 +226,6 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
     def __repr__(self) -> str:
         return f"{type(self).__name__}(rounds={self.rounds})"
 
-    def _solve_matrix(self, dispatcher, matrix):
-        """One assignment solve over the batch matrix: returns global
-        ``(row, col)`` pairs plus an optional
-        :class:`~repro.dispatch.sharding.solver.ShardedSolveOutcome`
-        (``None`` here — the base policies solve globally; the sharded
-        policy overrides this hook)."""
-        return solve_assignment(matrix.keys), None
-
     def assign(
         self,
         dispatcher,
@@ -270,11 +244,6 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
             started -= quote_set.quote_seconds
         solver_seconds = 0.0
         rounds_used = 0
-        shard_sizes: list[int] = []
-        shard_solve_seconds: list[float] = []
-        boundary_conflicts = 0
-        shard_fallbacks = 0
-        shard_serial_rescues = 0
         results: dict[int, AssignmentResult] = {}
         carried_idx: set[int] = set()
         fault_rescued_idx: set[int] = set()
@@ -349,8 +318,7 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
                 )
             # The solver stopwatch stays even when untraced: its sum
             # feeds BatchResult.solver_seconds either way. The span adds
-            # the per-round decomposition (per-shard children attach to
-            # it inside the sharded solve).
+            # the per-round decomposition.
             with tracer.span(
                 "solve",
                 cat="solve",
@@ -359,15 +327,8 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
                 cols=int(matrix.keys.shape[1]),
             ):
                 t0 = clock()
-                pairs, shard_outcome = self._solve_matrix(dispatcher, matrix)
+                pairs = solve_assignment(matrix.keys)
                 solver_seconds += clock() - t0
-            if shard_outcome is not None:
-                shard_sizes.extend(shard_outcome.shard_sizes)
-                shard_solve_seconds.extend(shard_outcome.shard_seconds)
-                boundary_conflicts += shard_outcome.boundary_conflicts
-                if shard_outcome.fallback_reason is not None:
-                    shard_fallbacks += 1
-                shard_serial_rescues += shard_outcome.serial_rescues
             assigned_rows = set()
             with tracer.span(
                 "commit", cat="commit", round=rounds_used, pairs=len(pairs)
@@ -429,11 +390,6 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
             carried=carried,
             solver_seconds=solver_seconds,
             rounds=rounds_used,
-            shard_sizes=shard_sizes,
-            shard_solve_seconds=shard_solve_seconds,
-            boundary_conflicts=boundary_conflicts,
-            shard_fallbacks=shard_fallbacks,
-            shard_serial_rescues=shard_serial_rescues,
         )
 
 
@@ -455,79 +411,11 @@ class IterativePolicy(_AssignmentRoundsPolicy):
         super().__init__(rounds=rounds, injector=injector, retry=retry)
 
 
-class ShardedPolicy(_AssignmentRoundsPolicy):
-    """Linear assignment federated over spatial shards.
-
-    Identical quoting, bookkeeping and cleanup to :class:`LapPolicy`
-    (same base machinery); only the solve step differs — the batch is
-    partitioned by grid region (:class:`~repro.dispatch.sharding.
-    partitioner.ShardPartitioner`), per-shard LAP solves fan out
-    over a :class:`~repro.dispatch.sharding.executor.ShardExecutor`, and
-    the :class:`~repro.dispatch.sharding.reconciler.BoundaryReconciler`
-    resolves vehicles claimed by several shards. With ``num_shards=1``
-    (any backend) the solve is bit-identical to ``lap``.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        num_shards: int = 1,
-        backend: str = "serial",
-        boundary_cells: int | None = None,
-        rounds: int = 1,
-        max_workers: int | None = None,
-        injector=NULL_INJECTOR,
-        retry=None,
-    ):
-        from repro.dispatch.sharding import ShardExecutor, ShardPartitioner
-
-        super().__init__(rounds=rounds, injector=injector, retry=retry)
-        self.partitioner = ShardPartitioner(
-            num_shards, boundary_cells=boundary_cells
-        )
-        self.executor = ShardExecutor(
-            backend,
-            max_workers=max_workers,
-            injector=injector,
-            retry=retry,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedPolicy(num_shards={self.partitioner.num_shards}, "
-            f"backend={self.executor.backend!r}, "
-            f"boundary_cells={self.partitioner.boundary_cells}, "
-            f"rounds={self.rounds})"
-        )
-
-    def _solve_matrix(self, dispatcher, matrix):
-        from repro.dispatch.sharding import solve_sharded
-
-        plan = self.partitioner.plan(
-            matrix,
-            grid_index=dispatcher.grid_index,
-            coords=dispatcher.engine.graph.coords,
-        )
-        outcome = solve_sharded(
-            matrix.keys,
-            plan,
-            self.executor,
-            tracer=getattr(dispatcher, "tracer", NULL_TRACER),
-        )
-        return outcome.pairs, outcome
-
-    def close(self) -> None:
-        """Release the executor's worker pool (process backend)."""
-        self.executor.close()
-
-
 #: Policy name -> class, for config validation and construction.
 POLICY_REGISTRY: dict[str, type[DispatchPolicy]] = {
     GreedyPolicy.name: GreedyPolicy,
     LapPolicy.name: LapPolicy,
     IterativePolicy.name: IterativePolicy,
-    ShardedPolicy.name: ShardedPolicy,
 }
 
 
@@ -535,19 +423,14 @@ def make_policy(
     name: str,
     assignment_rounds: int = 3,
     *,
-    num_shards: int = 1,
-    shard_backend: str = "serial",
-    shard_boundary_cells: int | None = None,
-    shard_max_workers: int | None = None,
     injector=NULL_INJECTOR,
     retry=None,
 ) -> DispatchPolicy:
     """Instantiate a policy by registry name.
 
-    ``assignment_rounds`` only applies to ``iterative``; the ``shard_*``
-    keywords only to ``sharded``. ``injector`` / ``retry`` thread the
-    fault-tolerance layer into the policy's quote service and (for
-    ``sharded``) shard executor; ``greedy`` runs unhardened by design —
+    ``assignment_rounds`` only applies to ``iterative``. ``injector`` /
+    ``retry`` thread the fault-tolerance layer into the policy's quote
+    service; ``greedy`` runs unhardened by design —
     it is the ladder's last rung and must stay fault-immune.
     """
     try:
@@ -560,15 +443,6 @@ def make_policy(
     if cls is IterativePolicy:
         return IterativePolicy(
             rounds=assignment_rounds, injector=injector, retry=retry
-        )
-    if cls is ShardedPolicy:
-        return ShardedPolicy(
-            num_shards=num_shards,
-            backend=shard_backend,
-            boundary_cells=shard_boundary_cells,
-            max_workers=shard_max_workers,
-            injector=injector,
-            retry=retry,
         )
     if cls is GreedyPolicy:
         return GreedyPolicy()

@@ -138,8 +138,6 @@ class PendingQuotes:
                 with injector.engine_window(budget=budget):
                     quoted = run_with_fault(
                         fault,
-                        False,
-                        retry.timeout_s,
                         quote_column,
                         agent,
                         col_requests,

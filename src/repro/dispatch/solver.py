@@ -1,6 +1,6 @@
 """Linear assignment for batched dispatch.
 
-The ``lap``/``iterative``/``sharded`` policies need a minimum-cost
+The ``lap``/``iterative`` policies need a minimum-cost
 one-to-one matching between a batch of requests (rows) and candidate
 vehicles (columns) where many pairs are infeasible (no valid augmented
 schedule — ``np.inf`` in the cost matrix). The solve is

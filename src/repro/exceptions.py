@@ -83,22 +83,6 @@ class QuoteFailedError(ReproError):
         )
 
 
-class ShardSolveError(ReproError):
-    """Raised when one shard's assignment solve still fails after the
-    retry budget is spent. The shard is re-solved serially in the parent
-    (:func:`repro.dispatch.sharding.solver.solve_sharded`); this exception
-    records why the fan-out path gave up."""
-
-    def __init__(self, shard_id: int, attempts: int, cause: BaseException | None = None):
-        self.shard_id = shard_id
-        self.attempts = attempts
-        self.__cause__ = cause
-        super().__init__(
-            f"shard {shard_id} solve failed after {attempts} attempt(s): "
-            f"{cause!r}"
-        )
-
-
 class FlushDeadlineExceededError(ReproError):
     """Raised when a flush exhausts its deadline budget
     (``flush_deadline_s``): the quote stage stops retrying and the

@@ -3,9 +3,8 @@
 ``repro.faults`` is the robustness layer's home: the fault-spec grammar
 (:mod:`~repro.faults.plan`), the seeded :class:`FaultInjector` that
 turns a plan into concrete :class:`InjectedFault` directives at named
-pipeline sites, and the retry/timeout/budget primitives the hardened
-executors (:class:`~repro.dispatch.sharding.executor.ShardExecutor`,
-:class:`~repro.dispatch.quoting.QuoteService`) are built on. See
+pipeline sites, and the retry/budget primitives the hardened quote stage
+(:class:`~repro.dispatch.quoting.QuoteService`) is built on. See
 ``docs/robustness.md`` for the grammar and the degradation ladder, and
 determinism contract 10 in ``docs/determinism.md`` for the guarantees.
 """
@@ -17,9 +16,7 @@ from repro.faults.injector import (
     InjectedFault,
     NULL_INJECTOR,
     RetryPolicy,
-    SimulatedPoolDeathError,
     TaskFailure,
-    VirtualTimeoutError,
     run_with_fault,
 )
 from repro.faults.plan import (
@@ -41,9 +38,7 @@ __all__ = [
     "InjectedFault",
     "NULL_INJECTOR",
     "RetryPolicy",
-    "SimulatedPoolDeathError",
     "TaskFailure",
-    "VirtualTimeoutError",
     "parse_fault_spec",
     "run_with_fault",
 ]

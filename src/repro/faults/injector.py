@@ -2,29 +2,26 @@
 
 The :class:`FaultInjector` turns a parsed :class:`~repro.faults.plan.
 FaultPlan` into concrete :class:`InjectedFault` directives. Draws are
-made at deterministic points — the submitting/collecting thread for
-``quote.task`` / ``shard.solve`` / ``pool.submit``, inside an explicit
-*engine window* for ``engine.distance_many`` — and each clause owns an
+made at deterministic points — once per quote-column attempt for
+``quote.task``, inside an explicit *engine window* for
+``engine.distance_many`` — and each clause owns an
 independent RNG stream seeded from ``(fault_seed, clause_index)``, so:
 
 * an empty plan consumes nothing and the injector is a literal no-op;
 * a fixed ``(plan, seed)`` replays the same faults at the same
-  opportunities on the serial backend, run after run;
+  opportunities, run after run;
 * adding a clause never perturbs the draws of the clauses before it.
 
-Directives are plain picklable dataclasses: parent-side draws ship with
-the task to whatever worker enacts them (``crash`` raises, ``delay``
-sleeps on real pools). On the serial backend nothing ever sleeps —
-injected delays are charged *virtually* against the flush's
-:class:`FlushBudget`, which keeps serial runs deterministic and fast
-while still exercising the deadline-degradation rung.
+A ``crash`` directive raises inside the task it rides. Nothing ever
+sleeps: an injected ``delay`` is charged *virtually* against the
+flush's :class:`FlushBudget` at draw time, which keeps runs
+deterministic and fast while still exercising the deadline-degradation
+rung.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,27 +31,9 @@ from repro.faults.plan import FaultPlan
 from repro.obs.trace import NULL_TRACER, clock
 
 
-class SimulatedPoolDeathError(BrokenExecutor):
-    """An injected ``pool_death``: subclasses
-    :class:`concurrent.futures.BrokenExecutor` so callers exercise the
-    exact recovery path a real ``BrokenProcessPool`` takes."""
-
-    def __init__(self, site: str, seq: int):
-        self.site = site
-        self.seq = seq
-        super().__init__(f"injected pool death at {site} (opportunity {seq})")
-
-
-class VirtualTimeoutError(TimeoutError):
-    """A deterministic stand-in for a wall-clock task timeout: raised
-    when an injected (virtual) delay exceeds the per-task timeout on a
-    backend that never actually sleeps (serial)."""
-
-
 @dataclass(frozen=True, slots=True)
 class InjectedFault:
-    """One concrete fault directive — primitives only, so it can ride a
-    task submission across a process boundary."""
+    """One concrete fault directive drawn at one opportunity."""
 
     site: str
     kind: str
@@ -65,7 +44,7 @@ class InjectedFault:
 
 @dataclass(slots=True)
 class TaskFailure:
-    """A structured task failure: what the hardened executors return
+    """A structured task failure: what the hardened quote stage records
     instead of silently swallowing (or fatally raising) an exception
     once the retry budget is spent."""
 
@@ -79,23 +58,18 @@ class TaskFailure:
 class RetryPolicy:
     """Bounded retries with capped exponential backoff.
 
-    ``max_attempts`` counts the first try; ``timeout_s`` bounds each
-    attempt (``None`` = wait forever, today's behavior); attempt ``n``
-    (n >= 2) backs off ``min(backoff_s * 2**(n-2), backoff_cap_s)``
-    seconds — slept on real pools, charged virtually against the flush
-    budget on the simulator thread.
+    ``max_attempts`` counts the first try; attempt ``n`` (n >= 2) backs
+    off ``min(backoff_s * 2**(n-2), backoff_cap_s)`` seconds, charged
+    virtually against the flush budget (nothing sleeps).
     """
 
     max_attempts: int = 3
-    timeout_s: float | None = None
     backoff_s: float = 0.05
     backoff_cap_s: float = 1.0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive or None")
         if self.backoff_s < 0 or self.backoff_cap_s < 0:
             raise ValueError("backoff seconds must be >= 0")
 
@@ -113,11 +87,11 @@ class FlushBudget:
     """One flush's deadline budget, in *modeled* seconds.
 
     Injected delays and retry backoffs are charged here at draw time —
-    deterministically, whatever the backend — and the quote stage checks
-    the budget between attempts. ``deadline_s=None`` never trips.
-    ``charge`` only records (it may run on a worker thread mid-task);
-    ``check`` raises :class:`~repro.exceptions.FlushDeadlineExceededError`
-    at the controlled points where the ladder can act on it.
+    deterministically — and the quote stage checks the budget between
+    attempts. ``deadline_s=None`` never trips. ``charge`` only records
+    (it may run mid-task, inside an engine fan-out); ``check`` raises
+    :class:`~repro.exceptions.FlushDeadlineExceededError` at the
+    controlled points where the ladder can act on it.
     """
 
     __slots__ = ("deadline_s", "spent_s", "_lock")
@@ -149,29 +123,26 @@ class _EngineGate(threading.local):
     def __init__(self):
         self.active = False
         self.budget: FlushBudget | None = None
-        self.sleeping = False
 
 
 class _EngineWindow:
-    __slots__ = ("_injector", "_budget", "_sleeping", "_prev")
+    __slots__ = ("_injector", "_budget", "_prev")
 
-    def __init__(self, injector, budget, sleeping):
+    def __init__(self, injector, budget):
         self._injector = injector
         self._budget = budget
-        self._sleeping = sleeping
         self._prev = None
 
     def __enter__(self):
         gate = self._injector._gate
-        self._prev = (gate.active, gate.budget, gate.sleeping)
+        self._prev = (gate.active, gate.budget)
         gate.active = True
         gate.budget = self._budget
-        gate.sleeping = self._sleeping
         return self
 
     def __exit__(self, *exc):
         gate = self._injector._gate
-        gate.active, gate.budget, gate.sleeping = self._prev
+        gate.active, gate.budget = self._prev
 
 
 class _NullWindow:
@@ -243,7 +214,7 @@ class FaultInjector:
         sample per opportunity whether or not it fires, so firing
         patterns depend only on opportunity counts — not on what other
         clauses did. Injected delays are charged against ``budget`` here,
-        at draw time (virtually — deterministic on every backend)."""
+        at draw time (virtually, so deterministically)."""
         armed = self._armed.get(site)
         if not armed:
             return None
@@ -287,7 +258,7 @@ class FaultInjector:
             )
 
     # ------------------------------------------------------------------
-    def engine_window(self, budget: FlushBudget | None = None, sleeping: bool = False):
+    def engine_window(self, budget: FlushBudget | None = None):
         """Context manager opening an ``engine.distance_many`` fault
         window on the current thread: only fan-outs inside it (the
         read-only quote computations, which are safe to retry) draw
@@ -296,15 +267,15 @@ class FaultInjector:
         """
         if not self.wants("engine.distance_many"):
             return _NULL_WINDOW
-        return _EngineWindow(self, budget, sleeping)
+        return _EngineWindow(self, budget)
 
-    def draw_engine(self) -> tuple[InjectedFault | None, bool]:
+    def draw_engine(self) -> InjectedFault | None:
         """Draw at ``engine.distance_many`` if the current thread is
-        inside an engine window; returns ``(fault, sleeping)``."""
+        inside an engine window."""
         gate = self._gate
         if not gate.active:
-            return None, False
-        return self.draw("engine.distance_many", budget=gate.budget), gate.sleeping
+            return None
+        return self.draw("engine.distance_many", budget=gate.budget)
 
     # ------------------------------------------------------------------
     def record_retry(self, site: str) -> None:
@@ -312,44 +283,20 @@ class FaultInjector:
             self.registry.counter("retry.count").inc()
             self.registry.counter(f"retry.{site}").inc()
 
-    def record_pool_recreated(self) -> None:
-        if self.registry is not None:
-            self.registry.counter("pool.recreated").inc()
-
 
 #: Shared disabled injector: the default everywhere an injector can be
 #: threaded through. Draws nothing, counts nothing.
 NULL_INJECTOR = FaultInjector()
 
 
-def run_with_fault(
-    fault: InjectedFault | None,
-    sleeping: bool,
-    timeout_s: float | None,
-    fn,
-    /,
-    *args,
-    **kwargs,
-):
+def run_with_fault(fault: InjectedFault | None, fn, /, *args, **kwargs):
     """Enact ``fault`` (if any) around ``fn(*args, **kwargs)``.
 
     ``crash`` raises :class:`~repro.exceptions.FaultInjectedError` before
-    the work runs. ``delay`` sleeps for real when ``sleeping`` (thread /
-    process workers); on non-sleeping backends (serial — the simulator
-    thread) the delay is purely virtual: it was already charged to the
-    flush budget at draw time, and here it only converts to a
-    deterministic :class:`VirtualTimeoutError` when it exceeds the
-    per-task timeout. With ``fault=None`` this is exactly ``fn(...)``.
+    the work runs. ``delay`` was already charged to the flush budget at
+    draw time, so the work then runs as usual. With ``fault=None`` this
+    is exactly ``fn(...)``.
     """
-    if fault is not None:
-        if fault.kind == "crash":
-            raise FaultInjectedError(fault.site, fault.seq)
-        if fault.kind == "delay":
-            if sleeping:
-                time.sleep(fault.delay_s)
-            elif timeout_s is not None and fault.delay_s > timeout_s:
-                raise VirtualTimeoutError(
-                    f"injected {fault.delay_s:g}s delay at {fault.site} "
-                    f"exceeds the {timeout_s:g}s task timeout"
-                )
+    if fault is not None and fault.kind == "crash":
+        raise FaultInjectedError(fault.site, fault.seq)
     return fn(*args, **kwargs)

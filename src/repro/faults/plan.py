@@ -9,9 +9,8 @@ A fault plan is a comma-separated list of clauses::
 * ``site`` names where the fault fires — one of :data:`FAULT_SITES`;
 * ``kind`` is what happens — one of :data:`FAULT_KINDS`: ``crash``
   raises :class:`~repro.exceptions.FaultInjectedError` inside the task,
-  ``delay`` stalls it for ``delay_s`` seconds (virtual on the serial
-  backend — charged against the flush's deadline budget, never slept),
-  ``pool_death`` kills the worker pool under the submission;
+  ``delay`` stalls it for ``delay_s`` seconds (virtually — charged
+  against the flush's deadline budget, never slept);
 * ``trigger`` decides *when*: a float ``rate`` in ``[0, 1]`` is a
   Bernoulli draw per opportunity from that clause's own seeded RNG
   stream, ``@N`` fires exactly once at the N-th opportunity, ``%N``
@@ -21,12 +20,8 @@ A fault plan is a comma-separated list of clauses::
 Examples::
 
     quote.task:crash:0.05
-    shard.solve:crash:@1
-    quote.task:delay:0.05:0.02,pool.submit:pool_death:%200
-
-Kind/site compatibility: ``pool_death`` only makes sense where a pool
-submission happens (``pool.submit``); ``delay`` models slow task work
-and is rejected at ``pool.submit`` (submission itself is not a task).
+    engine.distance_many:crash:@1
+    quote.task:delay:0.05:0.02,engine.distance_many:crash:%200
 
 An empty or ``None`` spec parses to the empty plan — the armed-but-idle
 injector built from it is a literal no-op, which is what determinism
@@ -38,14 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Named injection sites, each drawn at one deterministic point:
-#: ``quote.task`` per quote-column attempt, ``shard.solve`` per shard
-#: solve attempt, ``engine.distance_many`` per engine fan-out *inside a
-#: quote window* (see ``FaultInjector.engine_window``), ``pool.submit``
-#: per ``WorkerPool.submit`` call.
-FAULT_SITES = ("quote.task", "shard.solve", "engine.distance_many", "pool.submit")
+#: ``quote.task`` per quote-column attempt, ``engine.distance_many`` per
+#: engine fan-out *inside a quote window* (see
+#: ``FaultInjector.engine_window``).
+FAULT_SITES = ("quote.task", "engine.distance_many")
 
 #: Fault kinds a clause can inject.
-FAULT_KINDS = ("crash", "delay", "pool_death")
+FAULT_KINDS = ("crash", "delay")
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,15 +107,6 @@ def _parse_clause(text: str) -> FaultClause:
     if kind not in FAULT_KINDS:
         known = ", ".join(FAULT_KINDS)
         raise ValueError(f"unknown fault kind {kind!r}; known: {known}")
-    if kind == "pool_death" and site != "pool.submit":
-        raise ValueError(
-            f"pool_death only applies at site pool.submit, not {site!r}"
-        )
-    if kind == "delay" and site == "pool.submit":
-        raise ValueError(
-            "delay does not apply at pool.submit (submission is not a "
-            "task); use quote.task, shard.solve or engine.distance_many"
-        )
 
     rate = every = at = None
     if trigger.startswith("@") or trigger.startswith("%"):

@@ -3,8 +3,8 @@
 Three pieces, one rule:
 
 * :class:`Tracer` — nested, thread-safe spans over the flush
-  (``flush → snapshot → quote → solve → commit``, per-column and
-  per-shard children, engine-level fan-out spans). Disabled tracers
+  (``flush → snapshot → quote → solve → commit``, per-column
+  children, engine-level fan-out spans). Disabled tracers
   (:data:`NULL_TRACER`) are literal no-ops: no span is ever allocated.
 * :class:`MetricsRegistry` — named counters, gauges and streaming
   log-bucket :class:`Histogram` instruments (p50/p90/p99 without

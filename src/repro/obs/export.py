@@ -10,7 +10,7 @@ missing enclosing array; wrap the lines in ``[...]`` for a strict
 viewer). Per event:
 
 ``name``
-    span name (``flush``, ``solve``, ``shard.solve``, ...);
+    span name (``flush``, ``solve``, ``quote.column``, ...);
 ``cat``
     span category (``flush``, ``quote``, ``engine``, ...);
 ``ph`` / ``pid``

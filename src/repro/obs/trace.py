@@ -1,8 +1,8 @@
 """Structured, thread-safe flush-pipeline spans.
 
 One :class:`Tracer` per simulation run collects nested spans —
-``flush → snapshot → quote → solve → commit``, with per-shard and
-per-worker children — as flat :class:`SpanRecord` rows that the
+``flush → snapshot → quote → solve → commit``, with per-column and
+engine fan-out children — as flat :class:`SpanRecord` rows that the
 exporters (:mod:`repro.obs.export`) turn into a Chrome trace. Two
 design rules govern everything here:
 

@@ -6,8 +6,6 @@ Run a full ridesharing simulation on a generated city from the shell::
     python -m repro.sim --algorithm mip --trips 40 --constraints 5:10
     python -m repro.sim --capacity unlimited --hotspot-theta 40
     python -m repro.sim --dispatch-policy lap --batch-window 15
-    python -m repro.sim --dispatch-policy sharded --batch-window 15 \\
-        --shards 4 --shard-backend process
     python -m repro.sim --dispatch-policy lap --batch-window 10 \\
         --adaptive-window --window-min 5 --window-max 30 --carry-over
     python -m repro.sim --engine hub_label --vehicles 40
@@ -24,7 +22,6 @@ import sys
 from repro.algorithms.base import ALGORITHM_REGISTRY
 from repro.core.constraints import ConstraintConfig
 from repro.dispatch.policies import POLICY_REGISTRY
-from repro.dispatch.sharding import SHARD_BACKENDS
 from repro.roadnet.engine import ENGINE_KINDS, make_engine
 from repro.roadnet.generators import grid_city
 from repro.sim.config import SimulationConfig
@@ -120,21 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(bounded by their wait budget) instead of settling in-batch",
     )
     parser.add_argument(
-        "--shards", type=int, default=1,
-        help="spatial shard count for the sharded policy (1 = global)",
-    )
-    parser.add_argument(
-        "--shard-backend",
-        default="serial",
-        choices=SHARD_BACKENDS,
-        help="per-shard solve executor for the sharded policy",
-    )
-    parser.add_argument(
-        "--shard-boundary-cells", type=int, default=None,
-        help="candidate-halo width in grid cells for the sharded policy "
-        "(default: no halo, keep every feasible candidate)",
-    )
-    parser.add_argument(
         "--trace", action="store_true",
         help="record structured per-flush spans (repro.obs); "
         "telemetry never feeds dispatch, so results are bit-identical",
@@ -193,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-spec", default=None, metavar="SPEC",
         help="deterministic fault-injection plan: comma-joined "
         "site:kind:trigger[:delay_s] clauses, e.g. "
-        "'quote.task:crash:0.05,shard.solve:delay:0.02:0.5' "
+        "'quote.task:crash:0.05,quote.task:delay:0.02:0.5' "
         "(see docs/robustness.md for the grammar)",
     )
     parser.add_argument(
@@ -232,9 +214,6 @@ def main(argv: list[str] | None = None) -> int:
         window_min_s=args.window_min,
         window_max_s=args.window_max,
         carry_over=args.carry_over,
-        num_shards=args.shards,
-        shard_backend=args.shard_backend,
-        shard_boundary_cells=args.shard_boundary_cells,
         trace=args.trace or args.trace_out is not None,
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,

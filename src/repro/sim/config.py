@@ -45,17 +45,6 @@ class SimulationConfig:
         dispatches each request immediately on arrival (the paper's
         behavior — with the ``greedy`` policy this reduces exactly to
         the immediate :class:`~repro.core.matching.Dispatcher`).
-        The ``"sharded"`` policy federates the lap solve over spatial
-        shards (:mod:`repro.dispatch.sharding`).
-    num_shards / shard_backend / shard_boundary_cells:
-        Sharded-dispatch knobs (rejected unless ``dispatch_policy`` is
-        ``"sharded"``). ``num_shards`` is the target spatial partition count
-        (1 = global solve, bit-identical to ``"lap"``);
-        ``shard_backend`` picks the per-shard solve executor
-        (``"serial"`` or ``"process"`` — results are identical across
-        backends); ``shard_boundary_cells`` is the
-        optional candidate-halo width in grid cells (``None`` keeps
-        every feasible candidate per shard).
     adaptive_window / window_min_s / window_max_s:
         Batch-window autotuning (:mod:`repro.dispatch.adaptive`). With
         ``adaptive_window=True`` the window length is retuned at every
@@ -92,7 +81,7 @@ class SimulationConfig:
     trace / trace_out / metrics_out:
         Flush telemetry (:mod:`repro.obs`). ``trace=True`` records
         structured spans (flush → snapshot → quote → solve → commit,
-        with per-column and per-shard children) on the run's
+        with per-column children) on the run's
         :class:`~repro.obs.Tracer`; ``trace_out`` additionally writes
         them as Chrome trace-event JSONL (Perfetto-loadable; requires
         ``trace=True``); ``metrics_out`` writes the run's
@@ -134,21 +123,18 @@ class SimulationConfig:
         disarms the injector entirely — determinism contract 10
         guarantees the hardened pipeline is then bit-identical to the
         unhardened one. ``fault_seed`` seeds the per-clause RNG streams;
-        a fixed ``(fault_spec, fault_seed)`` pair replays bit-identically
-        on the serial backend.
+        a fixed ``(fault_spec, fault_seed)`` pair replays bit-identically.
     flush_deadline_s:
         Per-flush deadline budget in *charged* seconds (injected delays
-        and retry backoffs — virtual time, so serial runs stay
+        and retry backoffs — virtual time, so runs stay
         deterministic). A flush that exhausts it is downgraded to the
         greedy policy for that flush only (the degradation ladder's
         last rung). ``None`` (default) = no deadline.
-    task_retries / task_timeout_s / retry_backoff_s / retry_backoff_cap_s:
-        Retry policy for hardened tasks (quote columns, shard solves):
-        up to ``task_retries`` retries after the first attempt, each
-        awaited at most ``task_timeout_s`` seconds (``None`` = no
-        timeout), with exponential backoff from ``retry_backoff_s``
-        capped at ``retry_backoff_cap_s`` (slept only on the process
-        shard backend; charged to the flush budget otherwise).
+    task_retries:
+        Retry budget for hardened quote columns: up to ``task_retries``
+        retries after the first attempt, each charging
+        :class:`~repro.faults.RetryPolicy`'s fixed exponential backoff
+        to the flush budget (virtual time; nothing sleeps).
     seed:
         Master seed for fleet placement and cruising.
     """
@@ -172,9 +158,6 @@ class SimulationConfig:
     adaptive_target_batch: float = 12.0
     adaptive_latency_headroom: float = 0.5
     carry_over: bool = False
-    num_shards: int = 1
-    shard_backend: str = "serial"
-    shard_boundary_cells: int | None = None
     grid_cell_meters: float = 500.0
     use_grid_index: bool = True
     #: Assignment objective: "total" (the paper's — minimize the full
@@ -202,9 +185,6 @@ class SimulationConfig:
     fault_seed: int = 0
     flush_deadline_s: float | None = None
     task_retries: int = 2
-    task_timeout_s: float | None = None
-    retry_backoff_s: float = 0.05
-    retry_backoff_cap_s: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -291,35 +271,6 @@ class SimulationConfig:
                 "immediate per-request dispatch has no next window to "
                 "carry into"
             )
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        from repro.dispatch.sharding import SHARD_BACKENDS
-
-        if self.shard_backend not in SHARD_BACKENDS:
-            known = ", ".join(SHARD_BACKENDS)
-            raise ValueError(f"shard_backend must be one of: {known}")
-        if self.shard_boundary_cells is not None and self.shard_boundary_cells < 0:
-            raise ValueError("shard_boundary_cells must be >= 0 or None")
-        if self.dispatch_policy != "sharded" and (
-            self.num_shards > 1
-            or self.shard_backend != "serial"
-            or self.shard_boundary_cells is not None
-        ):
-            raise ValueError(
-                "num_shards/shard_backend/shard_boundary_cells are the "
-                'sharded-solve knobs and require dispatch_policy="sharded" '
-                f"(got {self.dispatch_policy!r})"
-            )
-        if (
-            self.dispatch_policy == "sharded"
-            and self.num_shards > 1
-            and not self.use_grid_index
-        ):
-            raise ValueError(
-                "sharded dispatch with num_shards > 1 requires the grid "
-                "index (use_grid_index=True): without it every flush "
-                "would silently degenerate to a single global shard"
-            )
         if self.trace_out is not None and not self.trace:
             raise ValueError(
                 "trace_out requires trace=True: there are no spans to "
@@ -350,11 +301,3 @@ class SimulationConfig:
             raise ValueError("flush_deadline_s must be positive or None")
         if self.task_retries < 0:
             raise ValueError("task_retries must be >= 0")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ValueError("task_timeout_s must be positive or None")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
-        if self.retry_backoff_cap_s < self.retry_backoff_s:
-            raise ValueError(
-                "retry_backoff_cap_s must be >= retry_backoff_s"
-            )

@@ -142,16 +142,6 @@ class SimulationReport:
     batch_sizes: RunningStats = field(default_factory=RunningStats)
     solver_seconds: RunningStats = field(default_factory=RunningStats)
     batch_rejections: RunningStats = field(default_factory=RunningStats)
-    #: Sharded dispatch (repro.dispatch.sharding): requests per solved
-    #: shard, in-worker solve seconds per shard, and boundary conflicts
-    #: (vehicles claimed by several shards) per flush. Empty unless the
-    #: ``sharded`` policy ran.
-    shard_sizes: RunningStats = field(default_factory=RunningStats)
-    shard_solve_seconds: RunningStats = field(default_factory=RunningStats)
-    boundary_conflicts: RunningStats = field(default_factory=RunningStats)
-    #: Flushes whose shard plan silently degenerated to one global shard
-    #: (no grid index / no coordinates) despite more being requested.
-    shard_fallbacks: int = 0
     #: Adaptive batching (repro.dispatch.adaptive): per-flush window
     #: lengths as scheduled by the window controller, plus the full
     #: trajectory (flush time, window_s). Populated for every batched
@@ -177,9 +167,6 @@ class SimulationReport:
     #: Quote columns that exhausted their retry budget and were
     #: assembled failed (their rows became fault-carry candidates).
     quote_columns_failed: int = 0
-    #: Shards re-solved serially in the parent after their fan-out task
-    #: exhausted its retry budget.
-    shard_serial_rescues: int = 0
     #: Flushes downgraded to the greedy policy after blowing their
     #: deadline budget (the ladder's last rung).
     flushes_degraded: int = 0
@@ -209,10 +196,8 @@ class SimulationReport:
     DOCUMENTED_COUNTERS = (
         "fault.injected",
         "retry.count",
-        "pool.recreated",
         "quote.column_failed",
         "carry.fault_rescued",
-        "shard.serial_rescue",
         "flush.degraded",
     )
     #: Request/stop outcome counters the live layer and the SLO engine
@@ -282,19 +267,6 @@ class SimulationReport:
         self.registry.histogram("flush.solve_s").add(batch.solver_seconds)
         self.batch_rejections.add(batch.num_rejected)
         self.carried_per_flush.add(len(batch.carried))
-        for shard_size in batch.shard_sizes:
-            self.shard_sizes.add(shard_size)
-        shard_hist = self.registry.histogram("shard.solve_s")
-        for seconds in batch.shard_solve_seconds:
-            self.shard_solve_seconds.add(seconds)
-            shard_hist.add(seconds)
-        if batch.shard_sizes:
-            self.boundary_conflicts.add(batch.boundary_conflicts)
-        self.shard_fallbacks += batch.shard_fallbacks
-        rescues = getattr(batch, "shard_serial_rescues", 0)
-        if rescues:
-            self.shard_serial_rescues += rescues
-            self.registry.counter("shard.serial_rescue").inc(rescues)
 
     def record_window(self, now: float, window_s: float) -> None:
         """Record one flush's scheduled window length (the window
@@ -455,11 +427,6 @@ class SimulationReport:
             "max_batch_size": int(self.batch_sizes.max) if self.num_batches else 0,
             "solver_ms_mean": round(self.solver_seconds.mean * 1000.0, 4),
             "mean_batch_rejected": round(self.batch_rejections.mean, 3),
-            "shards_solved": self.shard_sizes.count,
-            "mean_shard_size": round(self.shard_sizes.mean, 2),
-            "shard_solve_ms_mean": round(self.shard_solve_seconds.mean * 1000.0, 4),
-            "boundary_conflicts": int(self.boundary_conflicts.total),
-            "shard_fallbacks": self.shard_fallbacks,
             "window_s_mean": round(self.window_s_stats.mean, 4),
             "window_s_min": round(
                 self.window_s_stats.min if self.window_s_stats.count else 0.0, 4
@@ -479,9 +446,7 @@ class SimulationReport:
             "quote_ms_mean": round(self.quote_seconds.mean * 1000.0, 4),
             "faults_injected": self.registry.counter("fault.injected").value,
             "retries": self.registry.counter("retry.count").value,
-            "pool_recreations": self.registry.counter("pool.recreated").value,
             "quote_columns_failed": self.quote_columns_failed,
-            "shard_serial_rescues": self.shard_serial_rescues,
             "flushes_degraded": self.flushes_degraded,
             "fault_rescued_carries": self.fault_rescued_carries,
             "wall_seconds": round(self.wall_seconds, 3),
@@ -534,28 +499,6 @@ class SimulationReport:
             lines.append(
                 f"{'rejected_per_batch':24s} mean {self.batch_rejections.mean:.3f}"
             )
-        if self.shard_sizes.count:
-            lines.append("--- sharded dispatch ---")
-            lines.append(f"{'shards_solved':24s} {self.shard_sizes.count}")
-            lines.append(
-                f"{'shard_size':24s} mean {self.shard_sizes.mean:.2f} "
-                f"max {int(self.shard_sizes.max)}"
-            )
-            lines.append(
-                f"{'shard_solve_ms':24s} mean "
-                f"{self.shard_solve_seconds.mean * 1000:.3f} "
-                f"max {self.shard_solve_seconds.max * 1000:.3f}"
-            )
-            lines.append(
-                f"{'boundary_conflicts':24s} total "
-                f"{int(self.boundary_conflicts.total)} "
-                f"mean {self.boundary_conflicts.mean:.3f}"
-            )
-            if self.shard_fallbacks:
-                lines.append(
-                    f"{'shard_fallbacks':24s} {self.shard_fallbacks} "
-                    "(flushes solved globally: no grid index/coords)"
-                )
         adaptive_ran = self.window_s_stats.count and (
             self.window_s_stats.min != self.window_s_stats.max
         )
@@ -589,29 +532,20 @@ class SimulationReport:
             )
         faults = self.registry.counter("fault.injected").value
         retries = self.registry.counter("retry.count").value
-        recreations = self.registry.counter("pool.recreated").value
         ladder = (
             self.quote_columns_failed
-            + self.shard_serial_rescues
             + self.flushes_degraded
             + self.fault_rescued_carries
         )
-        if faults or retries or recreations or ladder:
+        if faults or retries or ladder:
             lines.append("--- fault tolerance ---")
             lines.append(f"{'faults_injected':24s} {faults}")
             lines.append(f"{'retries':24s} {retries}")
-            if recreations:
-                lines.append(f"{'pool_recreations':24s} {recreations}")
             lines.append(
                 f"{'quote_columns_failed':24s} {self.quote_columns_failed} "
                 f"(rows rescued via fault-carry: "
                 f"{self.fault_rescued_carries})"
             )
-            if self.shard_serial_rescues:
-                lines.append(
-                    f"{'shard_serial_rescues':24s} {self.shard_serial_rescues} "
-                    "(shards re-solved serially in the parent)"
-                )
             lines.append(
                 f"{'flushes_degraded':24s} {self.flushes_degraded} "
                 "(deadline tripped; dispatched greedily)"

@@ -110,12 +110,7 @@ class Simulation:
             registry=self.report.registry,
             tracer=self.tracer,
         )
-        self.retry_policy = RetryPolicy(
-            max_attempts=config.task_retries + 1,
-            timeout_s=config.task_timeout_s,
-            backoff_s=config.retry_backoff_s,
-            backoff_cap_s=config.retry_backoff_cap_s,
-        )
+        self.retry_policy = RetryPolicy(max_attempts=config.task_retries + 1)
         #: The degradation ladder's last rung: a flush that exhausts its
         #: deadline budget is dispatched greedily (sequential
         #: cheapest-quote, no batch solve), unhardened by design.
@@ -141,9 +136,6 @@ class Simulation:
             make_policy(
                 config.dispatch_policy,
                 config.assignment_rounds,
-                num_shards=config.num_shards,
-                shard_backend=config.shard_backend,
-                shard_boundary_cells=config.shard_boundary_cells,
                 injector=self.fault_injector,
                 retry=self.retry_policy,
             ),
@@ -188,10 +180,7 @@ class Simulation:
         original = self.engine.distance_many
 
         def distance_many_with_faults(source, targets):
-            fault, sleeping = injector.draw_engine()
-            if fault is not None:
-                return run_with_fault(fault, sleeping, None, original, source, targets)
-            return original(source, targets)
+            return run_with_fault(injector.draw_engine(), original, source, targets)
 
         self.engine.distance_many = distance_many_with_faults
         return True
@@ -205,12 +194,6 @@ class Simulation:
         finally:
             if engine_faults:
                 del self.engine.distance_many
-            # The sharded policy owns a worker pool; release it however
-            # the run ended — an exception must not strand worker
-            # processes until GC.
-            policy_close = getattr(self.batch_dispatcher.policy, "close", None)
-            if policy_close is not None:
-                policy_close()
         self.report.wall_seconds = clock() - started
         self.report.extra["engine_stats"] = getattr(
             self.engine, "stats", lambda: {}

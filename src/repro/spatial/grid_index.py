@@ -96,47 +96,6 @@ class GridIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def cell_location(self, vehicle_id: int) -> tuple[int, int] | None:
-        """Last reported ``(row, col)`` cell of a vehicle, ``None`` if the
-        vehicle never reported (or was removed)."""
-        return self._where.get(vehicle_id)
-
-    def cells_in_region(
-        self, min_row: int, min_col: int, max_row: int, max_col: int
-    ) -> list[tuple[int, int]]:
-        """Every cell coordinate in the (clamped) rectangle, row-major.
-
-        The shard-enumeration primitive: a region dilated by ``k`` cells
-        is ``cells_in_region(r - k, c - k, r + k, c + k)`` unioned over
-        the region's cells. Empty cells are included — region geometry
-        must not depend on which cells currently hold vehicles — and an
-        empty (inverted or fully out-of-grid) rectangle yields ``[]``.
-        """
-        min_row = max(min_row, 0)
-        min_col = max(min_col, 0)
-        max_row = min(max_row, self.num_rows - 1)
-        max_col = min(max_col, self.num_cols - 1)
-        return [
-            (row, col)
-            for row in range(min_row, max_row + 1)
-            for col in range(min_col, max_col + 1)
-        ]
-
-    def occupied_cells(self) -> list[tuple[int, int]]:
-        """Cells currently holding at least one vehicle, sorted."""
-        return sorted(self._cells)
-
-    def vehicles_in_cells(self, cells) -> list[int]:
-        """Union of vehicle ids over ``cells``, sorted (deterministic
-        regardless of set iteration order); empty/unknown cells
-        contribute nothing."""
-        found: set[int] = set()
-        for cell in cells:
-            members = self._cells.get(tuple(cell))
-            if members:
-                found.update(members)
-        return sorted(found)
-
     def query_radius(self, x: float, y: float, radius: float) -> list[int]:
         """Vehicle ids possibly within ``radius`` meters of the point.
 

@@ -188,25 +188,15 @@ def test_empty_batch():
 
 
 def test_make_policy_registry():
-    assert set(POLICY_REGISTRY) == {"greedy", "lap", "iterative", "sharded"}
+    assert set(POLICY_REGISTRY) == {"greedy", "lap", "iterative"}
     assert isinstance(make_policy("greedy"), GreedyPolicy)
     assert isinstance(make_policy("lap"), LapPolicy)
     iterative = make_policy("iterative", assignment_rounds=5)
     assert isinstance(iterative, IterativePolicy) and iterative.rounds == 5
-    sharded = make_policy(
-        "sharded", num_shards=4, shard_backend="process",
-        shard_boundary_cells=2,
-    )
-    assert sharded.partitioner.num_shards == 4
-    assert sharded.partitioner.boundary_cells == 2
-    assert sharded.executor.backend == "process"
-    sharded.close()
     with pytest.raises(ValueError, match="unknown dispatch policy"):
         make_policy("simulated_annealing")
     with pytest.raises(ValueError):
         IterativePolicy(rounds=0)
-    with pytest.raises(ValueError, match="backend"):
-        make_policy("sharded", shard_backend="gpu")
 
 
 def test_near_tie_resolves_to_lowest_vehicle_id_like_submit():

@@ -12,8 +12,6 @@ from repro.faults import (
     FlushBudget,
     NULL_INJECTOR,
     RetryPolicy,
-    SimulatedPoolDeathError,
-    VirtualTimeoutError,
     parse_fault_spec,
     run_with_fault,
 )
@@ -31,8 +29,7 @@ def test_null_injector_is_inert():
     assert not NULL_INJECTOR.enabled
     assert NULL_INJECTOR.draw("quote.task") is None
     assert not NULL_INJECTOR.wants("quote.task")
-    fault, sleeping = NULL_INJECTOR.draw_engine()
-    assert fault is None and sleeping is False
+    assert NULL_INJECTOR.draw_engine() is None
 
 
 def test_rate_draws_replay_bit_identically():
@@ -52,18 +49,18 @@ def test_different_seeds_differ():
 
 
 def test_one_shot_fires_exactly_once_at_the_nth_opportunity():
-    plan = parse_fault_spec("shard.solve:crash:@3")
+    plan = parse_fault_spec("quote.task:crash:@3")
     injector = FaultInjector(plan, seed=0)
-    draws = _draws(injector, "shard.solve", 6)
+    draws = _draws(injector, "quote.task", 6)
     fired = [i for i, f in enumerate(draws, start=1) if f is not None]
     assert fired == [3]
     assert draws[2].seq == 3
 
 
 def test_every_nth_fires_periodically():
-    plan = parse_fault_spec("shard.solve:crash:%2")
+    plan = parse_fault_spec("quote.task:crash:%2")
     injector = FaultInjector(plan, seed=0)
-    draws = _draws(injector, "shard.solve", 6)
+    draws = _draws(injector, "quote.task", 6)
     fired = [i for i, f in enumerate(draws, start=1) if f is not None]
     assert fired == [2, 4, 6]
 
@@ -85,9 +82,9 @@ def test_clause_streams_are_independent():
 
 
 def test_sites_draw_from_separate_opportunity_counters():
-    plan = parse_fault_spec("quote.task:crash:@1,shard.solve:crash:@1")
+    plan = parse_fault_spec("quote.task:crash:@1,engine.distance_many:crash:@1")
     injector = FaultInjector(plan, seed=0)
-    assert injector.draw("shard.solve") is not None
+    assert injector.draw("engine.distance_many") is not None
     assert injector.draw("quote.task") is not None
     assert injector.draw("quote.task") is None
 
@@ -95,7 +92,7 @@ def test_sites_draw_from_separate_opportunity_counters():
 def test_wants_reflects_armed_sites():
     injector = FaultInjector(parse_fault_spec("quote.task:crash:0.1"), seed=0)
     assert injector.wants("quote.task")
-    assert not injector.wants("shard.solve")
+    assert not injector.wants("engine.distance_many")
 
 
 # ----------------------------------------------------------------------
@@ -108,12 +105,10 @@ def test_injections_and_retries_are_counted():
     injector.draw("quote.task")
     injector.draw("quote.task")
     injector.record_retry("quote.task")
-    injector.record_pool_recreated()
     assert registry.counter("fault.injected").value == 2
     assert registry.counter("fault.injected.quote.task").value == 2
     assert registry.counter("retry.count").value == 1
     assert registry.counter("retry.quote.task").value == 1
-    assert registry.counter("pool.recreated").value == 1
 
 
 # ----------------------------------------------------------------------
@@ -142,15 +137,17 @@ def test_delay_draws_charge_the_budget_virtually():
     injector = FaultInjector(plan, seed=0)
     budget = FlushBudget(1.0)
     injector.draw("quote.task", budget=budget)
-    injector.draw("quote.task", budget=budget)
+    fault = injector.draw("quote.task", budget=budget)
     assert budget.spent_s == pytest.approx(0.8)
+    # The delay was charged at draw time; enacting it just runs the work.
+    assert run_with_fault(fault, lambda: "ok") == "ok"
 
 
 # ----------------------------------------------------------------------
 # Enactment (run_with_fault) and the engine window
 # ----------------------------------------------------------------------
 def test_run_with_fault_none_is_transparent():
-    assert run_with_fault(None, False, None, lambda x: x + 1, 2) == 3
+    assert run_with_fault(None, lambda x: x + 1, 2) == 3
 
 
 def test_crash_fault_raises_before_the_work():
@@ -158,40 +155,24 @@ def test_crash_fault_raises_before_the_work():
     fault = FaultInjector(plan, seed=0).draw("quote.task")
     ran = []
     with pytest.raises(FaultInjectedError):
-        run_with_fault(fault, False, None, ran.append, 1)
+        run_with_fault(fault, ran.append, 1)
     assert ran == []
-
-
-def test_virtual_delay_converts_to_timeout_only_past_the_limit():
-    plan = parse_fault_spec("quote.task:delay:%1:0.5")
-    injector = FaultInjector(plan, seed=0)
-    fault = injector.draw("quote.task")
-    # Under the timeout (or with none): the work still runs, no sleep.
-    assert run_with_fault(fault, False, None, lambda: "ok") == "ok"
-    fault = injector.draw("quote.task")
-    assert run_with_fault(fault, False, 1.0, lambda: "ok") == "ok"
-    with pytest.raises(VirtualTimeoutError):
-        run_with_fault(injector.draw("quote.task"), False, 0.1, lambda: "ok")
 
 
 def test_engine_faults_only_fire_inside_a_window():
     plan = parse_fault_spec("engine.distance_many:crash:%1")
     injector = FaultInjector(plan, seed=0)
-    fault, _ = injector.draw_engine()
-    assert fault is None  # no window open: immune
+    assert injector.draw_engine() is None  # no window open: immune
     with injector.engine_window():
-        fault, sleeping = injector.draw_engine()
-    assert fault is not None and sleeping is False
-    fault, _ = injector.draw_engine()
-    assert fault is None  # window closed again
+        assert injector.draw_engine() is not None
+    assert injector.draw_engine() is None  # window closed again
 
 
 def test_engine_window_is_null_when_site_unarmed():
     injector = FaultInjector(parse_fault_spec("quote.task:crash:0.1"), seed=0)
     window = injector.engine_window()
     with window:
-        fault, _ = injector.draw_engine()
-    assert fault is None
+        assert injector.draw_engine() is None
 
 
 # ----------------------------------------------------------------------
@@ -210,15 +191,5 @@ def test_retry_policy_validation():
     with pytest.raises(ValueError):
         RetryPolicy(max_attempts=0)
     with pytest.raises(ValueError):
-        RetryPolicy(timeout_s=0.0)
-    with pytest.raises(ValueError):
         RetryPolicy(backoff_s=-1.0)
     assert DEFAULT_RETRY.max_attempts == 3
-
-
-def test_simulated_pool_death_is_a_broken_executor():
-    from concurrent.futures import BrokenExecutor
-
-    error = SimulatedPoolDeathError("pool.submit", 4)
-    assert isinstance(error, BrokenExecutor)
-    assert error.site == "pool.submit" and error.seq == 4

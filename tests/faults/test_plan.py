@@ -23,7 +23,7 @@ def test_rate_clause_parses():
 
 
 def test_one_shot_and_every_nth_triggers_parse():
-    plan = parse_fault_spec("shard.solve:crash:@3,shard.solve:crash:%2")
+    plan = parse_fault_spec("quote.task:crash:@3,quote.task:crash:%2")
     at, every = plan.clauses
     assert at.at == 3 and at.rate is None and at.every is None
     assert every.every == 2 and every.rate is None and every.at is None
@@ -50,12 +50,12 @@ def test_site_and_kind_membership_enforced():
 
 
 def test_kind_site_compatibility():
-    # pool_death is a submission-level fault; delay is a task-level one.
-    with pytest.raises(ValueError, match="pool_death only applies"):
-        parse_fault_spec("quote.task:pool_death:0.1")
-    with pytest.raises(ValueError, match="delay does not apply"):
-        parse_fault_spec("pool.submit:delay:0.1:1.0")
-    parse_fault_spec("pool.submit:pool_death:%100")  # legal
+    # Every kind applies at every site: both sites are task-level.
+    for site in FAULT_SITES:
+        parse_fault_spec(f"{site}:crash:0.1,{site}:delay:0.1:1.0")
+    # The worker-pool site left with the pool.
+    with pytest.raises(ValueError, match="unknown fault site"):
+        parse_fault_spec("pool.submit:crash:%100")
 
 
 def test_trigger_validation():
@@ -73,19 +73,22 @@ def test_trigger_validation():
 
 def test_multi_clause_specs_keep_order_and_skip_blanks():
     plan = parse_fault_spec(
-        "quote.task:crash:0.01, shard.solve:delay:@1:0.5 ,,pool.submit:pool_death:%9"
+        "quote.task:crash:0.01, engine.distance_many:delay:@1:0.5 ,,"
+        "quote.task:crash:%9"
     )
     assert [c.site for c in plan.clauses] == [
         "quote.task",
-        "shard.solve",
-        "pool.submit",
+        "engine.distance_many",
+        "quote.task",
     ]
-    assert plan.sites() == {"quote.task", "shard.solve", "pool.submit"}
-    assert plan.indexed_clauses_for("shard.solve") == [(1, plan.clauses[1])]
+    assert plan.sites() == {"quote.task", "engine.distance_many"}
+    assert plan.indexed_clauses_for("engine.distance_many") == [
+        (1, plan.clauses[1])
+    ]
 
 
 def test_clause_labels_round_trip():
-    spec = "quote.task:crash:0.05,shard.solve:delay:@1:0.5,pool.submit:pool_death:%9"
+    spec = "quote.task:crash:0.05,engine.distance_many:delay:@1:0.5,quote.task:crash:%9"
     plan = parse_fault_spec(spec)
     assert ",".join(c.label() for c in plan.clauses) == spec
     assert parse_fault_spec(
@@ -94,10 +97,5 @@ def test_clause_labels_round_trip():
 
 
 def test_registry_constants_are_closed():
-    assert FAULT_SITES == (
-        "quote.task",
-        "shard.solve",
-        "engine.distance_many",
-        "pool.submit",
-    )
-    assert FAULT_KINDS == ("crash", "delay", "pool_death")
+    assert FAULT_SITES == ("quote.task", "engine.distance_many")
+    assert FAULT_KINDS == ("crash", "delay")

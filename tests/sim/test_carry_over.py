@@ -1,11 +1,10 @@
 """Carry-over batching and the adaptive window, end to end.
 
-Three guarantee families:
+Two guarantee families:
 
 * **conservation** — with carry-over on, every request is settled
   exactly once (assigned or rejected), never lost in the window and
   never double-counted, including requests that expire mid-carry;
-* **interplay** — carry-over composes with the sharded policy;
 * **clamping** — the window trajectory stays inside the band under
   burst load and silence.
 
@@ -126,19 +125,6 @@ def test_carry_rescues_requests_the_in_batch_path_rejects(overload):
     with_carry = _run_overload(overload, carry_over=True)
     assert with_carry.num_assigned > without.num_assigned
     assert with_carry.verify_service_guarantees() == []
-
-
-# ----------------------------------------------------------------------
-# Interplay with sharding
-# ----------------------------------------------------------------------
-def test_carry_composes_with_sharded_policy(scenario):
-    expected = _expected_requests(scenario)
-    report = _run(
-        scenario, dispatch_policy="sharded", num_shards=3, carry_over=True
-    )
-    assert report.num_requests == expected
-    assert report.shard_sizes.count > 0
-    assert report.verify_service_guarantees() == []
 
 
 # ----------------------------------------------------------------------

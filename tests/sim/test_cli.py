@@ -1,16 +1,10 @@
 """The `python -m repro.sim` command-line runner."""
 
 import argparse
-import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.sim.__main__ import build_parser, main, parse_capacity, parse_constraints
-from repro.sim.config import SimulationConfig
-
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 
 def test_parse_constraints():
@@ -89,35 +83,3 @@ def test_engine_flag_smoke(capsys):
 def test_engine_flag_rejects_unknown():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--engine", "teleporter"])
-
-
-@pytest.mark.parametrize(
-    "flags,knob",
-    [
-        (["--shards", "4"], {"num_shards": 4}),
-        (["--shard-backend", "process"], {"shard_backend": "process"}),
-        (["--shard-boundary-cells", "1"], {"shard_boundary_cells": 1}),
-    ],
-    ids=["num_shards", "shard_backend", "shard_boundary_cells"],
-)
-def test_shard_knobs_require_the_sharded_policy(flags, knob):
-    """A shard knob on a policy that solves globally is a
-    misconfiguration, not a silent no-op: the config rejects it and the
-    CLI exits non-zero naming the policy that honours it."""
-    SimulationConfig(dispatch_policy="sharded", batch_window_s=10.0, **knob)
-    with pytest.raises(ValueError, match='dispatch_policy="sharded"'):
-        SimulationConfig(dispatch_policy="lap", batch_window_s=10.0, **knob)
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "repro.sim",
-            "--grid", "8", "--vehicles", "3", "--trips", "5",
-            "--dispatch-policy", "lap", "--batch-window", "10",
-            *flags,
-        ],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": SRC},
-    )
-    assert proc.returncode != 0
-    assert 'dispatch_policy="sharded"' in proc.stderr

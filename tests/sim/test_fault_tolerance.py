@@ -3,19 +3,17 @@
 Each rung degrades instead of failing: different fault seeds draw
 different faults; a permanently failing quote column carries its
 requests (never drops them); a flush that blows its deadline budget
-downgrades to greedy for that flush only; a run that raises releases
-its worker pools; and a long mixed-fault chaos soak on the process
-backend completes with zero requests lost.
+downgrades to greedy for that flush only; and a long mixed-fault chaos
+soak completes with zero requests lost.
 
 Determinism contract 10 — an empty or unfireable plan changes nothing,
 a fixed ``(fault_spec, fault_seed)`` replays bit-identically, and the
-retry and serial-rescue rungs decide as the fault-free run does — is
-pinned in ``tests/test_contracts.py``.
+retry rung decides as the fault-free run does — is pinned in
+``tests/test_contracts.py``.
 """
 
 import pytest
 
-from repro.exceptions import TreeBudgetExceeded
 from repro.roadnet.generators import grid_city
 from repro.roadnet.matrix import MatrixEngine
 from repro.sim.config import SimulationConfig
@@ -75,7 +73,7 @@ def test_permanent_quote_failure_carries_requests_not_drops(scenario):
 
 
 # ----------------------------------------------------------------------
-# Ladder rung 4: deadline exhaustion -> one-flush greedy downgrade
+# Ladder rung 3: deadline exhaustion -> one-flush greedy downgrade
 # ----------------------------------------------------------------------
 def test_deadline_exhaustion_downgrades_one_flush_then_recovers(scenario):
     """A single huge injected delay blows the first flush's budget: that
@@ -102,41 +100,13 @@ def test_no_deadline_means_no_degradation(scenario):
 
 
 # ----------------------------------------------------------------------
-# A run that raises releases its worker pools
-# ----------------------------------------------------------------------
-def test_a_run_that_raises_leaves_no_live_worker_pool(scenario):
-    """An exception out of the event loop (here a blown tree-expansion
-    budget) must still shut the shard pool down — worker processes may
-    not wait for GC."""
-    _, engine, trips = scenario
-    sim = Simulation(
-        engine,
-        SimulationConfig(
-            num_vehicles=8,
-            seed=3,
-            dispatch_policy="sharded",
-            num_shards=2,
-            shard_backend="process",
-            batch_window_s=10.0,
-            tree_expansion_budget=3,
-        ),
-        trips,
-    )
-    with pytest.raises(TreeBudgetExceeded):
-        sim.run()
-    assert sim.batch_dispatcher.policy.executor.pool._pool is None
-
-
-# ----------------------------------------------------------------------
-# Chaos soak: >= 1000 flushes of mixed faults on the process backend
+# Chaos soak: >= 1000 flushes of mixed faults
 # ----------------------------------------------------------------------
 SOAK_PARAMS = dict(
     num_vehicles=6,
     algorithm="kinetic",
     seed=5,
-    dispatch_policy="sharded",
-    num_shards=2,
-    shard_backend="process",
+    dispatch_policy="lap",
     batch_window_s=2.0,
     carry_over=True,
     flush_deadline_s=1.0,
@@ -154,10 +124,10 @@ def soak_scenario():
     return engine, trips, reference
 
 
-def test_chaos_soak_process_backend_loses_nothing(soak_scenario):
+def test_chaos_soak_loses_nothing(soak_scenario):
     """The acceptance soak: a long simulation under a 5% mixed fault
-    plan — quote crashes and delays, shard crashes, pool deaths — on the
-    process shard backend, with carry-over and a flush deadline armed.
+    plan — quote crashes and delays, engine fan-out crashes — with
+    carry-over and a flush deadline armed.
     It must complete, drive >= 1000 flushes, and account for every
     request: assigned or rejected (expiry settles as rejection), with
     the same request population as the fault-free reference."""
@@ -165,8 +135,7 @@ def test_chaos_soak_process_backend_loses_nothing(soak_scenario):
     spec = (
         "quote.task:crash:0.05,"
         "quote.task:delay:0.03:0.6,"
-        "shard.solve:crash:0.05,"
-        "pool.submit:pool_death:0.01"
+        "engine.distance_many:crash:0.05"
     )
     sim = Simulation(
         engine,
@@ -189,6 +158,6 @@ def test_chaos_soak_process_backend_loses_nothing(soak_scenario):
     # The ladder holds the line: faults cost at most 10% of the service
     # the fault-free reference delivers.
     assert report.num_assigned >= 0.9 * reference.num_assigned
-    # The ladder took real traffic: failed columns and rescued shards.
+    # The ladder took real traffic: retried attempts and failed columns.
+    assert summary["retries"] > 0
     assert summary["quote_columns_failed"] > 0
-    assert summary["shard_serial_rescues"] > 0

@@ -116,23 +116,6 @@ def test_safety_net_flush_traces_its_quote_columns(scenario):
     assert all(rounds.values())
 
 
-def test_shard_spans_nest_under_solve(scenario):
-    report = _run(
-        scenario,
-        trace=True,
-        dispatch_policy="sharded",
-        num_shards=3,
-        shard_backend="process",
-    )
-    records = report.tracer.records()
-    by_id = {r.span_id: r for r in records}
-    shard_solves = [r for r in records if r.name == "shard.solve"]
-    assert shard_solves, "the sharded policy must record per-shard solves"
-    for shard in shard_solves:
-        assert by_id[shard.parent_id].name == "solve"
-        assert "shard" in shard.args
-
-
 # ----------------------------------------------------------------------
 # Exports
 # ----------------------------------------------------------------------

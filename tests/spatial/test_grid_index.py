@@ -95,56 +95,19 @@ def test_empty_cells_removed(index):
     assert index.stats()["occupied_cells"] == 1
 
 
-# ----------------------------------------------------------------------
-# Shard-enumeration helpers (repro.dispatch.sharding support)
-# ----------------------------------------------------------------------
-def test_cells_in_region_includes_empty_cells(index):
-    cells = index.cells_in_region(0, 0, 1, 2)
-    # Region geometry is independent of occupancy: all six cells listed
-    # even though the index holds no vehicles at all.
-    assert cells == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-
-
-def test_cells_in_region_clamps_to_grid(index):
-    # 1000/100 = 10x10 grid; out-of-range corners clamp.
-    assert index.cells_in_region(-3, -3, 0, 0) == [(0, 0)]
-    assert index.cells_in_region(9, 9, 50, 50) == [(9, 9)]
-    # Fully outside or inverted rectangles are empty.
-    assert index.cells_in_region(20, 20, 30, 30) == []
-    assert index.cells_in_region(5, 5, 3, 3) == []
-
-
-def test_vehicles_in_cells_skips_empty_cells(index):
-    index.update(1, 50, 50)    # cell (0, 0)
-    index.update(2, 250, 50)   # cell (0, 2)
-    index.update(3, 55, 45)    # cell (0, 0)
-    region = index.cells_in_region(0, 0, 0, 2)
-    assert index.vehicles_in_cells(region) == [1, 2, 3]
-    assert index.vehicles_in_cells([(5, 5), (9, 9)]) == []
-    # Sorted output regardless of insertion or set order.
-    assert index.vehicles_in_cells([(0, 0)]) == [1, 3]
-
-
-def test_cell_location(index):
-    assert index.cell_location(7) is None
-    index.update(7, 420, 380)
-    assert index.cell_location(7) == (3, 4)
-    index.remove(7)
-    assert index.cell_location(7) is None
-
-
-def test_boundary_points_shard_deterministically(index):
+def test_boundary_points_land_in_the_higher_cell(index):
     """A vehicle exactly on a cell edge always lands in the higher cell
-    (floor semantics), so co-located boundary vehicles tie to the same
-    shard cell every time."""
+    (floor semantics), so co-located boundary vehicles share a cell
+    every time."""
     assert index.cell_of(100.0, 0.0) == (0, 1)
     assert index.cell_of(0.0, 100.0) == (1, 0)
     assert index.cell_of(200.0, 200.0) == (2, 2)
     # The far border clamps into the last cell instead of overflowing.
     assert index.cell_of(1000.0, 1000.0) == (9, 9)
     # Two vehicles reported at the identical boundary point share a cell.
+    assert index.cell_of(300.0, 500.0) == (5, 3)
     index.update(1, 300.0, 500.0)
     index.update(2, 300.0, 500.0)
-    assert index.cell_location(1) == index.cell_location(2) == (5, 3)
+    assert index.stats()["occupied_cells"] == 1
     # Re-reporting the same boundary point is a within-cell no-op.
     assert index.update(1, 300.0, 500.0) is False

@@ -135,8 +135,6 @@ def side(reference=None, **overrides):
 
 
 GREEDY_0 = dict(dispatch_policy="greedy", batch_window_s=0.0)
-SHARDED_2 = dict(dispatch_policy="sharded", num_shards=2)
-SHARDED_PROCESS = dict(dispatch_policy="sharded", num_shards=3, shard_backend="process")
 ADAPTIVE = dict(adaptive_window=True, window_min_s=5.0, window_max_s=30.0)
 SLO = "service_rate>=0.5,wait_compliance>=0.5,wait_p99<=600"
 SLO_OUT = dict(
@@ -145,8 +143,10 @@ SLO_OUT = dict(
 )
 LIVE = dict(SLO_OUT, timeseries_ring=3, live_report_every=4)
 REPLAY = dict(
-    SHARDED_2,
-    fault_spec="quote.task:crash:0.1,quote.task:delay:0.05:0.2,shard.solve:crash:0.05",
+    fault_spec=(
+        "quote.task:crash:0.1,quote.task:delay:0.05:0.2,"
+        "engine.distance_many:crash:0.05"
+    ),
     fault_seed=21,
     flush_deadline_s=5.0,
 )
@@ -156,8 +156,8 @@ REPLAY = dict(
 # Diagnostics beyond the decisions, and checks on side A
 # ----------------------------------------------------------------------
 FAULT_COUNTERS = (
-    "faults_injected", "retries", "pool_recreations", "quote_columns_failed",
-    "shard_serial_rescues", "flushes_degraded", "fault_rescued_carries",
+    "faults_injected", "retries", "quote_columns_failed",
+    "flushes_degraded", "fault_rescued_carries",
 )
 
 #: name -> what of a run (report, output directory) a row also compares
@@ -176,11 +176,6 @@ EXTRA = {
 
 def _quote_stage_every_flush(report):
     assert report.quote_seconds.count == report.num_batches
-
-
-def _one_global_shard(report):
-    assert report.shard_sizes.count == report.num_batches
-    assert int(report.boundary_conflicts.total) == 0
 
 
 def _fixed_window(report):
@@ -251,17 +246,6 @@ CONTRACTS = [
         side(num_vehicles=10, batch_window_s=0.0), side(num_vehicles=10, **GREEDY_0),
         extra=("candidates", "occupancy"),
     ),
-    # 2. shards=1 ≡ lap; 3. shard backends agree
-    _row(
-        "2-one-shard-vs-lap", 2, "large",
-        side(dispatch_policy="sharded", num_shards=1), side(),
-        extra=("art_counts", "occupancy"), checks=(_one_global_shard,),
-    ),
-    _row(
-        "3-process-vs-serial", 3, "large",
-        side(**SHARDED_PROCESS), side(dispatch_policy="sharded", num_shards=3),
-        extra=("art_counts", "occupancy"),
-    ),
     # 4. batched flush ≡ pre-pipeline reference
     *(
         _row(
@@ -270,9 +254,7 @@ CONTRACTS = [
             side(PRE_PIPELINE, dispatch_policy=policy, **more),
             extra=("art_counts", "occupancy"), checks=(_quote_stage_every_flush,),
         )
-        for policy, more in (
-            ("lap", {}), ("sharded", {"num_shards": 3}), ("iterative", {})
-        )
+        for policy, more in (("lap", {}), ("iterative", {}))
     ),
     # 6. adaptive-off ≡ fixed window (the reference bypasses the window
     # controller, so it records no trajectory to compare)
@@ -306,7 +288,6 @@ CONTRACTS = [
         for mode, on in (("traced", {"trace": True}), ("live", LIVE))
         for name, o in (
             ("lap", {}),
-            ("sharded-process", SHARDED_PROCESS),
             ("greedy-immediate", GREEDY_0),
         )
     ),
@@ -325,15 +306,11 @@ CONTRACTS = [
         extra=("carry",), checks=(_faults(faults_injected=0),),
     ),
     _row(
-        "10-empty-plan-process", 10, "medium",
-        side(shard_backend="process", **SHARDED_2), side(**SHARDED_2), extra=("carry",),
-    ),
-    _row(
         "10-replay", 10, "medium", side(**REPLAY),
         extra=("carry", "faults"), checks=(_faults(faults_injected=...),),
     ),
-    # The degradation ladder's retry and serial-rescue rungs decide as
-    # the fault-free run does.
+    # The degradation ladder's retry rung decides as the fault-free run
+    # does.
     _row(
         "10-quote-crash-retried", 10, "medium",
         side(fault_spec="quote.task:crash:@1"), side(), extra=("carry",),
@@ -343,12 +320,6 @@ CONTRACTS = [
         "10-engine-crash-retried", 10, "medium",
         side(fault_spec="engine.distance_many:crash:@1"), side(), extra=("carry",),
         checks=(_faults(retries=...),),
-    ),
-    _row(
-        "10-shard-rescued", 10, "medium",
-        side(fault_spec="shard.solve:crash:%1", task_retries=1, **SHARDED_2),
-        side(**SHARDED_2), extra=("carry",),
-        checks=(_faults(shard_serial_rescues=..., retries=...),),
     ),
 ]
 
@@ -401,8 +372,10 @@ def test_contract(run, row):
 
 
 def test_every_contract_has_a_row():
-    """Contracts 1–10, less the retired 5."""
-    assert {p.values[0].contract for p in CONTRACTS} == set(range(1, 11)) - {5}
+    """Contracts 1–10, less the retired 2, 3 and 5."""
+    assert {p.values[0].contract for p in CONTRACTS} == set(range(1, 11)) - {
+        2, 3, 5
+    }
 
 
 def test_e2e_digest_is_a_projection_of_decision_rows():

@@ -56,6 +56,9 @@ def test_readme_documents_every_cli_flag():
     flags.discard("--help")  # argparse built-in
     missing = {flag for flag in flags if f"`{flag}" not in readme}
     assert not missing, f"CLI flags undocumented in README: {sorted(missing)}"
+    rows = set(re.findall(r"^\| `(--[a-z][a-z0-9-]*)", readme, re.MULTILINE))
+    phantom = rows - flags
+    assert not phantom, f"README documents non-existent flags: {sorted(phantom)}"
 
 
 def test_readme_documents_every_simulation_config_field():

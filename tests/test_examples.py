@@ -48,17 +48,6 @@ def test_batched_dispatch_small():
     assert "batched dispatch" in out  # the report's batching section
 
 
-def test_sharded_dispatch_small():
-    out = run_example(
-        "sharded_dispatch.py", "--vehicles", "6", "--hours", "0.3",
-        "--shards", "3",
-    )
-    assert "service-guarantee audit" in out
-    assert "sharded x3" in out
-    assert "sharded dispatch" in out  # the report's shard section
-    assert "boundary_conflicts" in out
-
-
 def test_adaptive_window_small():
     out = run_example(
         "adaptive_window.py", "--vehicles", "6",
