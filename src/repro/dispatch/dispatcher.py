@@ -61,9 +61,10 @@ class BatchDispatcher:
         ``quote_set`` hands the policy a completed quote stage for this
         exact batch (its round-1 material); ``None`` means the policy
         quotes itself. ``carry_deadline`` (the next flush's instant)
-        enables carry-over batching: unassigned requests that can still
-        make it come back in :attr:`BatchResult.carried` for re-entry
-        into the window instead of being settled in-batch.
+        enables carry-over batching: requests that had a feasible quote
+        but lost the assignment and can still make it come back in
+        :attr:`BatchResult.carried` for re-entry into the window
+        instead of being settled in-batch.
         ``fault_deadline`` arms the fault-carry rung of the degradation
         ladder (see
         :meth:`~repro.dispatch.policies.DispatchPolicy.assign`).

@@ -19,18 +19,18 @@ quotes. Three policies ship:
   vehicle schedules each round, then the same cleanup runs. ``lap`` is
   exactly ``iterative`` with one round.
 
-Within one flush a request that quotes infeasible against every
-candidate is rejected outright and not retried: vehicle decision points
-are fixed for the flush and schedules only grow, so feasibility can only
-shrink between rounds. *Across* flushes feasibility can recover —
-vehicles reach stops and free seats — which is what **carry-over
-batching** (Simonetto-style, ``carry_deadline`` below) exploits: instead
-of settling a losing request in-batch (greedy cleanup or rejection), the
-policy hands it back as a :class:`CarriedRequest` and the simulator
-rolls it into the next :class:`~repro.dispatch.window.BatchWindow`,
-bounded by its remaining wait budget. A request whose pickup deadline
-cannot reach the next flush's commit instant takes the existing
-in-batch cleanup/rejection path exactly as before.
+A request that quotes infeasible against every candidate is rejected
+in the round it is found, as immediate dispatch rejects it: vehicle
+decision points are fixed for the flush and schedules only grow, so
+feasibility can only shrink between rounds, and in measured runs no
+such request was served by a later flush either. **Carry-over batching**
+(Simonetto-style, ``carry_deadline`` below) therefore defers only a
+request that had a feasible quote and lost the assignment: instead of
+settling it in-batch (greedy cleanup), the policy hands it back as a
+:class:`CarriedRequest` and the simulator rolls it into the next
+:class:`~repro.dispatch.window.BatchWindow`, bounded by its remaining
+wait budget. A loser whose pickup deadline cannot reach the next
+flush's commit instant takes the in-batch cleanup exactly as before.
 """
 
 from __future__ import annotations
@@ -130,11 +130,12 @@ class DispatchPolicy(abc.ABC):
         re-quote against schedules the earlier rounds just changed.
 
         ``carry_deadline`` enables carry-over batching: a request that
-        ends the flush unassigned and whose ``pickup_deadline`` still
-        reaches ``carry_deadline`` (the next flush's commit instant) is
-        returned in :attr:`BatchResult.carried` instead of being
-        settled in-batch. ``None`` (the default) settles every request
-        here — today's behavior, bit-identical.
+        had a feasible quote but lost the assignment, and whose
+        ``pickup_deadline`` still reaches ``carry_deadline`` (the next
+        flush's commit instant), is returned in
+        :attr:`BatchResult.carried` instead of being settled in-batch.
+        A request with no feasible quote is rejected here either way.
+        ``None`` (the default) settles every request here.
 
         ``fault_deadline`` arms the degradation ladder's fault-carry
         rung: a request whose quote column(s) *failed* this flush
@@ -154,7 +155,9 @@ class GreedyPolicy(DispatchPolicy):
 
     Delegates each request to :meth:`Dispatcher.submit`, so a batch of
     one reproduces immediate dispatch *exactly* — same quotes, same
-    tie-breaking, same metrics.
+    tie-breaking, same metrics. ``carry_deadline`` has no effect: a
+    request ``submit`` leaves unassigned had no feasible quote, so it
+    is rejected rather than carried.
     """
 
     name = "greedy"
@@ -169,39 +172,11 @@ class GreedyPolicy(DispatchPolicy):
         fault_deadline=None,
     ):
         tracer = getattr(dispatcher, "tracer", NULL_TRACER)
-        results: list[AssignmentResult] = []
-        carried: list[CarriedRequest] = []
         with tracer.span(
             "commit", cat="commit", policy=self.name, requests=len(requests)
         ):
-            for request in requests:
-                result = dispatcher.submit(request, now)
-                self._settle(
-                    result, request, carry_deadline, results, carried
-                )
-        return BatchResult(
-            results=results,
-            carried=carried,
-            solver_seconds=0.0,
-            rounds=0,
-        )
-
-    @staticmethod
-    def _settle(result, request, carry_deadline, results, carried):
-        if (
-            not result.assigned
-            and carry_deadline is not None
-            and request.pickup_deadline >= carry_deadline
-        ):
-            carried.append(
-                CarriedRequest(
-                    request=request,
-                    elapsed=result.elapsed,
-                    quote_timings=result.quote_timings,
-                )
-            )
-        else:
-            results.append(result)
+            results = [dispatcher.submit(request, now) for request in requests]
+        return BatchResult(results=results, solver_seconds=0.0, rounds=0)
 
 
 class _AssignmentRoundsPolicy(DispatchPolicy):
@@ -255,15 +230,6 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
             i: [] for i in pending
         }
 
-        def carries_over(i: int) -> bool:
-            # A carried request must still be assignable at the *next*
-            # flush's commit instant; once its wait budget can no longer
-            # reach it, the existing in-batch settle path fires instead.
-            return (
-                carry_deadline is not None
-                and requests[i].pickup_deadline >= carry_deadline
-            )
-
         while pending and rounds_used < self.rounds:
             batch = [requests[i] for i in pending]
             if quote_set is not None and rounds_used == 0:
@@ -286,12 +252,6 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
             feasible_rows = np.isfinite(matrix.keys).any(axis=1)
             for row in np.nonzero(~feasible_rows)[0]:
                 i = pending[row]
-                if carries_over(i):
-                    # Infeasible *now*, but vehicles free up between
-                    # flushes — roll into the next window instead of
-                    # rejecting.
-                    carried_idx.add(i)
-                    continue
                 if (
                     quote_set is not None
                     and rounds_used == 1
@@ -354,12 +314,17 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
                 break
         # Losers of every round: carry-over rolls them into the next
         # window (they wait for the next global solve instead of being
-        # resolved greedily in-batch); everyone else takes the cleanup —
-        # a sequential re-quote against the updated schedules, where a
-        # vehicle that won a request above can still pool a second one.
+        # resolved greedily in-batch) while their pickup deadline still
+        # reaches the next flush's commit instant; everyone else takes
+        # the cleanup — a sequential re-quote against the updated
+        # schedules, where a vehicle that won a request above can still
+        # pool a second one.
         with tracer.span("cleanup", cat="commit", pending=len(pending)):
             for i in pending:
-                if carries_over(i):
+                if (
+                    carry_deadline is not None
+                    and requests[i].pickup_deadline >= carry_deadline
+                ):
                     carried_idx.add(i)
                     continue
                 result = dispatcher.submit(requests[i], now)

@@ -4,8 +4,9 @@ For the benchmark-scale graphs used in this reproduction (thousands of
 vertices), precomputing the full distance matrix once in C is far cheaper
 than answering millions of on-demand Dijkstra queries in Python — this is
 how the reproduction meets the paper's throughput requirements without a
-C++ substrate. Distances are stored float32 (n² * 4 bytes) and
-predecessors int32, so a 5,000-vertex city costs ~200 MB, well within the
+C++ substrate. Distances are stored float64 (the ``csgraph`` output,
+n² * 8 bytes) and predecessors int32 (n² * 4 bytes), so a 2,500-vertex
+city costs ~75 MB and a 5,000-vertex city ~300 MB, well within the
 paper's 3 GB process budget.
 """
 
@@ -86,7 +87,7 @@ class MatrixEngine:
         return path
 
     def distances_from(self, source: int) -> np.ndarray:
-        """Dense distance row from ``source`` (float32, inf = unreachable)."""
+        """Dense distance row from ``source`` (float64, inf = unreachable)."""
         return self._dist[source]
 
     def vertices_within(self, source: int, radius: float) -> dict[int, float]:

@@ -17,12 +17,14 @@ the next window length. The fixed controller echoes the configured
 constant (bit-identical to the pre-controller chain); with
 ``adaptive_window=True`` the window is retuned per flush from the
 observed arrival intensity, clamped to the configured band. With
-``carry_over=True``, requests that end a flush unassigned but whose
-wait budget still reaches the next flush re-enter the window
+``carry_over=True``, requests that had a feasible quote but lost the
+flush's assignment, and whose wait budget still reaches the next
+flush, re-enter the window
 (:class:`~repro.dispatch.policies.CarriedRequest`) instead of being
-settled in-batch; their accumulated response-time debt is folded
-into the final :class:`~repro.core.matching.AssignmentResult` when a
-later flush settles them.
+settled in-batch; a request no vehicle can serve is rejected at its
+first flush. A carried request's accumulated response-time debt is
+folded into the final :class:`~repro.core.matching.AssignmentResult`
+when a later flush settles it.
 
 Event causality: committed plans are versioned — when a vehicle is
 re-planned (wins a request), its in-flight stop-arrival event becomes
@@ -396,10 +398,7 @@ class Simulation:
             # batch solve, no fault hardening — the one rung guaranteed
             # not to consume any failed machinery.
             batch = self._fallback_policy.assign(
-                self.dispatcher,
-                list(requests),
-                now,
-                carry_deadline=carry_deadline,
+                self.dispatcher, list(requests), now
             )
         else:
             batch = self.batch_dispatcher.dispatch(

@@ -109,22 +109,42 @@ def test_tie_breaks_to_lowest_vehicle_id():
         assert batch.results[0].winner.vehicle.vehicle_id == 0
 
 
-def test_infeasible_request_rejected():
+@pytest.mark.parametrize("carry_deadline", [None, 150.0])
+@pytest.mark.parametrize("policy", ["greedy", "lap", "iterative"])
+def test_infeasible_request_rejected(policy, carry_deadline):
+    """A request no vehicle can serve is rejected in its own flush, also
+    with carry-over armed: only requests that had a feasible quote are
+    carried (request 1's pickup deadline reaches ``carry_deadline``)."""
     dispatcher, _ = _setup([{0: 3.0}, {0: 4.0}])  # nobody quotes request 1
-    batch = LapPolicy().assign(dispatcher, [_request(0), _request(1)], 100.0)
+    batch = make_policy(policy).assign(
+        dispatcher, [_request(0), _request(1)], 100.0,
+        carry_deadline=carry_deadline,
+    )
     assert batch.results[0].assigned
     assert not batch.results[1].assigned
     assert batch.results[1].cost == float("inf")
     assert batch.num_assigned == 1 and batch.num_rejected == 1
+    assert batch.carried == []
 
 
-def test_lap_cleanup_pools_leftovers():
+@pytest.mark.parametrize("carry_deadline", [None, 150.0])
+def test_lap_cleanup_pools_leftovers(carry_deadline):
     """A request that loses the assignment round still gets a vehicle via
-    the sequential cleanup pass (second commit on the same agent)."""
+    the sequential cleanup pass (second commit on the same agent). With
+    carry-over armed the loser had a feasible quote, so it is carried to
+    the next flush instead and skips the cleanup."""
     dispatcher, agents = _setup(
         [{0: 10.0, 1: 5.0}], commit_penalty=100.0
     )
-    batch = LapPolicy().assign(dispatcher, [_request(0), _request(1)], 100.0)
+    batch = LapPolicy().assign(
+        dispatcher, [_request(0), _request(1)], 100.0,
+        carry_deadline=carry_deadline,
+    )
+    if carry_deadline is not None:
+        assert [r.request.request_id for r in batch.results] == [1]
+        assert [c.request.request_id for c in batch.carried] == [0]
+        assert len(agents[0].committed) == 1
+        return
     assert batch.num_assigned == 2
     assert len(agents[0].committed) == 2
     # The loser re-quoted against the updated (penalised) schedule.

@@ -115,12 +115,13 @@ def test_request_expiring_mid_carry_takes_the_rejection_path(overload):
 
 
 def test_carry_rescues_requests_the_in_batch_path_rejects(overload):
-    """The service-rate payoff: a request infeasible at its own flush
-    (every nearby vehicle committed elsewhere) can become feasible a few
-    windows later — new commits drag vehicles toward its origin, riders
-    are dropped off, cruise positions move. In-batch settling rejects it
-    at the first flush; carry-over keeps it alive while its wait budget
-    lasts and assigns strictly more of the stream."""
+    """The service-rate payoff: a request that had a feasible quote but
+    lost its flush's assignment can win a later flush — the global solve
+    there sees new arrivals and moved vehicles. In-batch settling sends
+    the loser to the greedy cleanup, where the vehicles that just won
+    often cannot take it; carry-over keeps it alive while its wait
+    budget lasts and assigns strictly more of the stream. (A request
+    with no feasible quote is rejected either way.)"""
     without = _run_overload(overload)
     with_carry = _run_overload(overload, carry_over=True)
     assert with_carry.num_assigned > without.num_assigned
