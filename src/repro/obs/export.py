@@ -27,18 +27,6 @@ viewer). Per event:
 
 The schema is pinned by a golden-file test
 (``tests/obs/test_export.py``); extend it additively.
-
-Prometheus exposition
----------------------
-
-:func:`write_prom_text` renders the registry in the Prometheus text
-exposition format (version 0.0.4) so a scrape target — or a one-shot
-``textfile`` collector drop — can serve the run's instruments. Dotted
-instrument names become underscore-joined metric names prefixed with
-``repro_``; counters gain the conventional ``_total`` suffix; each
-histogram emits cumulative ``_bucket{le="..."}`` series at its
-nonempty log-bucket boundaries plus ``le="+Inf"``, ``_sum`` and
-``_count``.
 """
 
 from __future__ import annotations
@@ -101,69 +89,6 @@ def read_chrome_trace(path: str) -> list[dict]:
     if stripped.startswith("["):
         return json.loads(stripped)
     return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-def _prom_name(name: str, prefix: str = "repro_") -> str:
-    """Dotted instrument name -> legal Prometheus metric name."""
-    sanitized = "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in name
-    )
-    return prefix + sanitized
-
-
-def _prom_value(value: float) -> str:
-    if value == float("inf"):
-        return "+Inf"
-    if value != value:  # NaN
-        return "NaN"
-    return f"{value:.9g}"
-
-
-def prom_text_lines(registry, prefix: str = "repro_") -> list[str]:
-    """The registry as Prometheus text-exposition lines (no trailing
-    newline handling — :func:`write_prom_text` joins them)."""
-    snapshot = registry.snapshot()
-    lines: list[str] = []
-    for name in sorted(snapshot["counters"]):
-        metric = _prom_name(name, prefix) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {snapshot['counters'][name]}")
-    for name in sorted(snapshot["gauges"]):
-        value = snapshot["gauges"][name]
-        if value is None:
-            continue  # never set: nothing meaningful to expose
-        metric = _prom_name(name, prefix)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_prom_value(value)}")
-    for name in sorted(snapshot["histograms"]):
-        snap = snapshot["histograms"][name]
-        metric = _prom_name(name, prefix)
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for idx, bucket_count in enumerate(snap.counts):
-            if not bucket_count:
-                continue
-            cumulative += bucket_count
-            if idx >= len(snap.counts) - 1:
-                continue  # overflow bucket folds into +Inf below
-            upper = snap.lo * snap.growth ** idx if idx else snap.lo
-            lines.append(
-                f'{metric}_bucket{{le="{_prom_value(upper)}"}} {cumulative}'
-            )
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {snap.count}')
-        lines.append(f"{metric}_sum {_prom_value(snap.total)}")
-        lines.append(f"{metric}_count {snap.count}")
-    return lines
-
-
-def write_prom_text(registry, path: str, prefix: str = "repro_") -> int:
-    """Write the registry in Prometheus text exposition format;
-    returns the number of sample/metadata lines written."""
-    lines = prom_text_lines(registry, prefix)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
-        handle.write("\n")
-    return len(lines)
 
 
 def write_metrics_json(registry, path: str, extra: dict | None = None) -> dict:

@@ -32,30 +32,12 @@ All instruments are thread-safe: one registry lock covers creation,
 and each instrument's mutators take the registry lock too (recording
 is a few arithmetic ops; contention is negligible next to the work
 being measured).
-
-Snapshots and windows
----------------------
-
-Live telemetry (:mod:`repro.obs.live`) needs *per-interval* views of
-cumulative instruments. Every instrument answers :meth:`snapshot` — an
-immutable copy cheap enough to take per window — and two pure
-operations turn snapshots into windows:
-
-* ``current.delta(previous)`` — the samples recorded *between* two
-  snapshots of the same instrument (bucket counts subtract exactly;
-  a delta's ``min``/``max`` are the tightest *bucket bounds* of its
-  nonempty ends, since exact extremes are only tracked cumulatively);
-* :func:`merge_snapshots` — the union of several windows of the same
-  bucket scheme (counts add), which is how the ring buffer of the last
-  K window deltas answers rolling p50/p99 without storing samples.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import threading
-from dataclasses import dataclass
 
 
 class Counter:
@@ -70,11 +52,6 @@ class Counter:
     def inc(self, n: int = 1) -> None:
         with self._lock:
             self.value += n
-
-    def snapshot(self) -> int:
-        """The current value (ints are immutable; deltas subtract)."""
-        with self._lock:
-            return self.value
 
     def as_dict(self) -> dict:
         return {"value": self.value}
@@ -93,239 +70,8 @@ class Gauge:
         with self._lock:
             self.value = float(value)
 
-    def snapshot(self) -> float | None:
-        """The current value (last write wins; windows report it raw)."""
-        with self._lock:
-            return self.value
-
     def as_dict(self) -> dict:
         return {"value": self.value}
-
-
-def _bucket_bounds(idx: int, lo: float, growth: float) -> tuple[float, float]:
-    """The (lower, upper) value bounds of bucket ``idx`` in the scheme."""
-    if idx == 0:
-        return (0.0, lo)
-    upper = lo * growth ** idx
-    return (upper / growth, upper)
-
-
-def _walk_quantile(
-    counts,
-    count: int,
-    q: float,
-    lo: float,
-    growth: float,
-    clamp_min: float,
-    clamp_max: float,
-) -> float | None:
-    """Shared quantile walk over a bucket-count vector.
-
-    Walks the cumulative counts to rank ``q * (count - 1)`` and
-    interpolates within the landing bucket, clamped to
-    ``[clamp_min, clamp_max]`` (the exact extremes for a live
-    histogram, the tightest bucket bounds for a window delta).
-    """
-    return _walk_quantiles(
-        counts, count, (q,), lo, growth, clamp_min, clamp_max
-    )[0]
-
-
-def _walk_quantiles(
-    counts,
-    count: int,
-    qs,
-    lo: float,
-    growth: float,
-    clamp_min: float,
-    clamp_max: float,
-) -> list:
-    """One cumulative walk answering several quantiles (``qs`` must be
-    ascending) — the hot path for window rows, which want p50/p90/p99
-    of the same bucket vector."""
-    return _walk_quantile_items(
-        enumerate(counts), count, qs, lo, growth, clamp_min, clamp_max
-    )
-
-
-def _walk_quantile_items(
-    items,
-    count: int,
-    qs,
-    lo: float,
-    growth: float,
-    clamp_min: float,
-    clamp_max: float,
-) -> list:
-    """The quantile walk over ``(bucket_index, count)`` pairs in
-    ascending index order. Sparse callers (the rolling ring) pass just
-    their nonzero buckets instead of a full 134-slot vector."""
-    for q in qs:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-    if not count:
-        return [None] * len(qs)
-    ranks = [q * (count - 1) for q in qs]
-    results: list = []
-    seen = 0
-    for idx, n in items:
-        if not n:
-            continue
-        while len(results) < len(ranks) and ranks[len(results)] < seen + n:
-            low, high = _bucket_bounds(idx, lo, growth)
-            frac = (ranks[len(results)] - seen + 0.5) / n
-            value = low + (high - low) * frac
-            results.append(min(max(value, clamp_min), clamp_max))
-        if len(results) == len(ranks):
-            return results
-        seen += n
-    while len(results) < len(ranks):  # pragma: no cover - defensive
-        results.append(clamp_max)
-    return results
-
-
-@dataclass(frozen=True, slots=True)
-class HistogramSnapshot:
-    """An immutable view of a :class:`Histogram` (or of a window of
-    one): the bucket counts plus the scheme constants needed to answer
-    quantiles. Cumulative snapshots carry the exact observed extremes;
-    deltas and merges carry the tightest bucket bounds instead (see
-    :meth:`delta`)."""
-
-    unit: str
-    lo: float
-    growth: float
-    counts: tuple
-    count: int
-    total: float
-    min: float
-    max: float
-
-    @property
-    def mean(self) -> float | None:
-        return self.total / self.count if self.count else None
-
-    def quantile(self, q: float) -> float | None:
-        """Estimated ``q``-quantile of this view; ``None`` if empty."""
-        return _walk_quantile(
-            self.counts, self.count, q, self.lo, self.growth, self.min, self.max
-        )
-
-    def delta(self, previous: "HistogramSnapshot") -> "HistogramSnapshot":
-        """The window between ``previous`` and this snapshot of the
-        same instrument: bucket counts subtract exactly. The window's
-        ``min``/``max`` cannot be recovered from cumulative extremes,
-        so the delta clamps to the bounds of its lowest/highest
-        nonempty bucket — quantile error stays within the documented
-        bucket width."""
-        if (self.lo, self.growth) != (previous.lo, previous.growth):
-            raise ValueError("cannot delta snapshots of different schemes")
-        if self.count == previous.count:
-            # Idle instrument: buckets only grow, so equal totals mean
-            # equal buckets — skip the per-bucket subtraction (windows
-            # roll far more often than most instruments change).
-            return HistogramSnapshot(
-                unit=self.unit,
-                lo=self.lo,
-                growth=self.growth,
-                counts=(0,) * len(self.counts),
-                count=0,
-                total=0.0,
-                min=math.inf,
-                max=-math.inf,
-            )
-        counts = tuple(map(operator.sub, self.counts, previous.counts))
-        if min(counts) < 0:
-            raise ValueError("delta against a newer snapshot")
-        return _rebound(
-            HistogramSnapshot(
-                unit=self.unit,
-                lo=self.lo,
-                growth=self.growth,
-                counts=counts,
-                count=self.count - previous.count,
-                total=self.total - previous.total,
-                min=math.inf,
-                max=-math.inf,
-            )
-        )
-
-    def as_dict(self) -> dict:
-        """Summary shaped like ``Histogram.as_dict`` (p50/p90/p99)."""
-        p50, p90, p99 = _walk_quantiles(
-            self.counts, self.count, (0.50, 0.90, 0.99),
-            self.lo, self.growth, self.min, self.max,
-        )
-        return {
-            "unit": self.unit,
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "p50": p50,
-            "p90": p90,
-            "p99": p99,
-        }
-
-
-def _rebound(snap: HistogramSnapshot) -> HistogramSnapshot:
-    """Tighten a windowed snapshot's clamp range to the bounds of its
-    nonempty bucket ends (exact extremes are unknowable for windows)."""
-    if not snap.count:
-        return snap
-    nonempty = [i for i, n in enumerate(snap.counts) if n]
-    low = _bucket_bounds(nonempty[0], snap.lo, snap.growth)[0]
-    high = _bucket_bounds(nonempty[-1], snap.lo, snap.growth)[1]
-    # Keep the clamp consistent with the tracked mean: a window whose
-    # every sample sits in one bucket still reports mean inside it.
-    return HistogramSnapshot(
-        unit=snap.unit,
-        lo=snap.lo,
-        growth=snap.growth,
-        counts=snap.counts,
-        count=snap.count,
-        total=snap.total,
-        min=low,
-        max=high,
-    )
-
-
-def merge_snapshots(snapshots) -> HistogramSnapshot:
-    """Union several windows of the same bucket scheme (counts add) —
-    the rolling-quantile merge over a ring of window deltas."""
-    snapshots = list(snapshots)
-    if not snapshots:
-        raise ValueError("nothing to merge")
-    first = snapshots[0]
-    for snap in snapshots[1:]:
-        if (snap.lo, snap.growth) != (first.lo, first.growth):
-            raise ValueError("cannot merge snapshots of different schemes")
-    live = [s for s in snapshots if s.count]
-    if len(live) == 1:  # common in rolling rings: one active window
-        return live[0]
-    counts = list(first.counts)
-    count, total = first.count, first.total
-    low, high = first.min, first.max
-    for snap in snapshots[1:]:
-        if not snap.count:
-            continue  # all-zero buckets: nothing to fold in
-        for i, n in enumerate(snap.counts):
-            if n:
-                counts[i] += n
-        count += snap.count
-        total += snap.total
-        low = min(low, snap.min)
-        high = max(high, snap.max)
-    return HistogramSnapshot(
-        unit=first.unit,
-        lo=first.lo,
-        growth=first.growth,
-        counts=tuple(counts),
-        count=count,
-        total=total,
-        min=low,
-        max=high,
-    )
 
 
 class Histogram:
@@ -346,7 +92,6 @@ class Histogram:
         "total",
         "min",
         "max",
-        "_snap",
     )
 
     #: Default scheme: 1 µs floor, four buckets per octave, 132 buckets
@@ -376,7 +121,6 @@ class Histogram:
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._snap: HistogramSnapshot | None = None
 
     # -- recording -----------------------------------------------------
     def _bucket(self, value: float) -> int:
@@ -395,66 +139,64 @@ class Histogram:
                 self.min = value
             if value > self.max:
                 self.max = value
-            self._snap = None
 
     # -- queries -------------------------------------------------------
     @property
     def mean(self) -> float | None:
         return self.total / self.count if self.count else None
 
-    def _bounds(self, idx: int) -> tuple[float, float]:
-        """The (lower, upper) value bounds of bucket ``idx``."""
-        return _bucket_bounds(idx, self.lo, self.growth)
-
-    def quantile(self, q: float) -> float | None:
-        """Estimated ``q``-quantile (``0 <= q <= 1``); ``None`` if empty.
+    def _quantiles(self, qs) -> list:
+        """One cumulative walk answering the ascending quantiles ``qs``.
 
         Walks the cumulative counts to rank ``q * (count - 1)`` and
         interpolates within the landing bucket, clamped to the exact
-        observed extremes.
+        observed extremes. Call with the lock held.
         """
+        for q in qs:
+            if not 0.0 <= q <= 1.0:
+                raise ValueError("q must be in [0, 1]")
+        if not self.count:
+            return [None] * len(qs)
+        ranks = [q * (self.count - 1) for q in qs]
+        results: list = []
+        seen = 0
+        for idx, n in enumerate(self.counts):
+            if not n:
+                continue
+            while len(results) < len(ranks) and ranks[len(results)] < seen + n:
+                if idx == 0:
+                    low, high = 0.0, self.lo
+                else:
+                    high = self.lo * self.growth ** idx
+                    low = high / self.growth
+                frac = (ranks[len(results)] - seen + 0.5) / n
+                value = low + (high - low) * frac
+                results.append(min(max(value, self.min), self.max))
+            if len(results) == len(ranks):
+                return results
+            seen += n
+        while len(results) < len(ranks):  # pragma: no cover - defensive
+            results.append(self.max)
+        return results
+
+    def quantile(self, q: float) -> float | None:
+        """Estimated ``q``-quantile (``0 <= q <= 1``); ``None`` if empty."""
         with self._lock:
-            return _walk_quantile(
-                self.counts, self.count, q, self.lo, self.growth,
-                self.min, self.max,
-            )
-
-    def snapshot(self) -> HistogramSnapshot:
-        """An immutable copy of the current state (exact extremes).
-
-        Cached until the next :meth:`add` — the live layer snapshots
-        every instrument every window roll, and most instruments are
-        idle in most windows."""
-        with self._lock:
-            if self._snap is None:
-                self._snap = HistogramSnapshot(
-                    unit=self.unit,
-                    lo=self.lo,
-                    growth=self.growth,
-                    counts=tuple(self.counts),
-                    count=self.count,
-                    total=self.total,
-                    min=self.min,
-                    max=self.max,
-                )
-            return self._snap
-
-    def delta(self, previous: HistogramSnapshot) -> HistogramSnapshot:
-        """The window of samples recorded since ``previous`` (a
-        snapshot of *this* instrument)."""
-        return self.snapshot().delta(previous)
+            return self._quantiles((q,))[0]
 
     def as_dict(self) -> dict:
         """Summary for ``metrics.json``: moments plus p50/p90/p99."""
+        with self._lock:
+            p50, p90, p99 = self._quantiles((0.50, 0.90, 0.99))
         return {
             "unit": self.unit,
             "count": self.count,
             "mean": self.mean,
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
-            "p50": self.quantile(0.50),
-            "p90": self.quantile(0.90),
-            "p99": self.quantile(0.99),
+            "p50": p50,
+            "p90": p90,
+            "p99": p99,
         }
 
 
@@ -507,22 +249,6 @@ class MetricsRegistry:
             "histograms": {
                 k: v.as_dict() for k, v in sorted(histograms.items())
             },
-        }
-
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every instrument, shaped like
-        :meth:`as_dict` but holding raw values / immutable
-        :class:`HistogramSnapshot` objects — the unit the live layer
-        diffs per window. Instruments created after a snapshot simply
-        appear in the next one (their whole history is the delta)."""
-        with self._lock:  # copy the maps only; snapshot outside the lock
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        return {
-            "counters": {k: v.snapshot() for k, v in counters.items()},
-            "gauges": {k: v.snapshot() for k, v in gauges.items()},
-            "histograms": {k: v.snapshot() for k, v in histograms.items()},
         }
 
     def __repr__(self) -> str:

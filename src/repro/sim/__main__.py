@@ -132,46 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         "histograms) as metrics.json",
     )
     parser.add_argument(
-        "--timeseries-out", default=None, metavar="PATH",
-        help="write one JSONL row per simulated-time window (throughput, "
-        "counter deltas, histogram windows, rolling quantiles)",
-    )
-    parser.add_argument(
-        "--timeseries-window", type=float, default=60.0, metavar="SECONDS",
-        help="simulated seconds per live-telemetry window",
-    )
-    parser.add_argument(
-        "--timeseries-ring", type=int, default=5, metavar="N",
-        help="windows merged for rolling quantiles (and the SLO engine's "
-        "slow burn rate)",
-    )
-    parser.add_argument(
-        "--slo", default=None, metavar="SPEC",
-        help="service-level objectives evaluated per window, e.g. "
-        "'service_rate>=0.9,wait_p99<=300' "
-        "(see docs/observability.md for the grammar)",
-    )
-    parser.add_argument(
-        "--slo-out", default=None, metavar="PATH",
-        help="write the machine-readable SLO verdict (slo.json; "
-        "requires --slo)",
-    )
-    parser.add_argument(
-        "--live-report", type=int, default=0, metavar="N",
-        help="print a console status line every N completed telemetry "
-        "windows (0 = never)",
-    )
-    parser.add_argument(
-        "--resource-monitor", action="store_true",
-        help="sample RSS and GC pauses into the registry once per "
-        "telemetry window",
-    )
-    parser.add_argument(
-        "--prom-out", default=None, metavar="PATH",
-        help="write the final metrics registry in Prometheus text "
-        "exposition format",
-    )
-    parser.add_argument(
         "--fault-spec", default=None, metavar="SPEC",
         help="deterministic fault-injection plan: comma-joined "
         "site:kind:trigger[:delay_s] clauses, e.g. "
@@ -217,13 +177,6 @@ def main(argv: list[str] | None = None) -> int:
         trace=args.trace or args.trace_out is not None,
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,
-        timeseries_out=args.timeseries_out,
-        timeseries_window_s=args.timeseries_window,
-        timeseries_ring=args.timeseries_ring,
-        slo=args.slo,
-        slo_out=args.slo_out,
-        live_report_every=args.live_report,
-        resource_monitor=args.resource_monitor,
         fault_spec=args.fault_spec,
         fault_seed=args.fault_seed,
         flush_deadline_s=args.flush_deadline,
@@ -251,27 +204,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\ntrace written to {config.trace_out}")
     if config.metrics_out:
         print(f"metrics written to {config.metrics_out}")
-    if config.timeseries_out:
-        windows = report.extra.get("timeseries", {}).get("windows", 0)
-        print(
-            f"time series written to {config.timeseries_out} "
-            f"({windows} windows)"
-        )
-    if args.prom_out:
-        from repro.obs import write_prom_text
-
-        write_prom_text(report.registry, args.prom_out)
-        print(f"prometheus exposition written to {args.prom_out}")
-    slo_document = report.extra.get("slo")
-    if slo_document is not None:
-        verdict = "PASS" if slo_document["pass"] else "FAIL"
-        print(
-            f"\nSLO verdict: {verdict} "
-            f"({slo_document['num_windows']} windows, "
-            f"{slo_document['alert_windows']} burn-alert windows)"
-        )
-        if config.slo_out:
-            print(f"slo verdict written to {config.slo_out}")
     violations = report.verify_service_guarantees()
     print(f"\nservice-guarantee audit: {len(violations)} violation(s)")
     for line in violations[:10]:

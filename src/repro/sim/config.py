@@ -90,31 +90,6 @@ class SimulationConfig:
         Telemetry is write-only: no dispatch decision reads it, so
         every determinism pin holds bit-for-bit with ``trace=True``
         (``docs/determinism.md``).
-    timeseries_out / timeseries_window_s / timeseries_ring:
-        Live-ops time series (:mod:`repro.obs.live`). ``timeseries_out``
-        writes one JSONL row per completed *simulated-time* window
-        (length ``timeseries_window_s`` seconds) with throughput,
-        per-window counter deltas and histogram summaries, and rolling
-        quantiles merged over the last ``timeseries_ring`` windows.
-        Like all telemetry it is write-only: a run with the live layer
-        enabled is bit-identical to one without it (determinism
-        contract 9).
-    slo / slo_out:
-        Service-level objectives (:mod:`repro.obs.slo`). ``slo`` is a
-        comma-joined spec such as
-        ``"service_rate>=0.9,wait_p99<=300"`` evaluated per time-series
-        window with burn-rate alerting; ``slo_out`` writes the
-        machine-readable verdict document (``slo.json``; requires
-        ``slo``). Verdicts use simulated-time metrics only, so a fixed
-        seed reproduces ``slo.json`` exactly.
-    live_report_every:
-        Print one console status line every N completed time-series
-        windows (0 = never). Implies the live layer.
-    resource_monitor:
-        Sample RSS, GC pauses (and tracemalloc peak, if the caller
-        started tracemalloc) into the registry once per time-series
-        window
-        (:mod:`repro.obs.resources`).
     fault_spec / fault_seed:
         Deterministic fault injection (:mod:`repro.faults`).
         ``fault_spec`` is a comma-joined list of
@@ -174,13 +149,6 @@ class SimulationConfig:
     trace: bool = False
     trace_out: str | None = None
     metrics_out: str | None = None
-    timeseries_out: str | None = None
-    timeseries_window_s: float = 60.0
-    timeseries_ring: int = 5
-    slo: str | None = None
-    slo_out: str | None = None
-    live_report_every: int = 0
-    resource_monitor: bool = False
     fault_spec: str | None = None
     fault_seed: int = 0
     flush_deadline_s: float | None = None
@@ -276,22 +244,6 @@ class SimulationConfig:
                 "trace_out requires trace=True: there are no spans to "
                 "export from an untraced run"
             )
-        if self.timeseries_window_s <= 0:
-            raise ValueError("timeseries_window_s must be positive")
-        if self.timeseries_ring < 1:
-            raise ValueError("timeseries_ring must be >= 1")
-        if self.live_report_every < 0:
-            raise ValueError("live_report_every must be >= 0")
-        if self.slo_out is not None and self.slo is None:
-            raise ValueError(
-                "slo_out requires an SLO spec (slo=...): there is no "
-                "verdict to write without objectives"
-            )
-        from repro.obs.slo import parse_slo_spec
-
-        # Like fault specs: grammar errors (unknown metric, bad
-        # operator or threshold) surface at config time, not mid-run.
-        parse_slo_spec(self.slo)
         from repro.faults import parse_fault_spec
 
         # Parse errors (unknown site/kind, malformed trigger) surface

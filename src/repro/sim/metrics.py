@@ -200,16 +200,12 @@ class SimulationReport:
         "carry.fault_rescued",
         "flush.degraded",
     )
-    #: Request/stop outcome counters the live layer and the SLO engine
-    #: window (``docs/observability.md``); pre-registered likewise.
+    #: Request outcome counters (``docs/observability.md``);
+    #: pre-registered likewise.
     SERVICE_COUNTERS = (
         "requests.settled",
         "requests.assigned",
         "requests.rejected",
-        "pickup.count",
-        "pickup.late",
-        "dropoff.count",
-        "dropoff.detour_violation",
     )
 
     def __post_init__(self):
@@ -319,32 +315,6 @@ class SimulationReport:
             self.quote_columns_failed += failed
             self.registry.counter("quote.column_failed").inc(failed)
 
-    def record_stop_service(
-        self,
-        request,
-        is_pickup: bool,
-        arrival: float,
-        pickup: float | None = None,
-        tolerance: float = 1e-5,
-    ) -> None:
-        """Count one serviced stop against the guarantee, live — the
-        same Definition 2 checks :meth:`verify_service_guarantees` runs
-        at end of run (same tolerance), folded into counters as each
-        stop happens so the SLO engine can window wait-deadline and
-        detour compliance. ``pickup`` is the rider's pickup time (only
-        consulted for dropoffs)."""
-        if is_pickup:
-            self.registry.counter("pickup.count").inc()
-            if arrival > request.pickup_deadline + tolerance:
-                self.registry.counter("pickup.late").inc()
-        else:
-            self.registry.counter("dropoff.count").inc()
-            if (
-                pickup is not None
-                and arrival - pickup > request.max_ride_cost + tolerance
-            ):
-                self.registry.counter("dropoff.detour_violation").inc()
-
     def verify_service_guarantees(self, tolerance: float = 1e-5) -> list[str]:
         """Audit the service log against Definition 2: every assigned
         rider picked up by ``request_time + w`` and carried within
@@ -451,16 +421,6 @@ class SimulationReport:
             "fault_rescued_carries": self.fault_rescued_carries,
             "wall_seconds": round(self.wall_seconds, 3),
         }
-        slo = self.extra.get("slo")
-        if slo is not None:
-            summary["slo_pass"] = bool(slo["pass"])
-            summary["slo_windows"] = slo["num_windows"]
-            summary["slo_alert_windows"] = slo["alert_windows"]
-            summary["slo_objectives_failed"] = sum(
-                1
-                for objective in slo["objectives"]
-                if objective["overall_pass"] is False
-            )
         return summary
 
     def text_summary(self) -> str:
@@ -550,23 +510,4 @@ class SimulationReport:
                 f"{'flushes_degraded':24s} {self.flushes_degraded} "
                 "(deadline tripped; dispatched greedily)"
             )
-        slo = self.extra.get("slo")
-        if slo is not None:
-            lines.append("--- service-level objectives ---")
-            lines.append(
-                f"{'slo':24s} {'PASS' if slo['pass'] else 'FAIL'} "
-                f"({slo['num_windows']} windows, "
-                f"{slo['alert_windows']} burn alerts)"
-            )
-            for objective in slo["objectives"]:
-                value = objective["overall_value"]
-                status = {True: "pass", False: "FAIL", None: "no data"}[
-                    objective["overall_pass"]
-                ]
-                rendered = "—" if value is None else f"{value:g}"
-                lines.append(
-                    f"{objective['label']:24s} {status} "
-                    f"(overall {rendered}, "
-                    f"{objective['burn_alerts']} alert windows)"
-                )
         return "\n".join(lines)

@@ -46,13 +46,7 @@ from repro.faults import (
     parse_fault_spec,
     run_with_fault,
 )
-from repro.obs import (
-    LiveTelemetry,
-    Tracer,
-    clock,
-    write_chrome_trace,
-    write_metrics_json,
-)
+from repro.obs import Tracer, clock, write_chrome_trace, write_metrics_json
 from repro.sim.config import SimulationConfig
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.fleet import build_fleet
@@ -158,14 +152,6 @@ class Simulation:
         self.quote_service = QuoteService(
             injector=self.fault_injector, retry=self.retry_policy
         )
-        #: Live-ops layer (repro.obs.live): sim-time windowed time
-        #: series, SLO engine and resource monitor. ``None`` (the
-        #: default) keeps the event loop's fast path untouched; enabled
-        #: it is still write-only — determinism contract 9 extends to
-        #: it (tests/test_contracts.py).
-        self.live = LiveTelemetry.from_config(
-            config, self.report.registry, self.start_time
-        )
 
     # ------------------------------------------------------------------
     def _install_engine_faults(self) -> bool:
@@ -235,17 +221,9 @@ class Simulation:
                 )
             )
 
-        live = self.live
         while True:
             while queue:
                 event = queue.pop()
-                if live is not None:
-                    # Close any sim-time telemetry windows this event's
-                    # timestamp completes (the event's own samples then
-                    # land in the next window). Read-and-report only:
-                    # nothing the live layer does feeds back into
-                    # dispatch, so enabling it stays bit-identical.
-                    live.advance(event.time)
                 if event.kind is EventKind.REQUEST_ARRIVAL:
                     self._handle_request(event.payload, event.time, queue)
                 elif event.kind is EventKind.STOP_REACHED:
@@ -266,18 +244,6 @@ class Simulation:
                 )
                 continue
             break
-
-        if live is not None:
-            # Final partial window + JSONL flush + SLO verdict.
-            slo_document = live.finish(
-                max(queue.current_time, self.start_time)
-            )
-            if slo_document is not None:
-                self.report.extra["slo"] = slo_document
-            self.report.extra["timeseries"] = {
-                "windows": len(live.recorder.rows),
-                "path": self.config.timeseries_out,
-            }
 
     # ------------------------------------------------------------------
     def _handle_request(self, spec: TripSpec, now: float, queue: EventQueue) -> None:
@@ -457,14 +423,6 @@ class Simulation:
         serviced = agent.arrive_next()
         for arrival, stop in serviced:
             entry = self.report.service_log.setdefault(stop.request_id, {})
-            request = entry.get("request")
-            if request is not None:
-                # Live guarantee counters (pickup.late / detour
-                # violations) — read the pickup stamp before this
-                # stop's own entry lands.
-                self.report.record_stop_service(
-                    request, stop.is_pickup, arrival, pickup=entry.get("pickup")
-                )
             entry["pickup" if stop.is_pickup else "dropoff"] = arrival
         self.report.occupancy.observe(vehicle_id, agent.load)
         if self.grid_index is not None:

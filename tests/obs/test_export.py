@@ -116,67 +116,3 @@ def test_write_metrics_json_without_extra_has_no_context_key(tmp_path):
     path = tmp_path / "metrics.json"
     document = write_metrics_json(MetricsRegistry(), str(path))
     assert "context" not in document
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-def test_prom_counter_and_gauge_lines():
-    from repro.obs.export import prom_text_lines
-
-    registry = MetricsRegistry()
-    registry.counter("fault.injected").inc(3)
-    registry.gauge("resource.rss_bytes").set(1024.0)
-    registry.gauge("resource.tracemalloc_peak_bytes")  # never set: skipped
-    lines = prom_text_lines(registry)
-    assert "# TYPE repro_fault_injected_total counter" in lines
-    assert "repro_fault_injected_total 3" in lines
-    assert "repro_resource_rss_bytes 1024" in lines
-    assert not any("tracemalloc" in line for line in lines)
-
-
-def test_prom_histogram_buckets_are_cumulative(tmp_path):
-    from repro.obs.export import prom_text_lines, write_prom_text
-
-    registry = MetricsRegistry()
-    hist = registry.histogram("assign.latency_s")
-    for sample in (0.001, 0.001, 0.5, 40.0):
-        hist.add(sample)
-    lines = prom_text_lines(registry)
-    buckets = [
-        line for line in lines if line.startswith("repro_assign_latency_s_bucket")
-    ]
-    # Cumulative counts are non-decreasing and end at the +Inf total.
-    counts = [int(line.rsplit(" ", 1)[1]) for line in buckets]
-    assert counts == sorted(counts)
-    assert buckets[-1] == 'repro_assign_latency_s_bucket{le="+Inf"} 4'
-    assert "repro_assign_latency_s_count 4" in lines
-    total = [
-        line for line in lines if line.startswith("repro_assign_latency_s_sum")
-    ]
-    assert len(total) == 1 and float(total[0].split()[1]) > 40.0
-
-    path = tmp_path / "metrics.prom"
-    written = write_prom_text(registry, str(path))
-    text = path.read_text(encoding="utf-8")
-    assert text.endswith("\n")
-    assert len(text.splitlines()) == written == len(lines)
-
-
-def test_prom_overflow_bucket_folds_into_inf():
-    from repro.obs.export import prom_text_lines
-
-    registry = MetricsRegistry()
-    hist = registry.histogram("big_s")
-    hist.add(1e9)  # far beyond the bucketed range: overflow bucket
-    lines = prom_text_lines(registry)
-    buckets = [line for line in lines if "big_s_bucket" in line]
-    # Only the +Inf bucket carries the overflowed sample.
-    assert buckets == ['repro_big_s_bucket{le="+Inf"} 1']
-
-
-def test_prom_name_sanitization():
-    from repro.obs.export import _prom_name
-
-    assert _prom_name("assign.latency_s") == "repro_assign_latency_s"
-    assert _prom_name("weird-name.v2") == "repro_weird_name_v2"

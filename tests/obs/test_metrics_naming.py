@@ -1,15 +1,16 @@
 """Metrics naming audit.
 
 The robustness counters are part of the repo's observable surface:
-docs/robustness.md documents them and every export (metrics.json,
-Prometheus text, time-series rows) must carry them even when zero.
-This test pins the three-way agreement between the documented names,
-the pre-registered registry and the exporters.
+docs/robustness.md documents them and the ``metrics.json`` export
+must carry them even when zero. This test pins the three-way
+agreement between the documented names, the pre-registered registry
+and the exporter.
 """
 
+import json
 import os
 
-from repro.obs.export import prom_text_lines, _prom_name
+from repro.obs.export import write_metrics_json
 from repro.sim.metrics import SimulationReport
 
 DOCS = os.path.join(
@@ -19,23 +20,28 @@ DOCS = os.path.join(
 
 def test_documented_counters_are_pre_registered():
     report = SimulationReport()
-    counters = report.registry.snapshot()["counters"]
-    for name in SimulationReport.DOCUMENTED_COUNTERS:
-        assert name in counters, f"{name} missing from a fresh registry"
-        assert counters[name] == 0
-    for name in SimulationReport.SERVICE_COUNTERS:
-        assert name in counters, f"{name} missing from a fresh registry"
-
-
-def test_documented_counters_reach_the_prometheus_export():
-    report = SimulationReport()
-    lines = set(prom_text_lines(report.registry))
+    counters = report.registry.as_dict()["counters"]
     for name in (
         SimulationReport.DOCUMENTED_COUNTERS
         + SimulationReport.SERVICE_COUNTERS
     ):
-        metric = _prom_name(name) + "_total"
-        assert f"{metric} 0" in lines, f"{metric} missing from exposition"
+        assert name in counters, f"{name} missing from a fresh registry"
+        assert counters[name] == {"value": 0}
+
+
+def test_documented_counters_reach_the_metrics_json_export(tmp_path):
+    report = SimulationReport()
+    path = tmp_path / "metrics.json"
+    write_metrics_json(report.registry, str(path))
+    with open(path, encoding="utf-8") as handle:
+        counters = json.load(handle)["counters"]
+    for name in (
+        SimulationReport.DOCUMENTED_COUNTERS
+        + SimulationReport.SERVICE_COUNTERS
+    ):
+        assert counters.get(name) == {"value": 0}, (
+            f"{name} missing from metrics.json"
+        )
 
 
 def test_robustness_doc_names_every_documented_counter():
@@ -58,4 +64,3 @@ def test_observability_doc_names_the_service_counters():
         assert f"`{name}`" in text, (
             f"docs/observability.md does not document the {name} counter"
         )
-

@@ -86,17 +86,17 @@ def test_creating_thread_is_ordinal_zero_and_ids_are_sequential():
 def test_nested_spans_parent_to_the_innermost_open_span():
     tracer = Tracer(enabled=True, clock=FakeClock())
     with tracer.span("flush") as flush:
-        with tracer.span("solve", cat="solve") as solve:
-            assert solve.parent_id == flush.span_id
-            with tracer.span("shard.solve") as shard:
-                assert shard.parent_id == solve.span_id
+        with tracer.span("quote.collect", cat="quote") as collect:
+            assert collect.parent_id == flush.span_id
+            with tracer.span("quote.column", cat="quote") as column:
+                assert column.parent_id == collect.span_id
         with tracer.span("commit", cat="commit") as commit:
             assert commit.parent_id == flush.span_id
     assert flush.parent_id is None
     # Exit order: innermost records first.
     assert [r.name for r in tracer.records()] == [
-        "shard.solve",
-        "solve",
+        "quote.column",
+        "quote.collect",
         "commit",
         "flush",
     ]

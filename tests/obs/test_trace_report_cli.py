@@ -88,14 +88,14 @@ def test_empty_trace_is_a_clear_error(tmp_path):
 
 
 def test_wrong_jsonl_kind_is_a_clear_error(tmp_path):
-    """Valid JSONL that is not a trace — e.g. a --timeseries-out file
-    fed to the trace tool — gets a diagnosis, not a traceback."""
-    path = tmp_path / "ts.jsonl"
+    """Valid JSONL that is not a trace gets a diagnosis, not a
+    traceback."""
+    path = tmp_path / "rows.jsonl"
     path.write_text(
         '{"window": 0, "t_start": 0.0, "counters": {}}\n', encoding="utf-8"
     )
     result = run_tool(str(path))
     assert result.returncode == 1
     assert "not trace events" in result.stderr
-    assert "timeseries" in result.stderr
+    assert "--trace-out" in result.stderr
     assert "Traceback" not in result.stderr

@@ -11,19 +11,12 @@ statistics — ``numpy.percentile(..., method="lower")`` and
 ``method="higher")`` — with an absolute floor of 1.5 × ``lo``
 (1.5 µs) near the underflow bucket, whose width is absolute, not
 relative.
-
-The same bound must hold for window *deltas* and for rolling merges
-of several snapshots (``merge_snapshots``) — the algebra the live
-layer (:mod:`repro.obs.live`) builds its rolling p50/p99 on. Merged
-deltas must agree with the one-big-histogram view bucket-for-bucket
-(counts are exact; only the min/max clamps differ, by at most one
-bucket bound).
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.metrics import MetricsRegistry
 
 GROWTH = 2 ** 0.25
 LO = 1e-6
@@ -65,50 +58,6 @@ def test_quantile_within_bucket_width_of_numpy(samples, q):
     assert_within_bound(hist.quantile(q), samples, q)
 
 
-@settings(max_examples=100, deadline=None)
-@given(samples=samples_strategy, q=quantile_strategy)
-def test_snapshot_delta_quantile_covers_only_new_samples(samples, q):
-    # Phase 1 records unrelated noise; the delta must answer quantiles
-    # of phase 2 alone (this is what per-window p50/p99 relies on).
-    hist = make_histogram([0.123, 456.0, 0.000789])
-    baseline = hist.snapshot()
-    for sample in samples:
-        hist.add(sample)
-    delta = hist.snapshot().delta(baseline)
-    assert delta.count == len(samples)
-    assert_within_bound(delta.quantile(q), samples, q)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    samples=samples_strategy,
-    q=quantile_strategy,
-    chunks=st.integers(min_value=1, max_value=5),
-)
-def test_merged_windows_equal_one_big_histogram(samples, q, chunks):
-    # Record the same stream in one histogram and, chunked, as window
-    # deltas in another; the merged deltas must agree bucket-for-bucket
-    # with the single histogram (the rolling-quantile guarantee).
-    whole = make_histogram(samples).snapshot()
-
-    windowed = MetricsRegistry().histogram("h_s")
-    deltas = []
-    previous = windowed.snapshot()
-    for start in range(0, len(samples), max(1, len(samples) // chunks)):
-        for sample in samples[
-            start : start + max(1, len(samples) // chunks)
-        ]:
-            windowed.add(sample)
-        current = windowed.snapshot()
-        deltas.append(current.delta(previous))
-        previous = current
-    merged = merge_snapshots([d for d in deltas if d.count])
-
-    assert merged.counts == whole.counts
-    assert merged.count == whole.count == len(samples)
-    assert_within_bound(merged.quantile(q), samples, q)
-
-
 def test_underflow_and_overflow_edges():
     hist = make_histogram([0.0, 1e-9, 1e-8])  # all in the underflow bucket
     assert abs(hist.quantile(0.5) - 1e-9) <= LO
@@ -120,13 +69,11 @@ def test_underflow_and_overflow_edges():
     # exact tracked extremes, so every quantile stays in [min, max].
     for q in (0.0, 0.5, 1.0):
         assert 1e9 <= big.quantile(q) <= 2e9
-    snap = big.snapshot()
-    assert snap.counts[-1] == 2  # overflow bucket holds both
-    assert snap.min == 1e9 and snap.max == 2e9
+    assert big.counts[-1] == 2  # overflow bucket holds both
+    assert big.min == 1e9 and big.max == 2e9
 
 
 def test_empty_histogram_quantile_is_none():
     hist = MetricsRegistry().histogram("h_s")
     assert hist.quantile(0.5) is None
-    snap = hist.snapshot()
-    assert snap.quantile(0.5) is None
+    assert hist.as_dict()["p50"] is None

@@ -20,7 +20,6 @@ import functools
 import hashlib
 import os
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
 
 import pytest
@@ -30,7 +29,7 @@ from repro.roadnet.matrix import MatrixEngine
 from repro.sim.config import SimulationConfig
 from repro.sim.events import Event, EventKind
 from repro.sim.simulator import Simulation
-from repro.sim.workload import ShanghaiLikeWorkload, bimodal_trips
+from repro.sim.workload import ShanghaiLikeWorkload
 
 
 # ----------------------------------------------------------------------
@@ -94,15 +93,6 @@ def _stream(grid, seed, min_trip_m, trips, duration_s):
     return MatrixEngine(city), workload.generate(trips, duration_s)
 
 
-def _bimodal():
-    city = grid_city(12, 12, seed=7)
-    trips, _ = bimodal_trips(
-        city, seed=7, offpeak_s=600.0, peak_s=300.0,
-        offpeak_trips=15, peak_trips=45, min_trip_meters=500.0,
-    )
-    return MatrixEngine(city), trips
-
-
 BASE = dict(algorithm="kinetic", dispatch_policy="lap", batch_window_s=15.0)
 
 #: name -> (engine and trip stream builder, base config overrides)
@@ -113,7 +103,6 @@ SCENARIOS = {
         lambda: _stream(16, 9, 800.0, 90, 1500),
         dict(num_vehicles=10, seed=5, batch_window_s=20.0),
     ),
-    "bimodal": (_bimodal, dict(num_vehicles=8, seed=3)),
 }
 
 
@@ -129,19 +118,12 @@ class Side:
 
 
 def side(reference=None, **overrides):
-    """Config overrides; a string value may name the run's output
-    directory as ``{out}``."""
+    """Config overrides, optionally run through a reference simulation."""
     return Side(tuple(sorted(overrides.items())), reference)
 
 
 GREEDY_0 = dict(dispatch_policy="greedy", batch_window_s=0.0)
 ADAPTIVE = dict(adaptive_window=True, window_min_s=5.0, window_max_s=30.0)
-SLO = "service_rate>=0.5,wait_compliance>=0.5,wait_p99<=600"
-SLO_OUT = dict(
-    timeseries_out="{out}/ts.jsonl", timeseries_window_s=120.0,
-    slo=SLO, slo_out="{out}/slo.json", resource_monitor=True,
-)
-LIVE = dict(SLO_OUT, timeseries_ring=3, live_report_every=4)
 REPLAY = dict(
     fault_spec=(
         "quote.task:crash:0.1,quote.task:delay:0.05:0.2,"
@@ -160,17 +142,14 @@ FAULT_COUNTERS = (
     "flushes_degraded", "fault_rescued_carries",
 )
 
-#: name -> what of a run (report, output directory) a row also compares
+#: name -> what of a run's report a row also compares
 EXTRA = {
-    "candidates": lambda r: (
-        r.report.candidate_counts.count, r.report.candidate_counts.total
-    ),
-    "art_counts": lambda r: {k: v.count for k, v in r.report.art.buckets.items()},
-    "occupancy": lambda r: dict(r.report.occupancy._max_by_vehicle),
-    "carry": lambda r: (r.report.carry_events, r.report.max_carries),
-    "window_trajectory": lambda r: r.report.window_trajectory,
-    "faults": lambda r: {k: r.report.summary()[k] for k in FAULT_COUNTERS},
-    "slo.json": lambda r: (r.out / "slo.json").read_bytes(),
+    "candidates": lambda r: (r.candidate_counts.count, r.candidate_counts.total),
+    "art_counts": lambda r: {k: v.count for k, v in r.art.buckets.items()},
+    "occupancy": lambda r: dict(r.occupancy._max_by_vehicle),
+    "carry": lambda r: (r.carry_events, r.max_carries),
+    "window_trajectory": lambda r: r.window_trajectory,
+    "faults": lambda r: {k: r.summary()[k] for k in FAULT_COUNTERS},
 }
 
 
@@ -197,17 +176,6 @@ def _faults(**expected):
             assert summary[key] > 0 if value is ... else summary[key] == value, key
 
     return check
-
-
-def _slo_verdict(report):
-    document = report.extra["slo"]
-    assert document["spec"] == SLO
-    assert document["num_windows"] >= 2
-    objectives = document["objectives"]
-    assert {o["label"] for o in objectives} == set(SLO.split(","))
-    rate = next(o for o in objectives if o["metric"] == "service_rate")
-    assert rate["overall_value"] is not None
-    assert rate["overall_pass"] is not None
 
 
 # ----------------------------------------------------------------------
@@ -284,20 +252,12 @@ CONTRACTS = [
     ),
     # 9. telemetry never steers dispatch
     *(
-        _row(f"9-{mode}-{name}", 9, "small", side(**on, **o), side(**o))
-        for mode, on in (("traced", {"trace": True}), ("live", LIVE))
-        for name, o in (
-            ("lap", {}),
-            ("greedy-immediate", GREEDY_0),
-        )
+        _row(f"9-traced-{name}", 9, "small", side(trace=True, **o), side(**o))
+        for name, o in (("lap", {}), ("greedy-immediate", GREEDY_0))
     ),
     _row(
         "9-traced-carry", 9, "medium",
         side(trace=True, carry_over=True), side(carry_over=True), extra=("carry",),
-    ),
-    _row(
-        "9-slo-rerun", 9, "bimodal", side(**ADAPTIVE, **SLO_OUT),
-        extra=("slo.json",), checks=(_slo_verdict,),
     ),
     # 10. faults are deterministic; no faults, no change
     _row(
@@ -324,34 +284,25 @@ CONTRACTS = [
 ]
 
 
-Run = namedtuple("Run", "report out")
-
-
 @pytest.fixture(scope="module")
-def run(tmp_path_factory):
-    """``run(scenario, side, fresh=False) -> Run``, memoised unless
-    ``fresh``."""
+def run():
+    """``run(scenario, side, fresh=False) -> SimulationReport``,
+    memoised unless ``fresh``."""
     memo = {}
 
     def run(scenario, side, fresh=False):
         params = {**BASE, **SCENARIOS[scenario][1], **dict(side.overrides)}
-        key = (scenario, side.reference, repr(SimulationConfig(**params)))
+        config = SimulationConfig(**params)
+        key = (scenario, side.reference, repr(config))
         if fresh or key not in memo:
-            out = tmp_path_factory.mktemp("run")
-            config = SimulationConfig(
-                **{
-                    name: value.format(out=out) if isinstance(value, str) else value
-                    for name, value in params.items()
-                }
-            )
             engine, trips = _scenario(scenario)
             report = (side.reference or Simulation)(engine, config, trips).run()
             # Engines are shared across runs: a run's fault wrapper
             # must be gone when it ends.
             assert "distance_many" not in vars(engine)
             if fresh:
-                return Run(report, out)
-            memo[key] = Run(report, out)
+                return report
+            memo[key] = report
         return memo[key]
 
     return run
@@ -362,13 +313,13 @@ def test_contract(run, row):
     a = run(row.scenario, row.a)
     b = run(row.scenario, row.b) if row.b else run(row.scenario, row.a, fresh=True)
     if row.same:
-        assert a.report.decision_rows() == b.report.decision_rows()
+        assert a.decision_rows() == b.decision_rows()
         for name in row.extra:
             assert EXTRA[name](a) == EXTRA[name](b), name
     else:
-        assert a.report.decision_rows() != b.report.decision_rows()
+        assert a.decision_rows() != b.decision_rows()
     for check in row.checks:
-        check(a.report)
+        check(a)
 
 
 def test_every_contract_has_a_row():

@@ -63,18 +63,23 @@ def test_readme_documents_every_cli_flag():
 
 def test_readme_documents_every_simulation_config_field():
     """Every SimulationConfig field is named in the README — either in
-    the CLI table or in the library-only list."""
+    the CLI table or in the library-only list (and vice versa every
+    field a flag row names is real)."""
     from repro.sim.config import SimulationConfig
 
     readme = _read_readme()
-    fields = set(SimulationConfig.__dataclass_fields__)
-    fields.discard("seed")  # documented as --seed
+    all_fields = set(SimulationConfig.__dataclass_fields__)
+    fields = all_fields - {"seed"}  # documented as --seed
     missing = {
         field
         for field in fields
         if f"`{field}`" not in readme and f"({field})" not in readme
     }
     assert not missing, f"config fields undocumented in README: {sorted(missing)}"
+    rows = re.findall(r"^\| `--.*$", readme, re.MULTILINE)
+    named = {name for row in rows for name in re.findall(r"\(`(\w+)`", row)}
+    phantom = named - all_fields
+    assert not phantom, f"README flag rows name non-existent fields: {sorted(phantom)}"
 
 
 def test_readme_maps_every_experiment_id():

@@ -91,32 +91,6 @@ def test_trace_flush_small(tmp_path):
     assert "span" in result.stdout and "flush" in result.stdout
 
 
-def test_live_metrics_small(tmp_path):
-    import json
-
-    ts_path = tmp_path / "ts.jsonl"
-    slo_path = tmp_path / "slo.json"
-    out = run_example(
-        "live_metrics.py", "--vehicles", "6",
-        "--offpeak-trips", "15", "--peak-trips", "50",
-        "--out", str(ts_path), "--slo-out", str(slo_path),
-    )
-    assert "[live] w" in out        # the per-window console feed
-    assert "rolling dashboard" in out
-    assert "SLO verdict:" in out
-    assert "burn alerts" in out
-    # The written artifacts are real: JSONL rows and the verdict doc.
-    rows = [
-        json.loads(line)
-        for line in ts_path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    assert len(rows) >= 2
-    document = json.loads(slo_path.read_text(encoding="utf-8"))
-    assert document["pass"] in (True, False)
-    assert document["num_windows"] == len(rows)
-
-
 @pytest.mark.slow
 def test_airport_hotspot():
     out = run_example("airport_hotspot.py", timeout=600.0)

@@ -89,8 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     if not all(isinstance(e, dict) and "name" in e for e in events):
         print(
             f"error: {args.trace!r} parses as JSON but its rows are not "
-            "trace events (no 'name' field) — a --timeseries-out file? "
-            "This tool reads --trace-out files.",
+            "trace events (no 'name' field). This tool reads "
+            "--trace-out files.",
             file=sys.stderr,
         )
         return 1
