@@ -67,7 +67,7 @@ def main() -> None:
 
     engines = {
         "matrix (APSP)": MatrixEngine(city),
-        "dijkstra + dual LRU": DijkstraEngine(city),
+        "dijkstra + row LRU": DijkstraEngine(city),
         "hub labels": HubLabelEngine(city),
     }
     print(f"\n{'engine':22s} {'queries/s':>12s} {'notes'}")
@@ -78,8 +78,8 @@ def main() -> None:
         rate = len(queries) / (time.perf_counter() - started)
         notes = ""
         stats = engine.stats()
-        if "distance_hit_rate" in stats:
-            notes = f"cache hit rate {stats['distance_hit_rate']:.2f}"
+        if "row_hit_rate" in stats:
+            notes = f"row cache hit rate {stats['row_hit_rate']:.2f}"
         if "average_label_size" in stats:
             notes = f"avg label size {stats['average_label_size']:.1f}"
         print(f"{name:22s} {rate:12,.0f} {notes}")

@@ -18,7 +18,7 @@ Quickstart::
 
 Package map:
 
-* :mod:`repro.roadnet` — road graphs, shortest-path engines, LRU caches,
+* :mod:`repro.roadnet` — road graphs, shortest-path engines, the row LRU,
   synthetic city generators;
 * :mod:`repro.spatial` — grid index over moving vehicles;
 * :mod:`repro.core` — requests, schedules, vehicles, the dispatcher and
@@ -102,7 +102,6 @@ from repro.roadnet import (
     LRUCache,
     MatrixEngine,
     RoadNetwork,
-    ShortestPathCache,
     ShortestPathEngine,
     grid_city,
     make_engine,
@@ -132,7 +131,6 @@ __all__ = [
     "HubLabelEngine",
     "HubLabels",
     "LRUCache",
-    "ShortestPathCache",
     "make_engine",
     "grid_city",
     "ring_radial_city",

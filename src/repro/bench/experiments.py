@@ -457,7 +457,7 @@ def micro_engine() -> ExperimentTable:
             engine.distance(s, e)
         elapsed = _time.perf_counter() - t0
         stats = engine.stats() if hasattr(engine, "stats") else {}
-        hit_rate = stats.get("distance_hit_rate", "")
+        hit_rate = stats.get("row_hit_rate", "")
         rows.append(
             [
                 name,
@@ -467,8 +467,8 @@ def micro_engine() -> ExperimentTable:
         )
     return ExperimentTable(
         "micro_engine",
-        "Distance-query throughput (queries/s) and LRU hit rate",
-        ["engine", "queries_per_sec", "distance_cache_hit_rate"],
+        "Distance-query throughput (queries/s) and row-LRU hit rate",
+        ["engine", "queries_per_sec", "cache_hit_rate"],
         rows,
         notes="supports Section VI's caching discussion; 20x20 grid city",
     )

@@ -24,18 +24,10 @@ DEFAULT_CAPACITY_TREE = 6
 #: Sentinel used for unlimited capacity runs (Fig. 9(c), "unlim").
 UNLIMITED_CAPACITY = None
 
-#: Size of the shortest-*distance* LRU cache. The paper stores "up to ten
-#: million shortest distances"; the default here is scaled for a Python
-#: process but is configurable everywhere it is used.
-DEFAULT_DISTANCE_CACHE_SIZE = 1_000_000
-
-#: Size of the shortest-*path* LRU cache ("up to ten thousand shortest
-#: paths").
-DEFAULT_PATH_CACHE_SIZE = 10_000
-
-#: Size of the source-keyed partial-row cache backing batched fan-out
-#: queries (``distance_many``). Rows are whole settled regions, so far
-#: fewer entries are needed than for point-to-point pairs.
+#: Rows held by the Dijkstra engine's LRU (the paper's Section VI cache).
+#: A row is one source's full distance and predecessor arrays, so one
+#: entry answers every distance and path from that source; the engine also
+#: caps the rows by a cell budget, so fewer are held on large graphs.
 DEFAULT_ROW_CACHE_SIZE = 4_096
 
 #: Interval (seconds) at which vehicles report their location to the grid

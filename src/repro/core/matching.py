@@ -271,8 +271,8 @@ class KineticAgent(VehicleAgent):
 
         The whole batch's pickup fan-out goes through one cutoff-aware
         :func:`~repro.roadnet.engine.fan_out_distances` call, which
-        (a) pre-warms the engine's row/pair caches (where it has any)
-        for the trial insertions that follow, and (b) screens out
+        (a) warms the Dijkstra engine's row of ``vertex`` for the trial
+        insertions that follow, and (b) screens out
         requests whose pickup is provably unreachable in time
         (:func:`misses_pickup`): every placement would fail the exact
         same :class:`KineticTree` check and ``try_insert`` would return
@@ -377,15 +377,7 @@ class RescheduleAgent(VehicleAgent):
         self, requests: Sequence[TripRequest], vertex: int, t: float
     ) -> list[Quote | None]:
         """Re-solve once per request from one shared decision point; the
-        (onboard, pending) base problem is identical across the batch.
-        On engines advertising ``batch_prefetch`` (Dijkstra's row/pair
-        caches), one ``distance_many`` fan-out to every pickup pre-warms
-        them for the per-request solves; cacheless engines skip the
-        prefetch — its result would be discarded work."""
-        if getattr(self.engine, "batch_prefetch", False):
-            self.engine.distance_many(
-                vertex, [request.origin for request in requests]
-            )
+        (onboard, pending) base problem is identical across the batch."""
         return [self.quote_at(request, vertex, t) for request in requests]
 
     def commit(self, quote: Quote) -> None:

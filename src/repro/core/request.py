@@ -12,7 +12,7 @@ and carried on the request, since every constraint check needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.exceptions import ScheduleError
 
@@ -38,6 +38,12 @@ class TripRequest:
         ``(1 + eps) * direct_cost``.
     direct_cost:
         Shortest-path cost ``d(s, e)`` in seconds.
+    pickup_deadline:
+        Latest pickup time ``request_time + w`` (absolute seconds); set
+        at construction.
+    max_ride_cost:
+        Maximum allowed on-road pickup-to-dropoff cost
+        ``(1 + eps) * d(s, e)``; set at construction.
     """
 
     request_id: int
@@ -47,6 +53,8 @@ class TripRequest:
     max_wait: float
     detour_epsilon: float
     direct_cost: float
+    pickup_deadline: float = field(init=False, compare=False, repr=False)
+    max_ride_cost: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.origin == self.destination:
@@ -62,17 +70,12 @@ class TripRequest:
             raise ScheduleError(
                 f"request {self.request_id}: non-positive direct cost"
             )
-
-    @property
-    def pickup_deadline(self) -> float:
-        """Latest pickup time: ``request_time + w`` (absolute seconds)."""
-        return self.request_time + self.max_wait
-
-    @property
-    def max_ride_cost(self) -> float:
-        """Maximum allowed on-road pickup-to-dropoff cost
-        ``(1 + eps) * d(s, e)``."""
-        return (1.0 + self.detour_epsilon) * self.direct_cost
+        object.__setattr__(
+            self, "pickup_deadline", self.request_time + self.max_wait
+        )
+        object.__setattr__(
+            self, "max_ride_cost", (1.0 + self.detour_epsilon) * self.direct_cost
+        )
 
     @property
     def latest_dropoff_bound(self) -> float:

@@ -24,9 +24,18 @@ class Stop:
     request: TripRequest = field(compare=False)
     kind: StopKind = field(compare=False)
     key: tuple[int, StopKind] = field(init=False)
+    #: The road-network vertex this stop visits.
+    vertex: int = field(init=False, compare=False, repr=False)
+    is_pickup: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "key", (self.request.request_id, self.kind))
+        pickup = self.kind is StopKind.PICKUP
+        request = self.request
+        object.__setattr__(self, "key", (request.request_id, self.kind))
+        object.__setattr__(self, "is_pickup", pickup)
+        object.__setattr__(
+            self, "vertex", request.origin if pickup else request.destination
+        )
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -37,19 +46,8 @@ class Stop:
         return self.key == other.key
 
     @property
-    def vertex(self) -> int:
-        """The road-network vertex this stop visits."""
-        if self.kind is StopKind.PICKUP:
-            return self.request.origin
-        return self.request.destination
-
-    @property
     def request_id(self) -> int:
         return self.request.request_id
-
-    @property
-    def is_pickup(self) -> bool:
-        return self.kind is StopKind.PICKUP
 
     @property
     def is_dropoff(self) -> bool:

@@ -13,9 +13,9 @@ provides:
   :class:`~repro.roadnet.astar.AStarEngine`,
   :class:`~repro.roadnet.contraction.CHEngine`) behind one protocol with
   both a scalar ``distance`` and a batched ``distance_many`` query plane;
-* the paper's dual LRU caches for distances and paths plus the
-  source-keyed row cache backing batched fan-outs
-  (:mod:`repro.roadnet.cache`);
+* exact Dijkstra in C, one ``scipy.sparse.csgraph`` row per source
+  (:mod:`repro.roadnet.dijkstra`), and the paper's LRU cache holding
+  those rows for the Dijkstra engine (:mod:`repro.roadnet.cache`);
 * synthetic city generators standing in for the Shanghai road network
   (:mod:`repro.roadnet.generators`).
 """
@@ -27,18 +27,12 @@ from repro.roadnet.astar import (
     astar_distance,
     astar_path,
 )
-from repro.roadnet.cache import (
-    LRUCache,
-    ShortestPathCache,
-    SourceRowCache,
-    combined_key,
-)
+from repro.roadnet.cache import LRUCache
 from repro.roadnet.contraction import CHEngine, ContractionHierarchy
 from repro.roadnet.dijkstra import (
     dijkstra_distance,
     dijkstra_path,
-    multi_target_distances,
-    single_source_distances,
+    shortest_path_rows,
     vertices_within,
 )
 from repro.roadnet.engine import (
@@ -64,13 +58,9 @@ __all__ = [
     "CHEngine",
     "ContractionHierarchy",
     "LRUCache",
-    "ShortestPathCache",
-    "SourceRowCache",
-    "combined_key",
     "dijkstra_distance",
     "dijkstra_path",
-    "multi_target_distances",
-    "single_source_distances",
+    "shortest_path_rows",
     "vertices_within",
     "ShortestPathEngine",
     "DijkstraEngine",

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.constants import SPEED_MPS
 from repro.exceptions import DisconnectedError, GraphError
-from repro.roadnet.dijkstra import single_source_array
+from repro.roadnet.dijkstra import single_source_row, vertices_within
 from repro.roadnet.graph import RoadNetwork
 
 
@@ -73,7 +73,7 @@ class LandmarkHeuristic:
         rng = np.random.default_rng(seed)
         first = int(rng.integers(0, graph.num_vertices))
         landmarks = [first]
-        tables = [single_source_array(graph, first)]
+        tables = [single_source_row(graph, first)[0]]
         while len(landmarks) < min(num_landmarks, graph.num_vertices):
             # Farthest-point selection: maximize distance to chosen set.
             closest = np.minimum.reduce(tables)
@@ -82,7 +82,7 @@ class LandmarkHeuristic:
             if candidate in landmarks:
                 break
             landmarks.append(candidate)
-            tables.append(single_source_array(graph, candidate))
+            tables.append(single_source_row(graph, candidate)[0])
         self.landmarks = landmarks
         #: (num_landmarks, |V|) distance table.
         self.tables = np.vstack(tables)
@@ -209,9 +209,7 @@ class AStarEngine:
         return astar_path(self.graph, source, target, self.heuristic)
 
     def distances_from(self, source: int) -> np.ndarray:
-        return single_source_array(self.graph, source)
+        return single_source_row(self.graph, source)[0]
 
     def vertices_within(self, source: int, radius: float) -> dict[int, float]:
-        from repro.roadnet.dijkstra import vertices_within
-
         return vertices_within(self.graph, source, radius)

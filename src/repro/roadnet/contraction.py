@@ -28,6 +28,7 @@ from math import inf
 import numpy as np
 
 from repro.exceptions import DisconnectedError
+from repro.roadnet.dijkstra import dijkstra_path, single_source_row, vertices_within
 from repro.roadnet.graph import RoadNetwork
 
 #: Witness searches stop after settling this many vertices.
@@ -231,18 +232,12 @@ class CHEngine:
         return self.hierarchy.query_many(source, targets)
 
     def path(self, source: int, target: int) -> list[int]:
-        from repro.roadnet.dijkstra import dijkstra_path
-
         return dijkstra_path(self.graph, source, target)
 
     def distances_from(self, source: int):
-        from repro.roadnet.dijkstra import single_source_array
-
-        return single_source_array(self.graph, source)
+        return single_source_row(self.graph, source)[0]
 
     def vertices_within(self, source: int, radius: float) -> dict[int, float]:
-        from repro.roadnet.dijkstra import vertices_within
-
         return vertices_within(self.graph, source, radius)
 
     def stats(self) -> dict[str, float]:

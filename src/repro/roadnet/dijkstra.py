@@ -1,63 +1,60 @@
 """Dijkstra shortest paths over :class:`~repro.roadnet.graph.RoadNetwork`.
 
-Pure-Python, dict-based Dijkstra tuned for the access patterns of the
-ridesharing matcher:
-
-* point-to-point queries with early termination at the target;
-* bounded exploration (``cutoff``) for "all vertices within the waiting
-  time ``w``" candidate filtering (Section I.B of the paper);
-* single-source full sweeps for index construction.
-
-Dict-based frontiers keep per-query cost proportional to the visited
-region rather than ``|V|``, which matters when queries are short relative
-to the network (the common case for pickup feasibility checks).
+Every exact search in the library is one ``scipy.sparse.csgraph.dijkstra``
+call, run in C: the matrix engine's all-pairs table, the Dijkstra engine's
+rows, the A* landmark tables and the path and ball fallbacks of the
+hub-label and CH engines. :func:`shortest_path_rows` is that call, so every
+engine reads the same numbers; the helpers below read one row of it.
 """
 
 from __future__ import annotations
 
-import heapq
-from math import inf
-
 import numpy as np
+from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from repro.exceptions import DisconnectedError
 from repro.roadnet.graph import RoadNetwork
 
 
-def _search(
-    graph: RoadNetwork,
-    source: int,
-    target: int | None,
-    cutoff: float,
-    need_pred: bool,
-):
-    """Core Dijkstra loop. Returns ``(settled, pred)`` dicts."""
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    settled: dict[int, float] = {}
-    pred: dict[int, int] = {}
-    best: dict[int, float] = {source: 0.0}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled[u] = d
-        if u == target:
-            break
-        lo, hi = indptr[u], indptr[u + 1]
-        for pos in range(lo, hi):
-            v = int(indices[pos])
-            if v in settled:
-                continue
-            nd = d + weights[pos]
-            if nd > cutoff:
-                continue
-            if nd < best.get(v, inf):
-                best[v] = nd
-                if need_pred:
-                    pred[v] = u
-                heapq.heappush(heap, (nd, v))
-    return settled, pred
+def shortest_path_rows(csr, sources=None) -> tuple[np.ndarray, np.ndarray]:
+    """Distances (float64, ``inf`` = unreachable) and predecessors (int32,
+    negative = none) from ``sources`` to every vertex of the undirected
+    graph ``csr``: one row per source, or 1-D arrays for a single int
+    source; ``None`` means every vertex (all pairs)."""
+    return csgraph_dijkstra(
+        csr, directed=False, indices=sources, return_predecessors=True
+    )
+
+
+def row_path(dist: np.ndarray, pred: np.ndarray, source: int, target: int) -> list[int]:
+    """Shortest path ``[source, ..., target]`` walked back through the
+    predecessor row of ``source``."""
+    if source == target:
+        return [source]
+    if not np.isfinite(dist[target]):
+        raise DisconnectedError(source, target)
+    path = [target]
+    v = target
+    while v != source:
+        v = int(pred[v])
+        path.append(v)
+    path.reverse()
+    return path
+
+
+def row_ball(dist: np.ndarray, radius: float) -> dict[int, float]:
+    """Vertices (with distances) of a distance row within ``radius``.
+
+    This is the exact form of the paper's candidate filter: "servers that
+    are farther than ``w`` from the pickup location are unable to respond".
+    """
+    hits = np.nonzero(dist <= radius)[0]
+    return {int(v): float(dist[v]) for v in hits}
+
+
+def single_source_row(graph: RoadNetwork, source: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(dist, pred)`` rows of one source (uncached)."""
+    return shortest_path_rows(graph.to_scipy_csr(), int(source))
 
 
 def dijkstra_distance(graph: RoadNetwork, source: int, target: int) -> float:
@@ -68,138 +65,21 @@ def dijkstra_distance(graph: RoadNetwork, source: int, target: int) -> float:
     """
     if source == target:
         return 0.0
-    settled, _ = _search(graph, source, target, inf, need_pred=False)
-    if target not in settled:
+    value = single_source_row(graph, source)[0][target]
+    if not np.isfinite(value):
         raise DisconnectedError(source, target)
-    return settled[target]
+    return float(value)
 
 
 def dijkstra_path(graph: RoadNetwork, source: int, target: int) -> list[int]:
     """Shortest path as a vertex list ``[source, ..., target]``."""
     if source == target:
         return [source]
-    settled, pred = _search(graph, source, target, inf, need_pred=True)
-    if target not in settled:
-        raise DisconnectedError(source, target)
-    path = [target]
-    while path[-1] != source:
-        path.append(pred[path[-1]])
-    path.reverse()
-    return path
-
-
-def single_source_distances(
-    graph: RoadNetwork, source: int, cutoff: float = inf
-) -> dict[int, float]:
-    """Distances from ``source`` to every vertex within ``cutoff``."""
-    settled, _ = _search(graph, source, None, cutoff, need_pred=False)
-    return settled
-
-
-def single_source_array(graph: RoadNetwork, source: int) -> np.ndarray:
-    """Distances from ``source`` as a dense float64 array (inf = unreachable)."""
-    settled, _ = _search(graph, source, None, inf, need_pred=False)
-    out = np.full(graph.num_vertices, inf)
-    for v, d in settled.items():
-        out[v] = d
-    return out
-
-
-def multi_target_distances(
-    graph: RoadNetwork, source: int, targets: set[int]
-) -> tuple[dict[int, float], bool]:
-    """One bounded single-source Dijkstra answering many targets.
-
-    Runs the same relaxation loop as :func:`_search` (so settled values
-    are bit-identical to point-to-point queries) but stops as soon as
-    *every* requested target has been settled, instead of at one target.
-    This is the batched fan-out primitive behind
-    ``DijkstraEngine.distance_many``: a batch of ``k`` targets costs one
-    search bounded by the farthest target, not ``k`` searches.
-
-    Returns ``(settled, exhausted)`` — ``settled`` maps every settled
-    vertex (a superset of the reachable targets) to its exact distance;
-    ``exhausted`` is True when the whole component was swept, in which
-    case any vertex absent from ``settled`` is unreachable.
-    """
-    if not targets:
-        return {}, False
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    settled: dict[int, float] = {}
-    best: dict[int, float] = {source: 0.0}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    outstanding = len(targets)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled[u] = d
-        if u in targets:
-            outstanding -= 1
-            if outstanding <= 0:
-                return settled, False
-        lo, hi = indptr[u], indptr[u + 1]
-        for pos in range(lo, hi):
-            v = int(indices[pos])
-            if v in settled:
-                continue
-            nd = d + weights[pos]
-            if nd < best.get(v, inf):
-                best[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return settled, True
+    return row_path(*single_source_row(graph, source), source, target)
 
 
 def vertices_within(
     graph: RoadNetwork, source: int, radius: float
 ) -> dict[int, float]:
-    """All vertices whose network distance from ``source`` is <= radius.
-
-    This is the exact form of the paper's candidate filter: "servers that
-    are farther than ``w`` from the pickup location are unable to respond".
-    """
-    return single_source_distances(graph, source, cutoff=radius)
-
-
-def bidirectional_distance(graph: RoadNetwork, source: int, target: int) -> float:
-    """Point-to-point distance via bidirectional Dijkstra.
-
-    Settles roughly half the vertices of the unidirectional search on
-    street-like graphs; used by :class:`~repro.roadnet.engine.DijkstraEngine`
-    for long-range queries.
-    """
-    if source == target:
-        return 0.0
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    dist = ({source: 0.0}, {target: 0.0})
-    settled: tuple[set, set] = (set(), set())
-    heaps = ([(0.0, source)], [(0.0, target)])
-    mu = inf
-    while heaps[0] and heaps[1]:
-        side = 0 if heaps[0][0][0] <= heaps[1][0][0] else 1
-        d, u = heapq.heappop(heaps[side])
-        if u in settled[side]:
-            continue
-        settled[side].add(u)
-        if u in settled[1 - side]:
-            break
-        lo, hi = indptr[u], indptr[u + 1]
-        my_dist, other_dist = dist[side], dist[1 - side]
-        for pos in range(lo, hi):
-            v = int(indices[pos])
-            nd = d + weights[pos]
-            if nd < my_dist.get(v, inf):
-                my_dist[v] = nd
-                heapq.heappush(heaps[side], (nd, v))
-                if v in other_dist:
-                    mu = min(mu, nd + other_dist[v])
-        if d >= mu:
-            break
-    # Final sweep: best meeting point among both frontiers.
-    for v, dv in dist[0].items():
-        dw = dist[1].get(v)
-        if dw is not None and dv + dw < mu:
-            mu = dv + dw
-    if mu is inf:
-        raise DisconnectedError(source, target)
-    return mu
+    """All vertices whose network distance from ``source`` is <= radius."""
+    return row_ball(single_source_row(graph, source)[0], radius)

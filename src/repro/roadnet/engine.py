@@ -1,4 +1,4 @@
-"""Shortest-path engine protocol, the cached Dijkstra engine, and a factory.
+"""Shortest-path engine protocol, the Dijkstra engine, and a factory.
 
 Every matcher, tree, and simulator component takes a
 :class:`ShortestPathEngine` — the single seam between the scheduling
@@ -20,22 +20,15 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.constants import (
-    DEFAULT_DISTANCE_CACHE_SIZE,
-    DEFAULT_PATH_CACHE_SIZE,
-    DEFAULT_ROW_CACHE_SIZE,
-)
+from repro.constants import DEFAULT_ROW_CACHE_SIZE
 from repro.exceptions import DisconnectedError
-from repro.obs.trace import NULL_TRACER, clock
-from repro.roadnet.cache import ShortestPathCache, SourceRowCache
-from repro.roadnet.dijkstra import (
-    dijkstra_distance,
-    dijkstra_path,
-    multi_target_distances,
-    single_source_array,
-    vertices_within,
-)
+from repro.roadnet.cache import LRUCache
+from repro.roadnet.dijkstra import row_ball, row_path, shortest_path_rows
 from repro.roadnet.graph import RoadNetwork
+
+#: Cell budget of the Dijkstra engine's row LRU: at most this many cached
+#: distances (one per vertex per row) across all rows.
+ROW_CACHE_CELLS = 2_000_000
 
 
 @runtime_checkable
@@ -112,152 +105,84 @@ def fan_out_distances(engine, source: int, targets):
 
 
 class DijkstraEngine:
-    """On-demand Dijkstra behind the paper's dual LRU caches.
+    """On-demand exact Dijkstra behind the paper's LRU cache.
 
     This is the configuration the paper describes for the full Shanghai
-    network: exact point-to-point searches whose results are memoized in
-    a large distance cache and a small path cache, exploiting the strong
-    locality of matcher query streams.
+    network (Section VI), and the one ``auto`` picks above 6,000
+    vertices. Every query from ``source`` reads the source's full
+    distance and predecessor rows: one ``csgraph`` sweep in C — the call
+    the matrix engine makes for all sources at once, so both engines
+    give the same answers — held in an LRU of rows keyed by source
+    (:class:`~repro.roadnet.cache.LRUCache`). A distance is therefore a
+    pure function of ``(source, target)``, whatever was asked before.
+
+    The LRU holds at most ``row_cache_size`` rows and at most
+    :data:`ROW_CACHE_CELLS` distances in all, so its memory stays
+    bounded on large graphs.
     """
 
     kind = "dijkstra"
-    #: Always batch: even single-target calls benefit from the row cache
-    #: and the bounded multi-target sweep.
+    #: Always batch: a fan-out is one gather from a cached row.
     batch_cutoff = 0
-    #: Protocol-level hint (paired with ``batch_cutoff``): a
-    #: ``distance_many`` call is worth issuing purely to warm caches for
-    #: later scalar queries. Engines without cross-plane caching leave
-    #: this False so consumers skip discarded-result prefetches.
-    batch_prefetch = True
-    #: Span collector for fan-out sweeps (repro.obs); the simulator
-    #: swaps its run's tracer in. A class attribute so un-instrumented
-    #: engines (tests, benchmarks) stay no-ops without per-instance
-    #: state. Write-only: no routing decision ever reads it.
-    tracer = NULL_TRACER
 
     def __init__(
-        self,
-        graph: RoadNetwork,
-        distance_cache_size: int = DEFAULT_DISTANCE_CACHE_SIZE,
-        path_cache_size: int = DEFAULT_PATH_CACHE_SIZE,
-        row_cache_size: int = DEFAULT_ROW_CACHE_SIZE,
+        self, graph: RoadNetwork, row_cache_size: int = DEFAULT_ROW_CACHE_SIZE
     ):
         self.graph = graph
-        self.cache = ShortestPathCache(
-            graph.num_vertices,
-            distance_capacity=distance_cache_size,
-            path_capacity=path_cache_size,
+        self._csr = graph.to_scipy_csr()
+        self.rows = LRUCache(
+            max(1, min(row_cache_size, ROW_CACHE_CELLS // graph.num_vertices))
         )
-        #: Source-keyed partial rows feeding ``distance_many`` (batched
-        #: fan-out); grows with every bounded multi-target sweep.
-        self.row_cache = SourceRowCache(row_cache_size)
+
+    def _row(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(dist, pred)`` rows of ``source``, swept on a miss."""
+        row = self.rows.get(source)
+        if row is None:
+            row = shortest_path_rows(self._csr, source)
+            for array in row:
+                array.flags.writeable = False  # shared with every caller
+            self.rows.put(source, row)
+        return row
 
     def distance(self, source: int, target: int) -> float:
-        """Cached exact distance."""
+        """Exact ``d(source, target)`` from the row of ``source``."""
         if source == target:
             return 0.0
-        cached = self.cache.get_distance(source, target)
-        if cached is not None:
-            return cached
-        value = dijkstra_distance(self.graph, source, target)
-        self.cache.put_distance(source, target, value)
+        value = float(self._row(source)[0][target])
+        if value == inf:
+            raise DisconnectedError(source, target)
         return value
 
     def distance_many(self, source: int, targets) -> np.ndarray:
-        """Batched fan-out: one bounded single-source Dijkstra that stops
-        once all targets are settled, against the source-keyed row cache.
-
-        Values are bit-identical to per-pair :meth:`distance` calls (the
-        same relaxation loop settles them); reachable results are also
-        folded into the pair cache so scalar and batched query streams
-        share locality.
-        """
-        source = int(source)
-        tr = self.tracer
-        t0 = clock() if tr.enabled else 0.0
-        out = np.empty(len(targets), dtype=np.float64)
-        row = self.row_cache.get(source)
-        settled, exhausted = row if row is not None else ({}, False)
-        missing: set[int] = set()
-        for i, raw in enumerate(targets):
-            target = int(raw)
-            if target == source:
-                out[i] = 0.0
-                continue
-            hit = settled.get(target)
-            if hit is None and not exhausted:
-                hit = self.cache.get_distance(source, target)
-            if hit is not None:
-                out[i] = hit
-            elif exhausted:
-                out[i] = inf
-            else:
-                out[i] = np.nan  # placeholder: resolved by the sweep below
-                missing.add(target)
-        if missing:
-            swept, swept_all = multi_target_distances(self.graph, source, missing)
-            settled, exhausted = self.row_cache.merge(source, swept, swept_all)
-            for i, raw in enumerate(targets):
-                target = int(raw)
-                if target in missing:
-                    value = settled.get(target)
-                    if value is None:
-                        out[i] = inf
-                    else:
-                        out[i] = value
-                        # Reachable swept cells feed the pair cache so the
-                        # scalar stream shares the batch's locality (inf
-                        # never does: the scalar path signals
-                        # unreachability by exception, not by value).
-                        self.cache.put_distance(source, target, value)
-        if tr.enabled:
-            tr.emit(
-                "engine.distance_many",
-                "engine",
-                t0,
-                clock(),
-                targets=len(targets),
-                swept=len(missing),
-                row_hit=row is not None,
-            )
-        return out
+        """Batched fan-out: one gather from the row of ``source``; ``inf``
+        marks unreachable targets (the batched plane never raises)."""
+        if len(targets) == 0:
+            return np.empty(0, dtype=np.float64)
+        return self._row(int(source))[0][np.asarray(targets, dtype=np.int64)]
 
     def path(self, source: int, target: int) -> list[int]:
-        """Cached shortest path (cached one direction; reversed on demand)."""
+        """Shortest path walked back through the predecessor row of
+        ``source``."""
         if source == target:
             return [source]
-        cached = self.cache.get_path(source, target)
-        if cached is not None:
-            return list(cached)
-        reverse = self.cache.get_path(target, source)
-        if reverse is not None:
-            return list(reversed(reverse))
-        value = dijkstra_path(self.graph, source, target)
-        self.cache.put_path(source, target, value)
-        self.cache.put_distance(
-            source, target, _path_cost(self.graph, value)
-        )
-        return list(value)
+        return row_path(*self._row(source), source, target)
 
     def distances_from(self, source: int) -> np.ndarray:
-        """Full single-source sweep (uncached; used by index builders)."""
-        return single_source_array(self.graph, source)
+        """The (read-only) distance row of ``source``."""
+        return self._row(source)[0]
 
     def vertices_within(self, source: int, radius: float) -> dict[int, float]:
-        """Bounded Dijkstra ball around ``source``."""
-        return vertices_within(self.graph, source, radius)
+        """Vertices within network ``radius`` of ``source``."""
+        return row_ball(self._row(source)[0], radius)
 
     def stats(self) -> dict[str, float]:
-        """Cache statistics passthrough (pair caches + batched row cache)."""
-        return {**self.cache.stats(), **self.row_cache.stats()}
-
-
-def _path_cost(graph: RoadNetwork, path: list[int]) -> float:
-    """Sum of edge weights along ``path``."""
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        total += graph.edge_weight(u, v)
-    return total
+        """Row-LRU statistics for reporting."""
+        return {
+            "row_hits": self.rows.hits,
+            "row_misses": self.rows.misses,
+            "row_hit_rate": self.rows.hit_rate,
+            "row_entries": len(self.rows),
+        }
 
 
 #: Every ``kind`` accepted by :func:`make_engine` (also what

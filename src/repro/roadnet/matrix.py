@@ -13,9 +13,9 @@ paper's 3 GB process budget.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from repro.exceptions import DisconnectedError, GraphError
+from repro.roadnet.dijkstra import row_ball, row_path, shortest_path_rows
 from repro.roadnet.graph import RoadNetwork
 
 _MAX_MATRIX_VERTICES = 20_000
@@ -26,7 +26,7 @@ class MatrixEngine:
 
     Implements the :class:`~repro.roadnet.engine.ShortestPathEngine`
     protocol. Paths are reconstructed on demand from the predecessor
-    matrix and memoized in the dual LRU cache by the caller when needed.
+    matrix.
     """
 
     kind = "matrix"
@@ -42,11 +42,7 @@ class MatrixEngine:
                 "HubLabelEngine for larger networks."
             )
         self.graph = graph
-        dist, pred = csgraph_dijkstra(
-            graph.to_scipy_csr(),
-            directed=False,
-            return_predecessors=True,
-        )
+        dist, pred = shortest_path_rows(graph.to_scipy_csr())
         # float64 distances keep arrival times bit-consistent with path
         # reconstructions; predecessors stay int32 (half the footprint).
         self._dist = dist
@@ -73,18 +69,7 @@ class MatrixEngine:
 
     def path(self, source: int, target: int) -> list[int]:
         """Shortest path ``[source, ..., target]`` from predecessors."""
-        if source == target:
-            return [source]
-        if not np.isfinite(self._dist[source, target]):
-            raise DisconnectedError(source, target)
-        pred_row = self._pred[source]
-        path = [target]
-        v = target
-        while v != source:
-            v = int(pred_row[v])
-            path.append(v)
-        path.reverse()
-        return path
+        return row_path(self._dist[source], self._pred[source], source, target)
 
     def distances_from(self, source: int) -> np.ndarray:
         """Dense distance row from ``source`` (float64, inf = unreachable)."""
@@ -92,9 +77,7 @@ class MatrixEngine:
 
     def vertices_within(self, source: int, radius: float) -> dict[int, float]:
         """Vertices within network ``radius`` of ``source`` with distances."""
-        row = self._dist[source]
-        hits = np.nonzero(row <= radius)[0]
-        return {int(v): float(row[v]) for v in hits}
+        return row_ball(self._dist[source], radius)
 
     def stats(self) -> dict[str, float]:
         """Memory footprint report for the harness."""

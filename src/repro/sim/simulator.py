@@ -120,13 +120,6 @@ class Simulation:
             objective=config.objective,
         )
         self.dispatcher.tracer = self.tracer
-        try:
-            # Engine fan-out spans (Dijkstra row-cache sweeps). Shared
-            # engines (bench contexts) simply follow the latest run's
-            # tracer; a disabled tracer silences them again.
-            engine.tracer = self.tracer
-        except AttributeError:
-            pass
         self.batch_dispatcher = BatchDispatcher(
             self.dispatcher,
             make_policy(

@@ -6,15 +6,10 @@ loop it replaced — quote every candidate in candidate order, keep the
 cheapest, break ties within 1e-9 toward the lowest vehicle id — and it
 lives here, not in ``src/``. Two identical fleets receive the same
 request stream, one through each loop; every request must go to the
-same vehicle, and every quote the oracle makes must respect the
-screen's bound.
-
-On the matrix engine (stateless) the cost must also be bit-identical.
-The Dijkstra engine caches each distance under both orientations, and
-``d(u, v)`` summed from ``u`` can differ from ``d(v, u)`` summed from
-``v`` in the last ulp — so which end a run happened to sweep first shows
-in the last ulp of a cost. The screen changes the query stream, hence
-on that engine the costs are compared to 1e-9 s, the tie band.
+same vehicle at a bit-identical cost, and every quote the oracle makes
+must respect the screen's bound. On both engines a distance is a pure
+function of its endpoints, so the query stream the screen changes
+cannot show in a cost.
 """
 
 from dataclasses import dataclass
@@ -155,8 +150,5 @@ def test_screened_submit_picks_the_quote_everyone_winner(scenario):
         )
         got = result.winner.vehicle.vehicle_id if result.assigned else None
         assert got == winner
-        if scenario.engine == "matrix":
-            assert result.cost == cost
-        else:
-            assert result.cost == cost or abs(result.cost - cost) <= 1e-9
+        assert result.cost == cost
         assert len(result.quote_timings) <= result.num_candidates

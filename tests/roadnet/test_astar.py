@@ -12,8 +12,8 @@ from repro.roadnet.astar import (
     astar_expansions,
     astar_path,
 )
-from repro.roadnet.dijkstra import dijkstra_distance
 from repro.roadnet.graph import RoadNetwork
+from tests.roadnet.reference_dijkstra import reference_distance
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def test_exact_distances(small_city, euclidean, landmarks, heuristic_name, rng):
     for _ in range(40):
         s, e = (int(x) for x in rng.integers(0, small_city.num_vertices, 2))
         assert astar_distance(small_city, s, e, heuristic) == pytest.approx(
-            dijkstra_distance(small_city, s, e), rel=1e-9
+            reference_distance(small_city, s, e), rel=1e-9
         )
 
 
@@ -44,7 +44,7 @@ def test_paths_are_shortest(small_city, landmarks, rng):
         cost = sum(
             small_city.edge_weight(u, v) for u, v in zip(path, path[1:])
         )
-        assert cost == pytest.approx(dijkstra_distance(small_city, s, e))
+        assert cost == pytest.approx(reference_distance(small_city, s, e))
 
 
 def test_euclidean_heuristic_admissible(small_city, euclidean, rng):
@@ -52,14 +52,14 @@ def test_euclidean_heuristic_admissible(small_city, euclidean, rng):
     for _ in range(20):
         v, target = (int(x) for x in rng.integers(0, small_city.num_vertices, 2))
         h = euclidean.bind(target)
-        assert h(v) <= dijkstra_distance(small_city, v, target) + 1e-9
+        assert h(v) <= reference_distance(small_city, v, target) + 1e-9
 
 
 def test_landmark_heuristic_admissible(small_city, landmarks, rng):
     for _ in range(20):
         v, target = (int(x) for x in rng.integers(0, small_city.num_vertices, 2))
         h = landmarks.bind(target)
-        assert h(v) <= dijkstra_distance(small_city, v, target) + 1e-9
+        assert h(v) <= reference_distance(small_city, v, target) + 1e-9
 
 
 def test_landmarks_are_spread_out(small_city, landmarks):
@@ -111,7 +111,7 @@ def test_engine_api(small_city, rng):
         engine = AStarEngine(small_city, heuristic=heuristic)
         s, e = (int(x) for x in rng.integers(0, small_city.num_vertices, 2))
         assert engine.distance(s, e) == pytest.approx(
-            dijkstra_distance(small_city, s, e)
+            reference_distance(small_city, s, e)
         )
         path = engine.path(s, e)
         assert path[0] == s and path[-1] == e

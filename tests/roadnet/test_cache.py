@@ -1,20 +1,9 @@
-"""LRU caches and the paper's composite cache key."""
+"""The LRU cache and the Dijkstra engine's row LRU built on it."""
 
 import pytest
 
-from repro.roadnet.cache import LRUCache, ShortestPathCache, combined_key
-
-
-def test_combined_key_formula():
-    # Paper: i = id(s) * |V| + id(e).
-    assert combined_key(3, 7, 100) == 307
-    assert combined_key(0, 0, 100) == 0
-
-
-def test_combined_key_injective():
-    n = 50
-    keys = {combined_key(s, e, n) for s in range(n) for e in range(n)}
-    assert len(keys) == n * n
+from repro.roadnet.cache import LRUCache
+from repro.roadnet.engine import ROW_CACHE_CELLS, DijkstraEngine
 
 
 def test_lru_put_get():
@@ -84,82 +73,21 @@ def test_lru_repr():
     assert "LRUCache" in repr(LRUCache(3))
 
 
-def test_dual_cache_distance_symmetric():
-    cache = ShortestPathCache(100, distance_capacity=10, path_capacity=4)
-    cache.put_distance(1, 2, 42.0)
-    assert cache.get_distance(1, 2) == 42.0
-    assert cache.get_distance(2, 1) == 42.0  # undirected
-
-
-def test_dual_cache_path_directional():
-    cache = ShortestPathCache(100)
-    cache.put_path(1, 2, [1, 5, 2])
-    assert cache.get_path(1, 2) == [1, 5, 2]
-    assert cache.get_path(2, 1) is None
-
-
-def test_dual_cache_key_parity_no_collision():
-    # A distance entry and a path entry for the same (s, e) must coexist.
-    cache = ShortestPathCache(100)
-    cache.put_distance(1, 2, 9.0)
-    cache.put_path(1, 2, [1, 2])
-    assert cache.get_distance(1, 2) == 9.0
-    assert cache.get_path(1, 2) == [1, 2]
-
-
-def test_dual_cache_stats_and_clear():
-    cache = ShortestPathCache(100)
-    cache.put_distance(0, 1, 1.0)
-    cache.get_distance(0, 1)
-    cache.get_distance(5, 6)
-    stats = cache.stats()
-    assert stats["distance_hits"] == 1
-    assert stats["distance_misses"] == 1
-    cache.clear()
-    assert cache.stats()["distance_entries"] == 0
-
-
-def test_row_cache_merge_grows_rows():
-    from repro.roadnet.cache import SourceRowCache
-
-    cache = SourceRowCache(4)
-    assert cache.get(3) is None
-    cache.merge(3, {1: 5.0, 2: 7.0}, exhausted=False)
-    settled, exhausted = cache.get(3)
-    assert settled == {1: 5.0, 2: 7.0} and not exhausted
-    # A later sweep folds in (grow-only) and can mark the row complete.
-    cache.merge(3, {4: 9.0}, exhausted=True)
-    settled, exhausted = cache.get(3)
-    assert settled == {1: 5.0, 2: 7.0, 4: 9.0} and exhausted
-
-
-def test_row_cache_lru_eviction_and_stats():
-    from repro.roadnet.cache import SourceRowCache
-
-    cache = SourceRowCache(2)
-    cache.merge(0, {1: 1.0}, exhausted=False)
-    cache.merge(1, {1: 1.0}, exhausted=False)
-    cache.get(0)  # refresh 0's recency
-    cache.merge(2, {1: 1.0}, exhausted=False)  # evicts 1
-    assert cache.get(1) is None
-    assert cache.get(0) is not None and cache.get(2) is not None
-    stats = cache.stats()
+def test_row_cache_lru_eviction_and_stats(small_city):
+    engine = DijkstraEngine(small_city, row_cache_size=2)
+    engine.distance(0, 5)
+    engine.distance(1, 5)
+    engine.distance(0, 7)  # hit: refreshes row 0
+    engine.distance(2, 5)  # evicts row 1
+    assert 0 in engine.rows and 2 in engine.rows and 1 not in engine.rows
+    stats = engine.stats()
     assert stats["row_entries"] == 2
-    assert stats["row_misses"] >= 1
-    cache.clear()
-    assert cache.stats()["row_entries"] == 0
+    assert (stats["row_hits"], stats["row_misses"]) == (1, 3)
+    assert stats["row_hit_rate"] == 0.25
 
 
-def test_row_cache_cell_budget_bounds_memory():
-    from repro.roadnet.cache import SourceRowCache
-
-    cache = SourceRowCache(100, max_cells=5)
-    cache.merge(0, {i: float(i) for i in range(4)}, exhausted=False)
-    cache.merge(1, {i: float(i) for i in range(4)}, exhausted=False)  # 8 > 5: evicts row 0
-    assert cache.get(0) is None
-    assert cache.get(1) is not None
-    assert cache.stats()["row_cells"] == 4
-    # A single over-budget row is still retained (active working set).
-    cache.merge(2, {i: float(i) for i in range(9)}, exhausted=False)
-    assert cache.get(2) is not None
-    assert cache.stats()["row_entries"] == 1
+def test_row_cache_cell_budget_bounds_memory(small_city):
+    # Rows are whole: the LRU holds at most ROW_CACHE_CELLS distances.
+    engine = DijkstraEngine(small_city, row_cache_size=10**9)
+    assert engine.rows.maxsize == ROW_CACHE_CELLS // small_city.num_vertices
+    assert DijkstraEngine(small_city, row_cache_size=3).rows.maxsize == 3

@@ -35,8 +35,3 @@ def test_capacity_defaults():
     assert constants.DEFAULT_CAPACITY_TREE == 6
     assert constants.UNLIMITED_CAPACITY is None
 
-
-def test_cache_defaults_are_asymmetric():
-    # "more distances can be stored in memory, and shortest distance is
-    # needed more often than shortest path"
-    assert constants.DEFAULT_DISTANCE_CACHE_SIZE > constants.DEFAULT_PATH_CACHE_SIZE

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 
 from repro.exceptions import DisconnectedError
 from repro.roadnet.contraction import CHEngine, ContractionHierarchy
-from repro.roadnet.dijkstra import dijkstra_distance
 from repro.roadnet.graph import RoadNetwork
 from tests.properties.test_roadnet_properties import connected_graphs
+from tests.roadnet.reference_dijkstra import reference_distance
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +20,7 @@ def test_exact_on_city(small_city, hierarchy, rng):
     for _ in range(60):
         s, e = (int(x) for x in rng.integers(0, small_city.num_vertices, 2))
         assert hierarchy.query(s, e) == pytest.approx(
-            dijkstra_distance(small_city, s, e), rel=1e-9
+            reference_distance(small_city, s, e), rel=1e-9
         )
 
 
@@ -64,7 +64,7 @@ def test_exact_on_random_graphs(case):
     for _ in range(5):
         s, e = (int(x) for x in rng.integers(0, graph.num_vertices, 2))
         assert ch.query(s, e) == pytest.approx(
-            dijkstra_distance(graph, s, e), rel=1e-9
+            reference_distance(graph, s, e), rel=1e-9
         )
 
 
@@ -72,7 +72,7 @@ def test_engine_api(small_city, rng):
     engine = CHEngine(small_city)
     s, e = (int(x) for x in rng.integers(0, small_city.num_vertices, 2))
     assert engine.distance(s, e) == pytest.approx(
-        dijkstra_distance(small_city, s, e)
+        reference_distance(small_city, s, e)
     )
     path = engine.path(s, e)
     assert path[0] == s and path[-1] == e
@@ -88,5 +88,5 @@ def test_tiny_witness_budget_still_exact(small_city, rng):
     for _ in range(25):
         s, e = (int(x) for x in rng.integers(0, small_city.num_vertices, 2))
         assert ch.query(s, e) == pytest.approx(
-            dijkstra_distance(small_city, s, e), rel=1e-9
+            reference_distance(small_city, s, e), rel=1e-9
         )

@@ -1,18 +1,17 @@
-"""Dijkstra shortest-path functions."""
+"""Dijkstra shortest-path functions (one csgraph row per source)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import DisconnectedError
 from repro.roadnet.dijkstra import (
-    bidirectional_distance,
     dijkstra_distance,
     dijkstra_path,
-    single_source_array,
-    single_source_distances,
+    single_source_row,
     vertices_within,
 )
 from repro.roadnet.graph import RoadNetwork
+from tests.roadnet.reference_dijkstra import reference_distances
 
 
 def path_cost(graph, path):
@@ -49,17 +48,18 @@ def test_disconnected_raises():
 
 
 def test_single_source_distances(line_graph):
-    dist = single_source_distances(line_graph, 0)
-    assert dist == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
+    dist, pred = single_source_row(line_graph, 0)
+    assert dist.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert pred[1:].tolist() == [0, 1, 2, 3] and pred[0] < 0
 
 
 def test_single_source_cutoff(line_graph):
-    dist = single_source_distances(line_graph, 0, cutoff=2.0)
-    assert set(dist) == {0, 1, 2}
+    assert set(vertices_within(line_graph, 0, 2.0)) == {0, 1, 2}
 
 
 def test_single_source_array(line_graph):
-    arr = single_source_array(line_graph, 1)
+    arr = single_source_row(line_graph, 1)[0]
+    assert arr.dtype == np.float64
     assert arr[4] == 3.0
     assert arr[0] == 1.0
 
@@ -74,26 +74,9 @@ def test_vertices_within_zero_radius(line_graph):
 
 
 def test_matches_scipy_on_random_city(small_city):
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-    ref = sp_dijkstra(small_city.to_scipy_csr(), directed=False, indices=[0])[0]
-    ours = single_source_array(small_city, 0)
-    np.testing.assert_allclose(ours, ref, rtol=1e-12)
-
-
-def test_bidirectional_matches_unidirectional(small_city, rng):
-    for _ in range(25):
-        s, e = rng.integers(0, small_city.num_vertices, 2)
-        expected = dijkstra_distance(small_city, int(s), int(e))
-        actual = bidirectional_distance(small_city, int(s), int(e))
-        assert actual == pytest.approx(expected, rel=1e-12)
-
-
-def test_bidirectional_disconnected():
-    g = RoadNetwork(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    with pytest.raises(DisconnectedError):
-        bidirectional_distance(g, 0, 3)
-
-
-def test_bidirectional_same_vertex(small_city):
-    assert bidirectional_distance(small_city, 5, 5) == 0.0
+    """The csgraph row is bit-equal to the pure-Python reference."""
+    for source in (0, 17, 99):
+        np.testing.assert_array_equal(
+            single_source_row(small_city, source)[0],
+            reference_distances(small_city, source),
+        )

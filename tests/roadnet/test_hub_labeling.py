@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DisconnectedError
-from repro.roadnet.dijkstra import dijkstra_distance
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.hub_labeling import HubLabelEngine, HubLabels
+from tests.roadnet.reference_dijkstra import reference_distance
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def test_exact_on_small_city(small_city, labels, rng):
     for _ in range(50):
         s, e = rng.integers(0, small_city.num_vertices, 2)
         assert labels.query(int(s), int(e)) == pytest.approx(
-            dijkstra_distance(small_city, int(s), int(e)), rel=1e-9
+            reference_distance(small_city, int(s), int(e)), rel=1e-9
         )
 
 
@@ -57,7 +57,7 @@ def test_engine_api(small_city, rng):
     engine = HubLabelEngine(small_city)
     s, e = (int(x) for x in rng.integers(0, small_city.num_vertices, 2))
     assert engine.distance(s, e) == pytest.approx(
-        dijkstra_distance(small_city, s, e)
+        reference_distance(small_city, s, e)
     )
     path = engine.path(s, e)
     assert path[0] == s and path[-1] == e

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DisconnectedError, GraphError
-from repro.roadnet.dijkstra import dijkstra_distance
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.matrix import MatrixEngine
+from tests.roadnet.reference_dijkstra import reference_distance
 
 
 def test_matches_dijkstra(small_city, city_engine, rng):
     for _ in range(30):
         s, e = rng.integers(0, small_city.num_vertices, 2)
         assert city_engine.distance(int(s), int(e)) == pytest.approx(
-            dijkstra_distance(small_city, int(s), int(e)), rel=1e-9
+            reference_distance(small_city, int(s), int(e)), rel=1e-9
         )
 
 

@@ -1,9 +1,10 @@
-"""Determinism contracts 1–10 (``docs/determinism.md``) as one table.
+"""Determinism contracts 1–10 and 12 (``docs/determinism.md``) as one table.
 
 Each row runs one scenario under two sides and asserts that they decided
 the same: equal :meth:`SimulationReport.decision_rows`, which is what
 "bit-identical" means. A side is ``SimulationConfig`` overrides on the
-scenario's base config, optionally run through a reference
+scenario's base config (``engine_kind`` picks the shortest-path engine
+built on the scenario's city), optionally run through a reference
 ``Simulation`` subclass that re-implements the code a layer replaced. A
 row without side B is a same-seed rerun of side A (the contracts about
 a layer's own randomness). ``extra`` names further diagnostics the row
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.roadnet.engine import make_engine
 from repro.roadnet.generators import grid_city
-from repro.roadnet.matrix import MatrixEngine
 from repro.sim.config import SimulationConfig
 from repro.sim.events import Event, EventKind
 from repro.sim.simulator import Simulation
@@ -90,7 +91,7 @@ PRE_PIPELINE = PrePipelineReferenceSimulation
 def _stream(grid, seed, min_trip_m, trips, duration_s):
     city = grid_city(grid, grid, seed=seed)
     workload = ShanghaiLikeWorkload(city, seed=seed, min_trip_meters=min_trip_m)
-    return MatrixEngine(city), workload.generate(trips, duration_s)
+    return city, workload.generate(trips, duration_s)
 
 
 BASE = dict(algorithm="kinetic", dispatch_policy="lap", batch_window_s=15.0)
@@ -109,6 +110,12 @@ SCENARIOS = {
 @functools.cache
 def _scenario(name):
     return SCENARIOS[name][0]()
+
+
+@functools.cache
+def _engine(name, kind):
+    """One engine per (scenario, kind), shared by every run."""
+    return make_engine(_scenario(name)[0], kind)
 
 
 @dataclass(frozen=True)
@@ -281,6 +288,19 @@ CONTRACTS = [
         side(fault_spec="engine.distance_many:crash:@1"), side(), extra=("carry",),
         checks=(_faults(retries=...),),
     ),
+    # 12. the Dijkstra engine decides as the matrix engine does
+    _row(
+        "12-dijkstra-vs-matrix-lap-carry", 12, "medium",
+        side(engine_kind="dijkstra", carry_over=True),
+        side(engine_kind="matrix", carry_over=True),
+        extra=("carry",), checks=(_carries,),
+    ),
+    _row(
+        "12-dijkstra-vs-matrix-greedy-immediate", 12, "medium",
+        side(engine_kind="dijkstra", **GREEDY_0),
+        side(engine_kind="matrix", **GREEDY_0),
+        extra=("candidates", "occupancy"),
+    ),
 ]
 
 
@@ -295,7 +315,8 @@ def run():
         config = SimulationConfig(**params)
         key = (scenario, side.reference, repr(config))
         if fresh or key not in memo:
-            engine, trips = _scenario(scenario)
+            trips = _scenario(scenario)[1]
+            engine = _engine(scenario, config.engine_kind)
             report = (side.reference or Simulation)(engine, config, trips).run()
             # Engines are shared across runs: a run's fault wrapper
             # must be gone when it ends.
@@ -323,9 +344,10 @@ def test_contract(run, row):
 
 
 def test_every_contract_has_a_row():
-    """Contracts 1–10, less the retired 2, 3 and 5."""
-    assert {p.values[0].contract for p in CONTRACTS} == set(range(1, 11)) - {
-        2, 3, 5
+    """Contracts 1–12, less the retired 2, 3 and 5 and contract 11 (its
+    own property test)."""
+    assert {p.values[0].contract for p in CONTRACTS} == set(range(1, 13)) - {
+        2, 3, 5, 11
     }
 
 
