@@ -8,8 +8,8 @@ each flush through three stages, back to back at the flush instant:
 
 * **quote** — a :class:`QuoteService` builds the batch's per-vehicle
   :class:`CostMatrix` columns (:func:`plan_columns` ->
-  :func:`quote_column` -> :func:`assemble_matrix`) under the
-  fault-tolerance layer (see :mod:`repro.dispatch.quoting`).
+  :func:`quote_column` -> :func:`assemble_matrix`) on the calling
+  thread (see :mod:`repro.dispatch.quoting`).
 * **solve** — a pluggable :class:`DispatchPolicy` consumes the completed
   :class:`QuoteSet`:
 

@@ -83,7 +83,7 @@ class ColumnPlan:
     One plan per flush: the union of the per-request candidate sets,
     ordered by vehicle id (so cost ties resolve to the lowest vehicle
     id, like immediate dispatch), with the rows each vehicle must quote.
-    The quote stage — :func:`build_cost_matrix` or the hardened
+    The quote stage — :func:`build_cost_matrix` or
     :class:`~repro.dispatch.quoting.QuoteService` — fills one
     :class:`ColumnQuotes` per agent and hands both back to
     :func:`assemble_matrix`.
@@ -110,22 +110,6 @@ class ColumnQuotes:
     active_trips: int
     per_quote_seconds: float
     plan_cost: float
-    #: True when the column could not be quoted at all (the hardened
-    #: quote stage exhausted its retry budget): the matrix keeps the
-    #: column all-infeasible and writes no timing samples, so a failure
-    #: never pollutes the adaptive-throttle ART buckets.
-    failed: bool = False
-
-
-def failed_column(num_rows: int) -> ColumnQuotes:
-    """The all-infeasible placeholder for an unquotable column."""
-    return ColumnQuotes(
-        quotes=[None] * num_rows,
-        active_trips=0,
-        per_quote_seconds=0.0,
-        plan_cost=0.0,
-        failed=True,
-    )
 
 
 def plan_columns(
@@ -183,8 +167,6 @@ def assemble_matrix(
         [None] * n for _ in range(m)
     ]
     for col, quoted in enumerate(columns):
-        if quoted.failed:
-            continue
         rows = plan.rows_by_col[col]
         sample = (quoted.active_trips, quoted.per_quote_seconds)
         for row, quote in zip(rows, quoted.quotes):
@@ -220,7 +202,7 @@ def build_cost_matrix(
     This is the bare composition of the three column stages
     (:func:`plan_columns` -> :func:`quote_column` per vehicle ->
     :func:`assemble_matrix`); :class:`~repro.dispatch.quoting.QuoteService`
-    runs the same stages under the fault-tolerance layer.
+    runs the same stages, split into ``begin``/``collect``.
     """
     plan = plan_columns(dispatcher, requests)
     columns = [

@@ -54,7 +54,6 @@ class BatchDispatcher:
         now: float,
         quote_set: QuoteSet | None = None,
         carry_deadline: float | None = None,
-        fault_deadline: float | None = None,
     ) -> BatchResult:
         """Assign one batch at ``now``; winning quotes are committed.
 
@@ -65,9 +64,6 @@ class BatchDispatcher:
         but lost the assignment and can still make it come back in
         :attr:`BatchResult.carried` for re-entry into the window
         instead of being settled in-batch.
-        ``fault_deadline`` arms the fault-carry rung of the degradation
-        ladder (see
-        :meth:`~repro.dispatch.policies.DispatchPolicy.assign`).
         """
         return self.policy.assign(
             self.dispatcher,
@@ -75,7 +71,6 @@ class BatchDispatcher:
             now,
             quote_set=quote_set,
             carry_deadline=carry_deadline,
-            fault_deadline=fault_deadline,
         )
 
     def __repr__(self) -> str:

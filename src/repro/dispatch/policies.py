@@ -44,7 +44,6 @@ from repro.core.matching import AssignmentResult, Dispatcher
 from repro.core.request import TripRequest
 from repro.dispatch.quoting import QuoteService, QuoteSet
 from repro.dispatch.solver import solve_assignment
-from repro.faults import NULL_INJECTOR
 from repro.obs.trace import NULL_TRACER, clock
 
 
@@ -62,10 +61,6 @@ class CarriedRequest:
     request: TripRequest
     elapsed: float
     quote_timings: list[tuple[int, float]]
-    #: True when the carry is the degradation ladder's doing: the
-    #: request's quote column(s) failed this flush and the carry path
-    #: rescued it instead of letting it be rejected on a fault.
-    fault_rescued: bool = False
 
 
 @dataclass(slots=True)
@@ -118,7 +113,6 @@ class DispatchPolicy(abc.ABC):
         now: float,
         quote_set: QuoteSet | None = None,
         carry_deadline: float | None = None,
-        fault_deadline: float | None = None,
     ) -> BatchResult:
         """Match ``requests`` (arrival order) against the fleet at ``now``,
         committing every winning quote; returns one result per settled
@@ -136,14 +130,6 @@ class DispatchPolicy(abc.ABC):
         :attr:`BatchResult.carried` instead of being settled in-batch.
         A request with no feasible quote is rejected here either way.
         ``None`` (the default) settles every request here.
-
-        ``fault_deadline`` arms the degradation ladder's fault-carry
-        rung: a request whose quote column(s) *failed* this flush
-        (``quote_set.failed_rows``) and whose ``pickup_deadline`` still
-        reaches the next flush's commit instant is carried — flagged
-        ``fault_rescued`` — rather than rejected on the back of an
-        infrastructure fault. Independent of ``carry_deadline`` so the
-        rescue works even with carry-over batching disabled.
         """
 
     def __repr__(self) -> str:
@@ -169,7 +155,6 @@ class GreedyPolicy(DispatchPolicy):
         now,
         quote_set=None,
         carry_deadline=None,
-        fault_deadline=None,
     ):
         tracer = getattr(dispatcher, "tracer", NULL_TRACER)
         with tracer.span(
@@ -192,11 +177,11 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
 
     uses_quote_set = True
 
-    def __init__(self, rounds: int = 1, injector=NULL_INJECTOR, retry=None):
+    def __init__(self, rounds: int = 1):
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
         self.rounds = rounds
-        self.quote_service = QuoteService(injector=injector, retry=retry)
+        self.quote_service = QuoteService()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(rounds={self.rounds})"
@@ -208,7 +193,6 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
         now,
         quote_set=None,
         carry_deadline=None,
-        fault_deadline=None,
     ):
         tracer = getattr(dispatcher, "tracer", NULL_TRACER)
         started = clock()
@@ -221,7 +205,6 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
         rounds_used = 0
         results: dict[int, AssignmentResult] = {}
         carried_idx: set[int] = set()
-        fault_rescued_idx: set[int] = set()
         pending = list(range(len(requests)))
         # ART samples accumulate across rounds: a request quoted in three
         # rounds contributes all three rounds' quote work, not just the
@@ -252,22 +235,6 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
             feasible_rows = np.isfinite(matrix.keys).any(axis=1)
             for row in np.nonzero(~feasible_rows)[0]:
                 i = pending[row]
-                if (
-                    quote_set is not None
-                    and rounds_used == 1
-                    and fault_deadline is not None
-                    and row in quote_set.failed_rows
-                    and requests[i].pickup_deadline >= fault_deadline
-                ):
-                    # Fault-carry rung: the request looks infeasible
-                    # because its quote column(s) *failed*, not because
-                    # no vehicle can serve it — carry it to the next
-                    # flush instead of rejecting on an infrastructure
-                    # fault. (Round 1 only: row indices == quote-set
-                    # rows there, and later rounds re-quoted cleanly.)
-                    carried_idx.add(i)
-                    fault_rescued_idx.add(i)
-                    continue
                 results[i] = AssignmentResult(
                     request=matrix.requests[row],
                     winner=None,
@@ -343,7 +310,6 @@ class _AssignmentRoundsPolicy(DispatchPolicy):
                         request=requests[i],
                         elapsed=share,
                         quote_timings=art_samples[i],
-                        fault_rescued=i in fault_rescued_idx,
                     )
                 )
                 continue
@@ -363,8 +329,8 @@ class LapPolicy(_AssignmentRoundsPolicy):
 
     name = "lap"
 
-    def __init__(self, injector=NULL_INJECTOR, retry=None):
-        super().__init__(rounds=1, injector=injector, retry=retry)
+    def __init__(self):
+        super().__init__(rounds=1)
 
 
 class IterativePolicy(_AssignmentRoundsPolicy):
@@ -372,8 +338,8 @@ class IterativePolicy(_AssignmentRoundsPolicy):
 
     name = "iterative"
 
-    def __init__(self, rounds: int = 3, injector=NULL_INJECTOR, retry=None):
-        super().__init__(rounds=rounds, injector=injector, retry=retry)
+    def __init__(self, rounds: int = 3):
+        super().__init__(rounds=rounds)
 
 
 #: Policy name -> class, for config validation and construction.
@@ -384,19 +350,10 @@ POLICY_REGISTRY: dict[str, type[DispatchPolicy]] = {
 }
 
 
-def make_policy(
-    name: str,
-    assignment_rounds: int = 3,
-    *,
-    injector=NULL_INJECTOR,
-    retry=None,
-) -> DispatchPolicy:
+def make_policy(name: str, assignment_rounds: int = 3) -> DispatchPolicy:
     """Instantiate a policy by registry name.
 
-    ``assignment_rounds`` only applies to ``iterative``. ``injector`` /
-    ``retry`` thread the fault-tolerance layer into the policy's quote
-    service; ``greedy`` runs unhardened by design —
-    it is the ladder's last rung and must stay fault-immune.
+    ``assignment_rounds`` only applies to ``iterative``.
     """
     try:
         cls = POLICY_REGISTRY[name]
@@ -406,9 +363,5 @@ def make_policy(
             f"unknown dispatch policy {name!r}; known: {known}"
         ) from None
     if cls is IterativePolicy:
-        return IterativePolicy(
-            rounds=assignment_rounds, injector=injector, retry=retry
-        )
-    if cls is GreedyPolicy:
-        return GreedyPolicy()
-    return cls(injector=injector, retry=retry)
+        return IterativePolicy(rounds=assignment_rounds)
+    return cls()

@@ -53,50 +53,6 @@ class SimulationError(ReproError):
     """Raised for inconsistent simulator state (e.g. events out of order)."""
 
 
-class FaultInjectedError(ReproError):
-    """Raised by a deterministic ``crash`` fault (:mod:`repro.faults`).
-
-    Carries the injection site and the opportunity ordinal that fired so
-    failure paths under test can assert *which* draw they are handling.
-    """
-
-    def __init__(self, site: str, seq: int):
-        self.site = site
-        self.seq = seq
-        super().__init__(f"injected crash at {site} (opportunity {seq})")
-
-
-class QuoteFailedError(ReproError):
-    """Raised when one vehicle's quote column still fails after the
-    retry budget is spent. The column is assembled all-infeasible and its
-    requests take the fault-carry rung of the degradation ladder; this
-    exception is recorded (as a :class:`repro.faults.TaskFailure`), never
-    silently swallowed."""
-
-    def __init__(self, vehicle_id: int, attempts: int, cause: BaseException | None = None):
-        self.vehicle_id = vehicle_id
-        self.attempts = attempts
-        self.__cause__ = cause
-        super().__init__(
-            f"quote column for vehicle {vehicle_id} failed after "
-            f"{attempts} attempt(s): {cause!r}"
-        )
-
-
-class FlushDeadlineExceededError(ReproError):
-    """Raised when a flush exhausts its deadline budget
-    (``flush_deadline_s``): the quote stage stops retrying and the
-    simulator downgrades that flush to the greedy policy."""
-
-    def __init__(self, deadline_s: float, spent_s: float):
-        self.deadline_s = deadline_s
-        self.spent_s = spent_s
-        super().__init__(
-            f"flush deadline budget exhausted: {spent_s:.3f}s charged "
-            f"against a {deadline_s:.3f}s budget"
-        )
-
-
 class TreeBudgetExceeded(ReproError):
     """Raised when a kinetic-tree insertion exceeds its expansion budget —
     the reproduction's analogue of the paper's "can no longer finish in a

@@ -131,23 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run's metrics registry (p50/p90/p99 latency "
         "histograms) as metrics.json",
     )
-    parser.add_argument(
-        "--fault-spec", default=None, metavar="SPEC",
-        help="deterministic fault-injection plan: comma-joined "
-        "site:kind:trigger[:delay_s] clauses, e.g. "
-        "'quote.task:crash:0.05,quote.task:delay:0.02:0.5' "
-        "(see docs/robustness.md for the grammar)",
-    )
-    parser.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for the fault injector's per-clause RNG streams",
-    )
-    parser.add_argument(
-        "--flush-deadline", type=float, default=None, metavar="SECONDS",
-        help="per-flush deadline budget in charged seconds (injected "
-        "delays + retry backoffs); an exhausted flush downgrades to "
-        "the greedy policy for that flush only",
-    )
     return parser
 
 
@@ -177,9 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         trace=args.trace or args.trace_out is not None,
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,
-        fault_spec=args.fault_spec,
-        fault_seed=args.fault_seed,
-        flush_deadline_s=args.flush_deadline,
         seed=args.seed,
     )
     print(

@@ -90,26 +90,6 @@ class SimulationConfig:
         Telemetry is write-only: no dispatch decision reads it, so
         every determinism pin holds bit-for-bit with ``trace=True``
         (``docs/determinism.md``).
-    fault_spec / fault_seed:
-        Deterministic fault injection (:mod:`repro.faults`).
-        ``fault_spec`` is a comma-joined list of
-        ``site:kind:trigger[:delay_s]`` clauses (see
-        ``docs/robustness.md`` for the grammar); ``None`` (default)
-        disarms the injector entirely — determinism contract 10
-        guarantees the hardened pipeline is then bit-identical to the
-        unhardened one. ``fault_seed`` seeds the per-clause RNG streams;
-        a fixed ``(fault_spec, fault_seed)`` pair replays bit-identically.
-    flush_deadline_s:
-        Per-flush deadline budget in *charged* seconds (injected delays
-        and retry backoffs — virtual time, so runs stay
-        deterministic). A flush that exhausts it is downgraded to the
-        greedy policy for that flush only (the degradation ladder's
-        last rung). ``None`` (default) = no deadline.
-    task_retries:
-        Retry budget for hardened quote columns: up to ``task_retries``
-        retries after the first attempt, each charging
-        :class:`~repro.faults.RetryPolicy`'s fixed exponential backoff
-        to the flush budget (virtual time; nothing sleeps).
     seed:
         Master seed for fleet placement and cruising.
     """
@@ -149,10 +129,6 @@ class SimulationConfig:
     trace: bool = False
     trace_out: str | None = None
     metrics_out: str | None = None
-    fault_spec: str | None = None
-    fault_seed: int = 0
-    flush_deadline_s: float | None = None
-    task_retries: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -244,12 +220,3 @@ class SimulationConfig:
                 "trace_out requires trace=True: there are no spans to "
                 "export from an untraced run"
             )
-        from repro.faults import parse_fault_spec
-
-        # Parse errors (unknown site/kind, malformed trigger) surface
-        # here, at config time, not mid-simulation.
-        parse_fault_spec(self.fault_spec)
-        if self.flush_deadline_s is not None and self.flush_deadline_s <= 0:
-            raise ValueError("flush_deadline_s must be positive or None")
-        if self.task_retries < 0:
-            raise ValueError("task_retries must be >= 0")

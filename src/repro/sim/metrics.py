@@ -163,16 +163,6 @@ class SimulationReport:
     #: stage wall time. Empty unless a batched flush ran a policy that
     #: consumes a quote set.
     quote_seconds: RunningStats = field(default_factory=RunningStats)
-    #: Fault tolerance (repro.faults): the degradation ladder's rungs.
-    #: Quote columns that exhausted their retry budget and were
-    #: assembled failed (their rows became fault-carry candidates).
-    quote_columns_failed: int = 0
-    #: Flushes downgraded to the greedy policy after blowing their
-    #: deadline budget (the ladder's last rung).
-    flushes_degraded: int = 0
-    #: Requests carried to the next flush because their quote column(s)
-    #: failed (the fault-carry rescue, not ordinary carry-over).
-    fault_rescued_carries: int = 0
     wall_seconds: float = 0.0
     #: The run's metrics registry (repro.obs): every record_* method
     #: below mirrors its samples into named streaming histograms here,
@@ -189,19 +179,10 @@ class SimulationReport:
     service_log: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
-    #: Counters documented in ``docs/robustness.md``; pre-registered at
-    #: report creation so the exported registry always carries them
-    #: (zero included) and docs/export can't drift — asserted by
-    #: ``tests/obs/test_metrics_naming.py``.
-    DOCUMENTED_COUNTERS = (
-        "fault.injected",
-        "retry.count",
-        "quote.column_failed",
-        "carry.fault_rescued",
-        "flush.degraded",
-    )
     #: Request outcome counters (``docs/observability.md``);
-    #: pre-registered likewise.
+    #: pre-registered at report creation so the exported registry always
+    #: carries them (zero included) — asserted by
+    #: ``tests/obs/test_metrics_naming.py``.
     SERVICE_COUNTERS = (
         "requests.settled",
         "requests.assigned",
@@ -209,7 +190,7 @@ class SimulationReport:
     )
 
     def __post_init__(self):
-        for name in self.DOCUMENTED_COUNTERS + self.SERVICE_COUNTERS:
+        for name in self.SERVICE_COUNTERS:
             self.registry.counter(name)
 
     @property
@@ -288,18 +269,6 @@ class SimulationReport:
         self.assign_latency_s.add(seconds)
         self.registry.histogram("assign.latency_s").add(seconds)
 
-    def record_flush_degraded(self) -> None:
-        """Record one flush downgrading to the greedy policy (the
-        degradation ladder's last rung: its deadline budget tripped)."""
-        self.flushes_degraded += 1
-        self.registry.counter("flush.degraded").inc()
-
-    def record_fault_rescue(self) -> None:
-        """Record one request carried to the next flush because its
-        quote column(s) failed — the ladder's fault-carry rescue."""
-        self.fault_rescued_carries += 1
-        self.registry.counter("carry.fault_rescued").inc()
-
     def record_flush_wall(self, seconds: float) -> None:
         """Record one flush's total wall time (snapshot + quote + solve +
         commit + bookkeeping as seen by the simulator)."""
@@ -310,10 +279,6 @@ class SimulationReport:
         (:class:`~repro.dispatch.quoting.QuoteSet`) in."""
         self.quote_seconds.add(quote_set.quote_seconds)
         self.registry.histogram("flush.quote_s").add(quote_set.quote_seconds)
-        failed = len(quote_set.failed_columns)
-        if failed:
-            self.quote_columns_failed += failed
-            self.registry.counter("quote.column_failed").inc(failed)
 
     def verify_service_guarantees(self, tolerance: float = 1e-5) -> list[str]:
         """Audit the service log against Definition 2: every assigned
@@ -414,11 +379,6 @@ class SimulationReport:
             "max_carries": self.max_carries,
             "pipeline_flushes": self.quote_seconds.count,
             "quote_ms_mean": round(self.quote_seconds.mean * 1000.0, 4),
-            "faults_injected": self.registry.counter("fault.injected").value,
-            "retries": self.registry.counter("retry.count").value,
-            "quote_columns_failed": self.quote_columns_failed,
-            "flushes_degraded": self.flushes_degraded,
-            "fault_rescued_carries": self.fault_rescued_carries,
             "wall_seconds": round(self.wall_seconds, 3),
         }
         return summary
@@ -489,25 +449,5 @@ class SimulationReport:
             lines.append(
                 f"{'quote_ms':24s} mean {self.quote_seconds.mean * 1000:.3f} "
                 f"max {self.quote_seconds.max * 1000:.3f}"
-            )
-        faults = self.registry.counter("fault.injected").value
-        retries = self.registry.counter("retry.count").value
-        ladder = (
-            self.quote_columns_failed
-            + self.flushes_degraded
-            + self.fault_rescued_carries
-        )
-        if faults or retries or ladder:
-            lines.append("--- fault tolerance ---")
-            lines.append(f"{'faults_injected':24s} {faults}")
-            lines.append(f"{'retries':24s} {retries}")
-            lines.append(
-                f"{'quote_columns_failed':24s} {self.quote_columns_failed} "
-                f"(rows rescued via fault-carry: "
-                f"{self.fault_rescued_carries})"
-            )
-            lines.append(
-                f"{'flushes_degraded':24s} {self.flushes_degraded} "
-                "(deadline tripped; dispatched greedily)"
             )
         return "\n".join(lines)

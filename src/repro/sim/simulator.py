@@ -38,14 +38,6 @@ import numpy as np
 from repro.core.matching import Dispatcher
 from repro.dispatch import BatchDispatcher, BatchWindow, QuoteService, make_policy
 from repro.dispatch.adaptive import make_window_controller
-from repro.dispatch.policies import GreedyPolicy
-from repro.faults import (
-    FaultInjector,
-    FlushBudget,
-    RetryPolicy,
-    parse_fault_spec,
-    run_with_fault,
-)
 from repro.obs import Tracer, clock, write_chrome_trace, write_metrics_json
 from repro.sim.config import SimulationConfig
 from repro.sim.events import Event, EventKind, EventQueue
@@ -92,25 +84,8 @@ class Simulation:
         self.tracer = Tracer(enabled=config.trace)
         self._flush_seq = 0
 
-        # The report (and its metrics registry) exists before the
-        # dispatch stack so the fault injector can count into it.
         self.report = SimulationReport()
         self.report.tracer = self.tracer
-
-        #: Deterministic fault injection (repro.faults). An empty plan
-        #: (the default) makes the injector — and every hardened code
-        #: path it gates — a literal no-op: determinism contract 10.
-        self.fault_injector = FaultInjector(
-            parse_fault_spec(config.fault_spec),
-            seed=config.fault_seed,
-            registry=self.report.registry,
-            tracer=self.tracer,
-        )
-        self.retry_policy = RetryPolicy(max_attempts=config.task_retries + 1)
-        #: The degradation ladder's last rung: a flush that exhausts its
-        #: deadline budget is dispatched greedily (sequential
-        #: cheapest-quote, no batch solve), unhardened by design.
-        self._fallback_policy = GreedyPolicy()
 
         self.dispatcher = Dispatcher(
             engine,
@@ -122,12 +97,7 @@ class Simulation:
         self.dispatcher.tracer = self.tracer
         self.batch_dispatcher = BatchDispatcher(
             self.dispatcher,
-            make_policy(
-                config.dispatch_policy,
-                config.assignment_rounds,
-                injector=self.fault_injector,
-                retry=self.retry_policy,
-            ),
+            make_policy(config.dispatch_policy, config.assignment_rounds),
         )
         self.batch_window = (
             BatchWindow(config.batch_window_s)
@@ -142,39 +112,13 @@ class Simulation:
         #: times_carried) accumulated over the flushes a request lost,
         #: folded into its final AssignmentResult at settle.
         self._carry_debt: dict[int, tuple[float, list, int]] = {}
-        self.quote_service = QuoteService(
-            injector=self.fault_injector, retry=self.retry_policy
-        )
+        self.quote_service = QuoteService()
 
     # ------------------------------------------------------------------
-    def _install_engine_faults(self) -> bool:
-        """Shadow ``engine.distance_many`` with a fault-drawing wrapper
-        (instance attribute — the class stays untouched). Draws only
-        happen inside an open engine window (quote computation); the
-        greedy fallback and commit paths never open one, so the ladder's
-        last rung stays fault-immune. Returns whether a wrapper was
-        installed (the caller must restore it — engines are shared
-        across runs in bench/test contexts)."""
-        injector = self.fault_injector
-        if not injector.wants("engine.distance_many"):
-            return False
-        original = self.engine.distance_many
-
-        def distance_many_with_faults(source, targets):
-            return run_with_fault(injector.draw_engine(), original, source, targets)
-
-        self.engine.distance_many = distance_many_with_faults
-        return True
-
     def run(self) -> SimulationReport:
         """Process every event; returns the aggregated report."""
         started = clock()
-        engine_faults = self._install_engine_faults()
-        try:
-            self._run_events()
-        finally:
-            if engine_faults:
-                del self.engine.distance_many
+        self._run_events()
         self.report.wall_seconds = clock() - started
         self.report.extra["engine_stats"] = getattr(
             self.engine, "stats", lambda: {}
@@ -282,41 +226,23 @@ class Simulation:
             flush_span.annotate(requests=len(requests))
             if requests:
                 quote_set = None
-                degraded = False
                 if self.batch_dispatcher.policy.uses_quote_set:
-                    budget = (
-                        FlushBudget(self.config.flush_deadline_s)
-                        if self.config.flush_deadline_s is not None
-                        else None
-                    )
                     with self.tracer.span(
                         "quote.collect", cat="quote", flush=flush_id
                     ):
                         quote_set = self.quote_service.begin(
-                            self.dispatcher, requests, now, budget=budget
+                            self.dispatcher, requests, now
                         ).collect()
                     self.report.record_quote_stage(quote_set)
                     controller.observe_quote_stage(quote_set.quote_seconds)
-                    if quote_set.deadline_exceeded:
-                        # Ladder's last rung: the flush blew its deadline
-                        # budget mid-quote. Drop the partial quote set and
-                        # dispatch this one flush greedily — the next
-                        # flush starts a fresh budget.
-                        degraded = True
-                        quote_set = None
-                        self.report.record_flush_degraded()
                 # A carried request must still be assignable at the next
-                # flush. The fault-carry bound is the same instant, but
-                # armed whenever a next flush exists: the ladder's rescue
-                # must work even with carry-over batching disabled.
+                # flush.
                 self._commit_batch(
                     requests,
                     now,
                     queue,
                     quote_set=quote_set,
                     carry_deadline=next_flush if self.config.carry_over else None,
-                    fault_deadline=next_flush,
-                    degraded=degraded,
                 )
         if requests:
             self.report.record_flush_wall(clock() - wall_start)
@@ -335,38 +261,17 @@ class Simulation:
         self.report.record_flush_wall(clock() - wall_start)
 
     def _commit_batch(
-        self,
-        requests,
-        now,
-        queue,
-        quote_set=None,
-        carry_deadline=None,
-        fault_deadline=None,
-        degraded=False,
+        self, requests, now, queue, quote_set=None, carry_deadline=None
     ) -> None:
         """Dispatch one batch and fold the outcome into the report; each
         winning vehicle gets exactly one fresh stop event (its final
         post-batch plan), and one location report. Carried requests
         (carry-over batching) re-enter the window for the next flush,
         accumulating their response-time debt until a later flush
-        settles them; ``carry_deadline=None`` settles everything here.
-        ``degraded=True`` is the ladder's last rung: dispatch through
-        the greedy fallback policy for this flush only."""
-        if degraded:
-            # Greedy downgrade: sequential cheapest-quote dispatch, no
-            # batch solve, no fault hardening — the one rung guaranteed
-            # not to consume any failed machinery.
-            batch = self._fallback_policy.assign(
-                self.dispatcher, list(requests), now
-            )
-        else:
-            batch = self.batch_dispatcher.dispatch(
-                requests,
-                now,
-                quote_set=quote_set,
-                carry_deadline=carry_deadline,
-                fault_deadline=fault_deadline,
-            )
+        settles them; ``carry_deadline=None`` settles everything here."""
+        batch = self.batch_dispatcher.dispatch(
+            requests, now, quote_set=quote_set, carry_deadline=carry_deadline
+        )
         self.report.record_batch(batch)
         if batch.carried:
             for item in batch.carried:
@@ -379,8 +284,6 @@ class Simulation:
                     timings + item.quote_timings,
                     times + 1,
                 )
-                if item.fault_rescued:
-                    self.report.record_fault_rescue()
                 self.report.record_carry(now - item.request.request_time)
             self.batch_window.carry(item.request for item in batch.carried)
         winners: dict[int, object] = {}

@@ -1,7 +1,7 @@
 """Metrics naming audit.
 
-The robustness counters are part of the repo's observable surface:
-docs/robustness.md documents them and the ``metrics.json`` export
+The request outcome counters are part of the repo's observable surface:
+docs/observability.md documents them and the ``metrics.json`` export
 must carry them even when zero. This test pins the three-way
 agreement between the documented names, the pre-registered registry
 and the exporter.
@@ -21,10 +21,7 @@ DOCS = os.path.join(
 def test_documented_counters_are_pre_registered():
     report = SimulationReport()
     counters = report.registry.as_dict()["counters"]
-    for name in (
-        SimulationReport.DOCUMENTED_COUNTERS
-        + SimulationReport.SERVICE_COUNTERS
-    ):
+    for name in SimulationReport.SERVICE_COUNTERS:
         assert name in counters, f"{name} missing from a fresh registry"
         assert counters[name] == {"value": 0}
 
@@ -35,23 +32,9 @@ def test_documented_counters_reach_the_metrics_json_export(tmp_path):
     write_metrics_json(report.registry, str(path))
     with open(path, encoding="utf-8") as handle:
         counters = json.load(handle)["counters"]
-    for name in (
-        SimulationReport.DOCUMENTED_COUNTERS
-        + SimulationReport.SERVICE_COUNTERS
-    ):
+    for name in SimulationReport.SERVICE_COUNTERS:
         assert counters.get(name) == {"value": 0}, (
             f"{name} missing from metrics.json"
-        )
-
-
-def test_robustness_doc_names_every_documented_counter():
-    with open(
-        os.path.join(DOCS, "robustness.md"), encoding="utf-8"
-    ) as handle:
-        text = handle.read()
-    for name in SimulationReport.DOCUMENTED_COUNTERS:
-        assert f"`{name}`" in text, (
-            f"docs/robustness.md does not document the {name} counter"
         )
 
 

@@ -70,6 +70,30 @@ def test_every_request_settles_exactly_once_with_carry(scenario, policy):
     assert report.verify_service_guarantees() == []
 
 
+def test_long_lap_carry_run_loses_no_request():
+    """Over 1,000 two-second flushes of LAP with carry-over, every
+    request settles exactly once and every guarantee holds."""
+    city = grid_city(12, 12, seed=5)
+    engine = MatrixEngine(city)
+    trips = ShanghaiLikeWorkload(city, seed=5, min_trip_meters=600.0).generate(
+        num_trips=300, duration_seconds=2400
+    )
+    config = SimulationConfig(
+        num_vehicles=6,
+        algorithm="kinetic",
+        seed=5,
+        dispatch_policy="lap",
+        batch_window_s=2.0,
+        carry_over=True,
+    )
+    report = simulate(engine, config, trips)
+    assert len(report.window_trajectory) >= 1000  # one entry per flush
+    assert report.carry_events > 0
+    assert report.num_assigned + report.num_rejected == report.num_requests
+    assert report.num_requests == len(trips)
+    assert report.verify_service_guarantees() == []
+
+
 @pytest.fixture(scope="module")
 def overload():
     """A demand stream a 6-vehicle fleet cannot absorb: most requests

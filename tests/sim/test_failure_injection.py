@@ -4,12 +4,15 @@ import pytest
 
 from repro.core.matching import Dispatcher, KineticAgent
 from repro.core.vehicle import Vehicle
+from repro.dispatch import costs, quoting
 from repro.exceptions import TreeBudgetExceeded
 from repro.roadnet.engine import DijkstraEngine
+from repro.roadnet.generators import grid_city
 from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.matrix import MatrixEngine
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import simulate
-from repro.sim.workload import TripSpec, burst_workload
+from repro.sim.simulator import Simulation, simulate
+from repro.sim.workload import ShanghaiLikeWorkload, TripSpec, burst_workload
 
 
 def test_unreachable_destination_rejected_cleanly():
@@ -73,6 +76,38 @@ def test_budget_exceeded_propagates_from_simulation(small_city, city_engine):
     )
     with pytest.raises(TreeBudgetExceeded):
         simulate(city_engine, config, trips)
+
+
+def test_real_quote_error_fails_the_run(monkeypatch):
+    """A quote stage that raises for one vehicle must fail the run: the
+    error propagates out of ``Simulation.run`` instead of being retried
+    or turned into an infeasible column."""
+    original = costs.quote_column
+    planted = []
+
+    def quote_column(agent, requests, now, objective):
+        if agent.vehicle.vehicle_id == 2:
+            planted.append(now)
+            raise ZeroDivisionError("planted quote error")
+        return original(agent, requests, now, objective)
+
+    monkeypatch.setattr(costs, "quote_column", quote_column)
+    monkeypatch.setattr(quoting, "quote_column", quote_column)
+    city = grid_city(12, 12, seed=5)
+    trips = ShanghaiLikeWorkload(city, seed=5, min_trip_meters=600.0).generate(
+        num_trips=40, duration_seconds=600
+    )
+    config = SimulationConfig(
+        num_vehicles=6,
+        algorithm="kinetic",
+        seed=5,
+        dispatch_policy="lap",
+        batch_window_s=10.0,
+    )
+    sim = Simulation(MatrixEngine(city), config, trips)
+    with pytest.raises(ZeroDivisionError, match="planted quote error"):
+        sim.run()
+    assert len(planted) == 1
 
 
 def test_single_vehicle_fleet(small_city, city_engine):

@@ -1,4 +1,4 @@
-"""Determinism contracts 1–10 and 12 (``docs/determinism.md``) as one table.
+"""Determinism contracts 1–9 and 12 (``docs/determinism.md``) as one table.
 
 Each row runs one scenario under two sides and asserts that they decided
 the same: equal :meth:`SimulationReport.decision_rows`, which is what
@@ -131,24 +131,11 @@ def side(reference=None, **overrides):
 
 GREEDY_0 = dict(dispatch_policy="greedy", batch_window_s=0.0)
 ADAPTIVE = dict(adaptive_window=True, window_min_s=5.0, window_max_s=30.0)
-REPLAY = dict(
-    fault_spec=(
-        "quote.task:crash:0.1,quote.task:delay:0.05:0.2,"
-        "engine.distance_many:crash:0.05"
-    ),
-    fault_seed=21,
-    flush_deadline_s=5.0,
-)
 
 
 # ----------------------------------------------------------------------
 # Diagnostics beyond the decisions, and checks on side A
 # ----------------------------------------------------------------------
-FAULT_COUNTERS = (
-    "faults_injected", "retries", "quote_columns_failed",
-    "flushes_degraded", "fault_rescued_carries",
-)
-
 #: name -> what of a run's report a row also compares
 EXTRA = {
     "candidates": lambda r: (r.candidate_counts.count, r.candidate_counts.total),
@@ -156,7 +143,6 @@ EXTRA = {
     "occupancy": lambda r: dict(r.occupancy._max_by_vehicle),
     "carry": lambda r: (r.carry_events, r.max_carries),
     "window_trajectory": lambda r: r.window_trajectory,
-    "faults": lambda r: {k: r.summary()[k] for k in FAULT_COUNTERS},
 }
 
 
@@ -172,17 +158,6 @@ def _fixed_window(report):
 
 def _carries(report):
     assert report.carry_events > 0
-
-
-def _faults(**expected):
-    """Check fault counters: an int is exact, ``...`` means "> 0"."""
-
-    def check(report):
-        summary = report.summary()
-        for key, value in expected.items():
-            assert summary[key] > 0 if value is ... else summary[key] == value, key
-
-    return check
 
 
 # ----------------------------------------------------------------------
@@ -266,28 +241,6 @@ CONTRACTS = [
         "9-traced-carry", 9, "medium",
         side(trace=True, carry_over=True), side(carry_over=True), extra=("carry",),
     ),
-    # 10. faults are deterministic; no faults, no change
-    _row(
-        "10-unfireable-plan", 10, "medium",
-        side(fault_spec="quote.task:crash:0.0", fault_seed=9), side(),
-        extra=("carry",), checks=(_faults(faults_injected=0),),
-    ),
-    _row(
-        "10-replay", 10, "medium", side(**REPLAY),
-        extra=("carry", "faults"), checks=(_faults(faults_injected=...),),
-    ),
-    # The degradation ladder's retry rung decides as the fault-free run
-    # does.
-    _row(
-        "10-quote-crash-retried", 10, "medium",
-        side(fault_spec="quote.task:crash:@1"), side(), extra=("carry",),
-        checks=(_faults(faults_injected=1, retries=1, quote_columns_failed=0),),
-    ),
-    _row(
-        "10-engine-crash-retried", 10, "medium",
-        side(fault_spec="engine.distance_many:crash:@1"), side(), extra=("carry",),
-        checks=(_faults(retries=...),),
-    ),
     # 12. the Dijkstra engine decides as the matrix engine does
     _row(
         "12-dijkstra-vs-matrix-lap-carry", 12, "medium",
@@ -318,9 +271,6 @@ def run():
             trips = _scenario(scenario)[1]
             engine = _engine(scenario, config.engine_kind)
             report = (side.reference or Simulation)(engine, config, trips).run()
-            # Engines are shared across runs: a run's fault wrapper
-            # must be gone when it ends.
-            assert "distance_many" not in vars(engine)
             if fresh:
                 return report
             memo[key] = report
@@ -344,10 +294,10 @@ def test_contract(run, row):
 
 
 def test_every_contract_has_a_row():
-    """Contracts 1–12, less the retired 2, 3 and 5 and contract 11 (its
-    own property test)."""
+    """Contracts 1–12, less the retired 2, 3, 5 and 10 and contract 11
+    (its own property test)."""
     assert {p.values[0].contract for p in CONTRACTS} == set(range(1, 13)) - {
-        2, 3, 5, 11
+        2, 3, 5, 10, 11
     }
 
 
