@@ -55,9 +55,9 @@ def main() -> None:
         print(f"{key:24s} {value}")
 
     print("\nART by active requests (ms):")
-    for bucket, stats in report.art.as_dict().items():
-        print(f"  {bucket:2d} active: {stats['mean'] * 1000:8.3f} ms "
-              f"({stats['count']} quotes)")
+    for bucket, hist in report.art_by_active().items():
+        print(f"  {bucket:2d} active: {hist.mean * 1000:8.3f} ms "
+              f"({hist.count} quotes)")
 
     violations = report.verify_service_guarantees()
     print(f"\nservice-guarantee audit: {len(violations)} violations")

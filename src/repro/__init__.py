@@ -91,7 +91,6 @@ from repro.dispatch import (
     IterativePolicy,
     LapPolicy,
     POLICY_REGISTRY,
-    build_cost_matrix,
     make_policy,
     solve_assignment,
 )
@@ -169,7 +168,6 @@ __all__ = [
     "IterativePolicy",
     "LapPolicy",
     "POLICY_REGISTRY",
-    "build_cost_matrix",
     "make_policy",
     "solve_assignment",
     # algorithms

@@ -11,6 +11,7 @@ which variants fail to finish — are the reproduction targets, gated by
 
 from __future__ import annotations
 
+import statistics
 import time as _time
 
 from repro.bench.harness import (
@@ -145,7 +146,7 @@ def fig6a() -> ExperimentTable:
             b
             for r in reports.values()
             if r is not None
-            for b in r.art.buckets
+            for b in r.art_by_active()
         }
     )
     rows = [
@@ -207,7 +208,7 @@ def fig7a() -> ExperimentTable:
     ctx = get_context(TREE_SUITE)
     reports = _reports_for(ctx, TREE_VARIANTS)
     buckets = sorted(
-        {b for r in reports.values() if r is not None for b in r.art.buckets}
+        {b for r in reports.values() if r is not None for b in r.art_by_active()}
     )
     rows = [
         [str(b)] + [fmt_cell(reports[name], "art", b) for name, _ in TREE_VARIANTS]
@@ -267,7 +268,7 @@ def _art_bucket_table(ctx, algos, bucket: int, sweep_name: str, experiment_id: s
     # reproduces nothing.
     defaults = _reports_for(ctx, algos)
     observed = [
-        b for r in defaults.values() if r is not None for b in r.art.buckets
+        b for r in defaults.values() if r is not None for b in r.art_by_active()
     ]
     effective = min(bucket, max(observed, default=0))
     note_extra = ""
@@ -422,8 +423,16 @@ def occupancy() -> ExperimentTable:
 # ----------------------------------------------------------------------
 # Supporting microbenchmarks and ablations
 # ----------------------------------------------------------------------
+#: Timed query passes per engine in ``micro_engine``.
+MICRO_ENGINE_REPS = 5
+
+
 def micro_engine() -> ExperimentTable:
-    """Shortest-path engine throughput and cache effectiveness."""
+    """Shortest-path engine throughput and cache effectiveness: each
+    engine answers the same query stream ``MICRO_ENGINE_REPS`` times,
+    each pass on a freshly built engine (so the row LRU starts cold
+    every time), and the table reports the median throughput with the
+    min–max range over the passes."""
     import numpy as np
 
     from repro.roadnet.contraction import CHEngine
@@ -446,31 +455,39 @@ def micro_engine() -> ExperimentTable:
             )
 
     rows = []
-    for name, engine in (
-        ("matrix", MatrixEngine(city)),
-        ("dijkstra+lru", DijkstraEngine(city)),
-        ("hub_label", HubLabelEngine(city)),
-        ("ch", CHEngine(city)),
+    for name, make in (
+        ("matrix", MatrixEngine),
+        ("dijkstra+lru", DijkstraEngine),
+        ("hub_label", HubLabelEngine),
+        ("ch", CHEngine),
     ):
-        t0 = _time.perf_counter()
-        for s, e in queries:
-            engine.distance(s, e)
-        elapsed = _time.perf_counter() - t0
+        rates = []
+        for _ in range(MICRO_ENGINE_REPS):
+            engine = make(city)
+            t0 = _time.perf_counter()
+            for s, e in queries:
+                engine.distance(s, e)
+            rates.append(len(queries) / (_time.perf_counter() - t0))
         stats = engine.stats() if hasattr(engine, "stats") else {}
         hit_rate = stats.get("row_hit_rate", "")
         rows.append(
             [
                 name,
-                f"{len(queries) / elapsed:,.0f}",
+                f"{statistics.median(rates):,.0f}",
+                f"{min(rates):,.0f}–{max(rates):,.0f}",
                 f"{hit_rate:.3f}" if hit_rate != "" else "-",
             ]
         )
     return ExperimentTable(
         "micro_engine",
         "Distance-query throughput (queries/s) and row-LRU hit rate",
-        ["engine", "queries_per_sec", "cache_hit_rate"],
+        ["engine", "queries_per_sec", "range", "cache_hit_rate"],
         rows,
-        notes="supports Section VI's caching discussion; 20x20 grid city",
+        notes=(
+            "supports Section VI's caching discussion; 20x20 grid city; "
+            f"median and min–max of {MICRO_ENGINE_REPS} passes, each on a "
+            "fresh engine"
+        ),
     )
 
 
@@ -580,13 +597,14 @@ def dispatch_policies() -> ExperimentTable:
         if report is None:
             rows.append([label] + ["DNF"] * 5)
             continue
+        summary = report.summary()
         rows.append(
             [
                 label,
                 fmt_cell(report, "service_rate"),
                 fmt_cell(report, "acrt"),
-                f"{report.batch_sizes.mean:.2f}",
-                f"{report.solver_seconds.mean * 1000:.3f}",
+                f"{summary['mean_batch_size']:.2f}",
+                f"{summary['solver_ms_mean']:.3f}",
                 f"{report.total_assignment_cost:,.0f}",
             ]
         )

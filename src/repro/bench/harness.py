@@ -232,11 +232,11 @@ class ExperimentTable:
         return path
 
 
-def fmt_ms(seconds: float | None) -> str:
+def fmt_ms(millis: float | None) -> str:
     """Milliseconds with sub-ms resolution; '-' for missing buckets."""
-    if seconds is None:
+    if millis is None:
         return "-"
-    return f"{seconds * 1000:.3f}"
+    return f"{millis:.3f}"
 
 
 def fmt_cell(report: SimulationReport | None, metric: str, bucket: int | None = None) -> str:
@@ -244,9 +244,9 @@ def fmt_cell(report: SimulationReport | None, metric: str, bucket: int | None = 
     if report is None:
         return "DNF"
     if metric == "acrt":
-        return fmt_ms(report.acrt.mean)
+        return fmt_ms(report.acrt_ms)
     if metric == "art":
-        return fmt_ms(report.art.mean_for(bucket))
+        return fmt_ms(report.art_ms(bucket))
     if metric == "service_rate":
         return f"{report.service_rate:.3f}"
     raise ValueError(f"unknown metric {metric!r}")

@@ -48,7 +48,6 @@ from repro.dispatch.costs import (
     ColumnQuotes,
     CostMatrix,
     assemble_matrix,
-    build_cost_matrix,
     plan_columns,
     quote_column,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "QuoteSet",
     "assemble_matrix",
     "assignment_cost",
-    "build_cost_matrix",
     "make_policy",
     "make_window_controller",
     "plan_columns",

@@ -83,8 +83,8 @@ class ColumnPlan:
     One plan per flush: the union of the per-request candidate sets,
     ordered by vehicle id (so cost ties resolve to the lowest vehicle
     id, like immediate dispatch), with the rows each vehicle must quote.
-    The quote stage — :func:`build_cost_matrix` or
-    :class:`~repro.dispatch.quoting.QuoteService` — fills one
+    The quote stage (:class:`~repro.dispatch.quoting.QuoteService`)
+    fills one
     :class:`ColumnQuotes` per agent and hands both back to
     :func:`assemble_matrix`.
     """
@@ -184,34 +184,3 @@ def assemble_matrix(
         candidate_counts=plan.candidate_counts,
     )
 
-
-def build_cost_matrix(
-    dispatcher: Dispatcher, requests: list[TripRequest], now: float
-) -> CostMatrix:
-    """Quote every (request, candidate vehicle) pair of a batch.
-
-    Candidate filtering reuses :meth:`Dispatcher.candidates` per request;
-    the matrix columns are the union of all candidate sets, ordered by
-    vehicle id so cost ties resolve to the lowest vehicle id, like
-    immediate dispatch. Keys are snapped to the :data:`KEY_EPSILON` grid
-    so costs within :meth:`Dispatcher.submit`'s 1e-9 tie tolerance
-    almost always compare equal to the solver too (``quotes`` keep the
-    exact costs — snapping only affects who wins, never the reported
-    cost).
-
-    This is the bare composition of the three column stages
-    (:func:`plan_columns` -> :func:`quote_column` per vehicle ->
-    :func:`assemble_matrix`); :class:`~repro.dispatch.quoting.QuoteService`
-    runs the same stages, split into ``begin``/``collect``.
-    """
-    plan = plan_columns(dispatcher, requests)
-    columns = [
-        quote_column(
-            agent,
-            [requests[i] for i in plan.rows_by_col[col]],
-            now,
-            dispatcher.objective,
-        )
-        for col, agent in enumerate(plan.agents)
-    ]
-    return assemble_matrix(plan, columns)

@@ -1,11 +1,10 @@
 """The quote stage of a batched flush.
 
 A :class:`QuoteService` builds one batch's per-vehicle
-:class:`~repro.dispatch.costs.CostMatrix` columns through the same
+:class:`~repro.dispatch.costs.CostMatrix` columns through the
 :func:`~repro.dispatch.costs.plan_columns` /
 :func:`~repro.dispatch.costs.quote_column` /
-:func:`~repro.dispatch.costs.assemble_matrix` stages the synchronous
-:func:`~repro.dispatch.costs.build_cost_matrix` composes, on the calling
+:func:`~repro.dispatch.costs.assemble_matrix` stages, on the calling
 thread, at the solve instant: the fleet is quoted as it stands when the
 batch is decided, as in the paper and in Simonetto et al.'s per-batch
 linear assignment.
@@ -106,7 +105,6 @@ class QuoteService:
     def build(
         self, dispatcher: Dispatcher, requests: list[TripRequest], now: float
     ) -> QuoteSet:
-        """The whole quote stage (begin + collect): a matrix
-        bit-identical to :func:`~repro.dispatch.costs.build_cost_matrix`,
-        which runs the same three stages in the same order."""
+        """The whole quote stage (begin + collect): every (request,
+        candidate vehicle) pair of the batch quoted into one matrix."""
         return self.begin(dispatcher, requests, now).collect()

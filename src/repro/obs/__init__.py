@@ -2,13 +2,14 @@
 
 Three pieces, one rule:
 
-* :class:`Tracer` — nested, thread-safe spans over the flush
-  (``flush → snapshot → quote → solve → commit``, per-column
-  children, engine-level fan-out spans). Disabled tracers
-  (:data:`NULL_TRACER`) are literal no-ops: no span is ever allocated.
-* :class:`MetricsRegistry` — named counters, gauges and streaming
-  log-bucket :class:`Histogram` instruments (p50/p90/p99 without
-  storing samples), serialized to ``metrics.json``.
+* :class:`Tracer` — nested spans over the flush
+  (``flush → snapshot → quote → solve → commit``, per-column and
+  per-request children). Disabled tracers (:data:`NULL_TRACER`) are
+  literal no-ops: no span is ever allocated.
+* :class:`MetricsRegistry` — named counters and streaming log-bucket
+  :class:`Histogram` instruments (p50/p90/p99 without storing
+  samples), serialized to ``metrics.json``; the one store of a run's
+  statistics, which ``SimulationReport`` reads back.
 * exporters (:mod:`repro.obs.export`) — Chrome trace-event JSONL
   (Perfetto-loadable) and the metrics summary; analysis helpers in
   :mod:`repro.obs.report` back ``tools/trace_report.py``.
@@ -29,7 +30,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -44,7 +44,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",

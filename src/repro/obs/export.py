@@ -12,11 +12,11 @@ viewer). Per event:
 ``name``
     span name (``flush``, ``solve``, ``quote.column``, ...);
 ``cat``
-    span category (``flush``, ``quote``, ``engine``, ...);
+    span category (``flush``, ``quote``, ``solve``, ...);
 ``ph`` / ``pid``
     always ``"X"`` / ``1``;
 ``tid``
-    the tracer's thread ordinal (0 = simulator thread);
+    always ``0``: the simulator opens every span on one thread;
 ``ts`` / ``dur``
     start and duration in integer microseconds, relative to the
     tracer's first recorded span;
@@ -55,7 +55,7 @@ def chrome_trace_events(records: Iterable[SpanRecord]) -> list[dict]:
                 "cat": r.cat,
                 "ph": "X",
                 "pid": 1,
-                "tid": r.thread,
+                "tid": 0,
                 "ts": round((r.start_s - base) * 1e6),
                 "dur": round(r.dur_s * 1e6),
                 "args": {

@@ -1,11 +1,11 @@
-"""Counters, gauges and streaming log-bucket histograms.
+"""Counters and streaming log-bucket histograms.
 
 The :class:`MetricsRegistry` is the simulation's one home for
-aggregate telemetry: instead of growing another one-off
-``RunningStats`` field per metric on ``SimulationReport``, a component
-asks the registry for a named instrument and records into it. The
-registry serializes to the machine-readable ``metrics.json`` document
-(:func:`repro.obs.export.write_metrics_json`).
+aggregate telemetry: ``SimulationReport`` binds its instruments once
+and reads every statistic it reports back out of them, and any other
+component asks the registry for a named instrument and records into
+it. The registry serializes to the machine-readable ``metrics.json``
+document (:func:`repro.obs.export.write_metrics_json`).
 
 Histogram bucket scheme
 -----------------------
@@ -28,47 +28,25 @@ bounded by the bucket width (< 19 % by default, exact for the
 extremes; property-pinned in
 ``tests/properties/test_histogram_quantile.py``).
 
-All instruments are thread-safe: one registry lock covers creation,
-and each instrument's mutators take the registry lock too (recording
-is a few arithmetic ops; contention is negligible next to the work
-being measured).
+The simulator is one thread, so instruments take no locks: recording
+a histogram sample is a handful of arithmetic ops.
 """
 
 from __future__ import annotations
 
-import math
-import threading
+from math import ceil, inf, log
 
 
 class Counter:
     """A monotonically increasing integer."""
 
-    __slots__ = ("_lock", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, lock: threading.Lock):
-        self._lock = lock
+    def __init__(self):
         self.value = 0
 
     def inc(self, n: int = 1) -> None:
-        with self._lock:
-            self.value += n
-
-    def as_dict(self) -> dict:
-        return {"value": self.value}
-
-
-class Gauge:
-    """A last-write-wins float (``None`` until first set)."""
-
-    __slots__ = ("_lock", "value")
-
-    def __init__(self, lock: threading.Lock):
-        self._lock = lock
-        self.value: float | None = None
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
+        self.value += n
 
     def as_dict(self) -> dict:
         return {"value": self.value}
@@ -82,11 +60,11 @@ class Histogram:
     """
 
     __slots__ = (
-        "_lock",
         "unit",
         "lo",
         "growth",
         "_log_growth",
+        "_top",
         "counts",
         "count",
         "total",
@@ -102,7 +80,6 @@ class Histogram:
 
     def __init__(
         self,
-        lock: threading.Lock | None = None,
         unit: str = "s",
         lo: float = DEFAULT_LO,
         growth: float = DEFAULT_GROWTH,
@@ -110,35 +87,34 @@ class Histogram:
     ):
         if lo <= 0 or growth <= 1 or num_buckets < 1:
             raise ValueError("need lo > 0, growth > 1, num_buckets >= 1")
-        self._lock = lock if lock is not None else threading.Lock()
         self.unit = unit
         self.lo = lo
         self.growth = growth
-        self._log_growth = math.log(growth)
+        self._log_growth = log(growth)
         # counts[0] <= lo; counts[1..n] log buckets; counts[n+1] overflow.
         self.counts = [0] * (num_buckets + 2)
+        self._top = num_buckets + 1
         self.count = 0
         self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
+        self.min = inf
+        self.max = -inf
 
     # -- recording -----------------------------------------------------
-    def _bucket(self, value: float) -> int:
-        if value <= self.lo:
-            return 0
-        idx = int(math.ceil(math.log(value / self.lo) / self._log_growth))
-        return min(idx, len(self.counts) - 1)
-
     def add(self, value: float) -> None:
         value = float(value)
-        with self._lock:
-            self.counts[self._bucket(value)] += 1
-            self.count += 1
-            self.total += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
+        if value <= self.lo:
+            idx = 0
+        else:
+            idx = ceil(log(value / self.lo) / self._log_growth)
+            if idx > self._top:
+                idx = self._top
+        self.counts[idx] += 1
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     # -- queries -------------------------------------------------------
     @property
@@ -150,7 +126,7 @@ class Histogram:
 
         Walks the cumulative counts to rank ``q * (count - 1)`` and
         interpolates within the landing bucket, clamped to the exact
-        observed extremes. Call with the lock held.
+        observed extremes.
         """
         for q in qs:
             if not 0.0 <= q <= 1.0:
@@ -181,13 +157,11 @@ class Histogram:
 
     def quantile(self, q: float) -> float | None:
         """Estimated ``q``-quantile (``0 <= q <= 1``); ``None`` if empty."""
-        with self._lock:
-            return self._quantiles((q,))[0]
+        return self._quantiles((q,))[0]
 
     def as_dict(self) -> dict:
         """Summary for ``metrics.json``: moments plus p50/p90/p99."""
-        with self._lock:
-            p50, p90, p99 = self._quantiles((0.50, 0.90, 0.99))
+        p50, p90, p99 = self._quantiles((0.50, 0.90, 0.99))
         return {
             "unit": self.unit,
             "count": self.count,
@@ -203,57 +177,40 @@ class Histogram:
 class MetricsRegistry:
     """Named instruments, created on first use, export-ready.
 
-    One registry per simulation run. Creation and recording are
-    thread-safe; names are flat strings by convention dotted by
-    subsystem (``flush.solve_s``, ``engine.distance_many_s``).
+    One registry per simulation run; names are flat strings by
+    convention dotted by subsystem (``flush.solve_s``,
+    ``quote.art_s.active_3``).
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                instrument = self._counters[name] = Counter(self._lock)
-            return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(self._lock)
-            return instrument
+        instrument = self._counters.get(name)
+        if instrument is None:
+            instrument = self._counters[name] = Counter()
+        return instrument
 
     def histogram(self, name: str, unit: str = "s", **kwargs) -> Histogram:
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                instrument = self._histograms[name] = Histogram(
-                    self._lock, unit=unit, **kwargs
-                )
-            return instrument
+        instrument = self._histograms.get(name)
+        if instrument is None:
+            instrument = self._histograms[name] = Histogram(unit=unit, **kwargs)
+        return instrument
 
     def as_dict(self) -> dict:
         """The full registry, serialization-shaped (sorted names)."""
-        with self._lock:  # snapshot only; serialize outside the lock
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
         return {
-            "counters": {k: v.as_dict() for k, v in sorted(counters.items())},
-            "gauges": {k: v.as_dict() for k, v in sorted(gauges.items())},
+            "counters": {
+                k: v.as_dict() for k, v in sorted(self._counters.items())
+            },
             "histograms": {
-                k: v.as_dict() for k, v in sorted(histograms.items())
+                k: v.as_dict() for k, v in sorted(self._histograms.items())
             },
         }
 
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "
-            f"gauges={len(self._gauges)}, "
             f"histograms={len(self._histograms)})"
         )

@@ -1,8 +1,8 @@
-"""Structured, thread-safe flush-pipeline spans.
+"""Structured flush-pipeline spans.
 
 One :class:`Tracer` per simulation run collects nested spans —
 ``flush → snapshot → quote → solve → commit``, with per-column and
-engine fan-out children — as flat :class:`SpanRecord` rows that the
+per-request children — as flat :class:`SpanRecord` rows that the
 exporters (:mod:`repro.obs.export`) turn into a Chrome trace. Two
 design rules govern everything here:
 
@@ -21,24 +21,15 @@ design rules govern everything here:
 Span identity
 -------------
 
-Span ids are ``"<thread>:<seq>"`` strings where ``<thread>`` is the
-order in which threads first opened a span on this tracer and
-``<seq>`` a per-thread counter. The thread that creates the tracer is
-always thread ``0``, so every span opened on the simulator thread has
-a fully deterministic id — which is what makes *parent* ids of
-worker-thread spans deterministic too: workers inherit an explicit
-parent handle captured on the simulator thread at task-submit time
-(worker span ids themselves land on whichever pool thread ran the
-task, and only their ordering is timing-dependent).
-
-Nesting is tracked per thread: a span opened while another is open on
-the same thread becomes its child unless an explicit ``parent=`` handle
-overrides it (the cross-thread case).
+The simulator is one thread, and so is the tracer: one stack of open
+spans, one sequence counter. Span ids are ``"0:<seq>"`` strings (the
+``0`` is the one track the export puts every span on), so every id is
+a pure function of call order. A span opened while another is open
+becomes its child.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
@@ -56,7 +47,6 @@ class SpanRecord:
     cat: str
     span_id: str
     parent_id: str | None
-    thread: int
     start_s: float
     dur_s: float
     args: dict
@@ -75,19 +65,17 @@ class Span:
         "cat",
         "span_id",
         "parent_id",
-        "thread",
         "args",
         "start_s",
         "dur_s",
     )
 
-    def __init__(self, tracer, name, cat, span_id, parent_id, thread, args):
+    def __init__(self, tracer, name, cat, span_id, parent_id, args):
         self._tracer = tracer
         self.name = name
         self.cat = cat
         self.span_id = span_id
         self.parent_id = parent_id
-        self.thread = thread
         self.args = args
         self.start_s = 0.0
         self.dur_s = 0.0
@@ -138,17 +126,8 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _ThreadState(threading.local):
-    """Per-thread open-span stack + lazily assigned thread ordinal."""
-
-    def __init__(self):
-        self.stack: list[Span] = []
-        self.ordinal: int | None = None
-        self.seq = 0
-
-
 class Tracer:
-    """Collects spans for one run; thread-safe; cheap when disabled.
+    """Collects spans for one run; cheap when disabled.
 
     ``enabled=False`` turns every entry point into a constant-time
     no-op (see module docstring). The optional ``clock`` override
@@ -158,76 +137,49 @@ class Tracer:
     def __init__(self, enabled: bool = True, clock=None):
         self.enabled = enabled
         self._clock = clock  # None = module-level perf_counter alias
-        self._lock = threading.Lock()
         self._records: list[SpanRecord] = []
-        self._threads = 0
-        self._tls = _ThreadState()
-        if enabled:
-            # Claim ordinal 0 for the creating (simulator) thread so its
-            # span ids are deterministic whatever the workers do.
-            self._thread_ordinal()
+        self._stack: list[Span] = []
+        self._seq = 0
 
     # -- internal ------------------------------------------------------
     def _now(self) -> float:
         return clock() if self._clock is None else self._clock()
 
-    def _thread_ordinal(self) -> int:
-        state = self._tls
-        if state.ordinal is None:
-            with self._lock:
-                state.ordinal = self._threads
-                self._threads += 1
-        return state.ordinal
+    def _next_id(self) -> str:
+        self._seq += 1
+        return f"0:{self._seq}"
+
+    def _open_id(self) -> str | None:
+        return self._stack[-1].span_id if self._stack else None
 
     def _push(self, span: Span) -> None:
-        self._tls.stack.append(span)
+        self._stack.append(span)
 
     def _pop(self, span: Span) -> None:
-        stack = self._tls.stack
+        stack = self._stack
         if stack and stack[-1] is span:
             stack.pop()
         elif span in stack:  # mis-nested exit: drop it and everything above
             del stack[stack.index(span):]
-        with self._lock:
-            self._records.append(
-                SpanRecord(
-                    name=span.name,
-                    cat=span.cat,
-                    span_id=span.span_id,
-                    parent_id=span.parent_id,
-                    thread=span.thread,
-                    start_s=span.start_s,
-                    dur_s=span.dur_s,
-                    args=span.args,
-                )
+        self._records.append(
+            SpanRecord(
+                name=span.name,
+                cat=span.cat,
+                span_id=span.span_id,
+                parent_id=span.parent_id,
+                start_s=span.start_s,
+                dur_s=span.dur_s,
+                args=span.args,
             )
-
-    def _next_id(self) -> tuple[str, int]:
-        state = self._tls
-        ordinal = self._thread_ordinal()
-        state.seq += 1
-        return f"{ordinal}:{state.seq}", ordinal
+        )
 
     # -- public --------------------------------------------------------
-    def span(self, name: str, cat: str = "flush", parent=None, **args):
-        """Open a span (use as a context manager).
-
-        ``parent`` accepts a :class:`Span` or a span-id string — the
-        cross-thread handle a worker task receives from its issuer.
-        Without it, the innermost open span on the current thread is
-        the parent. Returns :data:`NULL_SPAN` when disabled.
-        """
+    def span(self, name: str, cat: str = "flush", **args):
+        """Open a span (use as a context manager) whose parent is the
+        innermost open span. Returns :data:`NULL_SPAN` when disabled."""
         if not self.enabled:
             return NULL_SPAN
-        span_id, ordinal = self._next_id()
-        if parent is None:
-            stack = self._tls.stack
-            parent_id = stack[-1].span_id if stack else None
-        elif isinstance(parent, str):
-            parent_id = parent
-        else:
-            parent_id = parent.span_id
-        return Span(self, name, cat, span_id, parent_id, ordinal, args)
+        return Span(self, name, cat, self._next_id(), self._open_id(), args)
 
     def emit(
         self,
@@ -235,57 +187,34 @@ class Tracer:
         cat: str,
         start_s: float,
         end_s: float,
-        parent=None,
+        parent: Span | None = None,
         **args,
     ) -> None:
         """Record an already-timed section as a completed span.
 
-        The migration target for pre-existing ``perf_counter()`` pairs
-        whose measured value feeds a data structure either way (solver
-        seconds, per-quote ART samples): the site keeps its stopwatch
-        and hands the stamps here. No-op when disabled — callers may
+        For sites whose stopwatch feeds a data structure either way
+        (a request's ``submit``, a ``quote.column``): the site keeps its
+        stamps and hands them here. The parent is ``parent`` when given,
+        else the innermost open span. No-op when disabled — callers may
         skip taking the stamps entirely by checking :attr:`enabled`.
         """
         if not self.enabled:
             return
-        span_id, ordinal = self._next_id()
-        if parent is None:
-            stack = self._tls.stack
-            parent_id = stack[-1].span_id if stack else None
-        elif isinstance(parent, str):
-            parent_id = parent
-        else:
-            parent_id = parent.span_id
-        with self._lock:
-            self._records.append(
-                SpanRecord(
-                    name=name,
-                    cat=cat,
-                    span_id=span_id,
-                    parent_id=parent_id,
-                    thread=ordinal,
-                    start_s=start_s,
-                    dur_s=max(0.0, end_s - start_s),
-                    args=args,
-                )
+        self._records.append(
+            SpanRecord(
+                name=name,
+                cat=cat,
+                span_id=self._next_id(),
+                parent_id=self._open_id() if parent is None else parent.span_id,
+                start_s=start_s,
+                dur_s=max(0.0, end_s - start_s),
+                args=args,
             )
-
-    def current_id(self) -> str | None:
-        """Id of the innermost open span on this thread (the handle to
-        capture before submitting work to another thread)."""
-        if not self.enabled:
-            return None
-        stack = self._tls.stack
-        return stack[-1].span_id if stack else None
+        )
 
     def records(self) -> list[SpanRecord]:
         """Snapshot of every finished span (collection order)."""
-        with self._lock:
-            return list(self._records)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
+        return list(self._records)
 
     def __repr__(self) -> str:
         return f"Tracer(enabled={self.enabled}, records={len(self._records)})"

@@ -20,9 +20,15 @@ def shortest_path_rows(csr, sources=None) -> tuple[np.ndarray, np.ndarray]:
     """Distances (float64, ``inf`` = unreachable) and predecessors (int32,
     negative = none) from ``sources`` to every vertex of the undirected
     graph ``csr``: one row per source, or 1-D arrays for a single int
-    source; ``None`` means every vertex (all pairs)."""
+    source; ``None`` means every vertex (all pairs).
+
+    ``csr`` must be symmetric, as :meth:`RoadNetwork.to_scipy_csr` is (it
+    stores both arcs of every edge at one weight). The search then runs
+    with ``directed=True`` over the arcs as given, so scipy does not
+    rebuild the symmetric graph from ``csr`` and its transpose on every
+    call."""
     return csgraph_dijkstra(
-        csr, directed=False, indices=sources, return_predecessors=True
+        csr, directed=True, indices=sources, return_predecessors=True
     )
 
 

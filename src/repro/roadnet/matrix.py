@@ -38,8 +38,9 @@ class MatrixEngine:
         if graph.num_vertices > _MAX_MATRIX_VERTICES:
             raise GraphError(
                 f"MatrixEngine supports up to {_MAX_MATRIX_VERTICES} vertices; "
-                f"got {graph.num_vertices}. Use DijkstraEngine or "
-                "HubLabelEngine for larger networks."
+                f"got {graph.num_vertices}. Use DijkstraEngine for larger "
+                "networks (make_engine's 'auto' picks it above 6,000 "
+                "vertices)."
             )
         self.graph = graph
         dist, pred = shortest_path_rows(graph.to_scipy_csr())

@@ -3,12 +3,7 @@
 from repro.sim.config import SimulationConfig
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.fleet import build_fleet
-from repro.sim.metrics import (
-    ARTCollector,
-    OccupancyTracker,
-    RunningStats,
-    SimulationReport,
-)
+from repro.sim.metrics import OccupancyTracker, SimulationReport
 from repro.sim.simulator import Simulation, simulate
 from repro.sim.workload import (
     PAPER_TRIPS_PER_VEHICLE_HOUR,
@@ -26,8 +21,6 @@ __all__ = [
     "Simulation",
     "simulate",
     "SimulationReport",
-    "RunningStats",
-    "ARTCollector",
     "OccupancyTracker",
     "ShanghaiLikeWorkload",
     "TripSpec",

@@ -117,14 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(bounded by their wait budget) instead of settling in-batch",
     )
     parser.add_argument(
-        "--trace", action="store_true",
-        help="record structured per-flush spans (repro.obs); "
-        "telemetry never feeds dispatch, so results are bit-identical",
-    )
-    parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
-        help="write the spans as Chrome trace-event JSONL "
-        "(Perfetto-loadable; implies --trace)",
+        help="record structured per-flush spans (repro.obs) and write "
+        "them as Chrome trace-event JSONL (Perfetto-loadable); telemetry "
+        "never feeds dispatch, so results are bit-identical",
     )
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -157,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         window_min_s=args.window_min,
         window_max_s=args.window_max,
         carry_over=args.carry_over,
-        trace=args.trace or args.trace_out is not None,
+        trace=args.trace_out is not None,
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,
         seed=args.seed,
@@ -175,10 +171,10 @@ def main(argv: list[str] | None = None) -> int:
     for key, value in report.summary().items():
         print(f"  {key:24s} {value}")
     print("\nART by active requests:")
-    for bucket, stats in report.art.as_dict().items():
+    for bucket, hist in report.art_by_active().items():
         print(
-            f"  {bucket:2d} active: {stats['mean'] * 1000:9.3f} ms "
-            f"({stats['count']} quotes)"
+            f"  {bucket:2d} active: {hist.mean * 1000:9.3f} ms "
+            f"({hist.count} quotes)"
         )
     if config.trace_out:
         print(f"\ntrace written to {config.trace_out}")

@@ -9,6 +9,12 @@ Paper definitions (Section VI):
   the best route for a taxi to follow given its current state, for
   different request sizes" (one sample per (vehicle, request) quote,
   bucketed by the vehicle's current number of active requests).
+
+Every statistic of a run lives in one place: the report's
+:class:`~repro.obs.metrics.MetricsRegistry`. Each ``record_*`` method
+writes into instruments bound once at report creation, and
+:meth:`SimulationReport.summary`, ``acrt_ms``, ``art_ms(k)`` and the
+outcome counts read those instruments back.
 """
 
 from __future__ import annotations
@@ -18,59 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from statistics import mean
 
-from repro.obs.metrics import MetricsRegistry
-
-
-class RunningStats:
-    """Streaming mean/min/max/count without storing samples."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict[str, float | None]:
-        """Summary dict; ``min``/``max`` are ``None`` (JSON ``null``)
-        when no sample was recorded — a real 0.0 sample stays 0.0."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-        }
-
-
-class ARTCollector:
-    """Per-quote compute times, bucketed by active-request count."""
-
-    def __init__(self):
-        self.buckets: dict[int, RunningStats] = defaultdict(RunningStats)
-
-    def record(self, active_trips: int, seconds: float) -> None:
-        self.buckets[active_trips].add(seconds)
-
-    def mean_for(self, active_trips: int) -> float | None:
-        """Mean ART (seconds) for a bucket, or ``None`` if unobserved."""
-        stats = self.buckets.get(active_trips)
-        return stats.mean if stats else None
-
-    def as_dict(self) -> dict[int, dict[str, float]]:
-        return {k: v.as_dict() for k, v in sorted(self.buckets.items())}
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 class OccupancyTracker:
@@ -118,56 +72,27 @@ class OccupancyTracker:
         return self._sample_sum / self._sample_count
 
 
+def _mean(hist: Histogram) -> float:
+    """A histogram's mean, 0.0 when empty (the summary's convention)."""
+    return hist.total / hist.count if hist.count else 0.0
+
+
 @dataclass
 class SimulationReport:
-    """Aggregated outcome of one simulation run."""
+    """Aggregated outcome of one simulation run: the registry's
+    instruments plus what is not a sample stream — occupancy, the
+    assignment cost, the window trajectory and the service log."""
 
-    num_requests: int = 0
-    num_assigned: int = 0
-    num_rejected: int = 0
-    acrt: RunningStats = field(default_factory=RunningStats)
-    art: ARTCollector = field(default_factory=ARTCollector)
     occupancy: OccupancyTracker = field(default_factory=OccupancyTracker)
     total_assignment_cost: float = 0.0
-    candidate_counts: RunningStats = field(default_factory=RunningStats)
-    #: Quotes made per settled request — the ART sample base. Immediate
-    #: dispatch quotes at most its candidates (the fleet screen skips
-    #: vehicles that cannot win); batched policies quote whole columns,
-    #: once per round.
-    quote_counts: RunningStats = field(default_factory=RunningStats)
-    #: Batched dispatch (repro.dispatch): requests per flush, wall time
-    #: inside the assignment solver per flush, rejections per flush.
-    #: Immediate dispatch records each request as a singleton batch.
-    num_batches: int = 0
-    batch_sizes: RunningStats = field(default_factory=RunningStats)
-    solver_seconds: RunningStats = field(default_factory=RunningStats)
-    batch_rejections: RunningStats = field(default_factory=RunningStats)
-    #: Adaptive batching (repro.dispatch.adaptive): per-flush window
-    #: lengths as scheduled by the window controller, plus the full
-    #: trajectory (flush time, window_s). Populated for every batched
-    #: run (the fixed controller's trajectory is constant).
-    window_s_stats: RunningStats = field(default_factory=RunningStats)
+    #: (flush time, window_s) per flush as scheduled by the window
+    #: controller; constant under the fixed controller.
     window_trajectory: list = field(default_factory=list)
-    #: Carry-over batching: carried requests per flush (0 when disabled),
-    #: request age in seconds at each carry event, total carry events,
-    #: and the most flushes any single request rode along.
-    carried_per_flush: RunningStats = field(default_factory=RunningStats)
-    carry_age_s: RunningStats = field(default_factory=RunningStats)
-    carry_events: int = 0
-    max_carries: int = 0
-    #: Request-to-assignment latency (commit time minus request time) per
-    #: assigned request; 0 under immediate dispatch, and the metric the
-    #: adaptive window shortens off-peak.
-    assign_latency_s: RunningStats = field(default_factory=RunningStats)
-    #: Flush quote stage (repro.dispatch.quoting): per-flush quote
-    #: stage wall time. Empty unless a batched flush ran a policy that
-    #: consumes a quote set.
-    quote_seconds: RunningStats = field(default_factory=RunningStats)
     wall_seconds: float = 0.0
-    #: The run's metrics registry (repro.obs): every record_* method
-    #: below mirrors its samples into named streaming histograms here,
-    #: which is where p50/p90/p99 come from (RunningStats keeps only
-    #: mean/min/max) and what ``metrics_out`` serializes.
+    #: The run's metrics registry (repro.obs): every counter and
+    #: histogram the report records into and reads back
+    #: (``docs/observability.md`` lists them). ``metrics_out``
+    #: serializes it.
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: The run's span collector (a :class:`repro.obs.Tracer`, attached
     #: by :class:`~repro.sim.simulator.Simulation`; ``None`` for
@@ -188,10 +113,59 @@ class SimulationReport:
         "requests.assigned",
         "requests.rejected",
     )
+    #: Prefix of the per-bucket ART family: ``quote.art_s.active_<k>``
+    #: holds the quotes made while the vehicle had ``k`` active requests.
+    ART_FAMILY = "quote.art_s.active_"
 
     def __post_init__(self):
-        for name in self.SERVICE_COUNTERS:
-            self.registry.counter(name)
+        # Every instrument is bound here, once: recording never looks a
+        # name up, and a fresh report exports every one (zero included).
+        counter, histogram = self.registry.counter, self.registry.histogram
+        self._settled, self._assigned, self._rejected = (
+            counter(name) for name in self.SERVICE_COUNTERS
+        )
+        self._acrt = histogram("dispatch.acrt_s")
+        self._candidates = histogram("dispatch.candidates", unit="vehicles")
+        self._quotes = histogram("dispatch.quotes", unit="quotes")
+        self._art = histogram("quote.art_s")
+        self._art_by_active: dict[int, Histogram] = {}
+        self._batch_size = histogram("flush.batch_size", unit="requests")
+        self._batch_rejected = histogram("flush.rejected", unit="requests")
+        self._batch_carried = histogram("flush.carried", unit="requests")
+        self._solve = histogram("flush.solve_s")
+        self._quote_stage = histogram("flush.quote_s")
+        self._flush_wall = histogram("flush.total_s")
+        self._carry_age = histogram("carry.age_s")
+        self._carry_flushes = histogram("carry.flushes", unit="flushes")
+        self._latency = histogram("assign.latency_s")
+
+    # -- outcome counts --------------------------------------------------
+    @property
+    def num_requests(self) -> int:
+        return self._settled.value
+
+    @property
+    def num_assigned(self) -> int:
+        return self._assigned.value
+
+    @property
+    def num_rejected(self) -> int:
+        return self._rejected.value
+
+    @property
+    def num_batches(self) -> int:
+        """Non-empty flushes (immediate dispatch: one per request)."""
+        return self._batch_size.count
+
+    @property
+    def carry_events(self) -> int:
+        """Times any request was carried into a later flush."""
+        return self._carry_age.count
+
+    @property
+    def max_carries(self) -> int:
+        """Most flushes a single request rode along before settling."""
+        return int(self._carry_flushes.max) if self._carry_flushes.count else 0
 
     @property
     def service_rate(self) -> float:
@@ -203,32 +177,38 @@ class SimulationReport:
     @property
     def acrt_ms(self) -> float:
         """Mean ACRT in milliseconds (the paper's reporting unit)."""
-        return self.acrt.mean * 1000.0
+        return _mean(self._acrt) * 1000.0
+
+    def art_by_active(self) -> dict[int, Histogram]:
+        """The ART family, ``{active requests: histogram}`` ascending."""
+        return dict(sorted(self._art_by_active.items()))
 
     def art_ms(self, active_trips: int) -> float | None:
-        """Mean ART in milliseconds for one bucket."""
-        value = self.art.mean_for(active_trips)
-        return None if value is None else value * 1000.0
+        """Mean ART in milliseconds for one bucket (``None`` if unseen)."""
+        hist = self._art_by_active.get(active_trips)
+        return None if hist is None else _mean(hist) * 1000.0
 
+    # -- recording -------------------------------------------------------
     def record_assignment(self, result) -> None:
         """Fold one :class:`~repro.core.matching.AssignmentResult` in."""
-        self.num_requests += 1
-        self.acrt.add(result.elapsed)
-        self.registry.histogram("dispatch.acrt_s").add(result.elapsed)
-        self.candidate_counts.add(result.num_candidates)
-        self.quote_counts.add(len(result.quote_timings))
-        art_hist = self.registry.histogram("quote.art_s")
+        self._settled.inc()
+        self._acrt.add(result.elapsed)
+        self._candidates.add(result.num_candidates)
+        self._quotes.add(len(result.quote_timings))
+        art, family = self._art, self._art_by_active
         for active, seconds in result.quote_timings:
-            self.art.record(active, seconds)
-            art_hist.add(seconds)
-        self.registry.counter("requests.settled").inc()
+            bucket = family.get(active)
+            if bucket is None:
+                bucket = family[active] = self.registry.histogram(
+                    f"{self.ART_FAMILY}{active}"
+                )
+            bucket.add(seconds)
+            art.add(seconds)
         if result.assigned:
-            self.num_assigned += 1
+            self._assigned.inc()
             self.total_assignment_cost += result.cost
-            self.registry.counter("requests.assigned").inc()
         else:
-            self.num_rejected += 1
-            self.registry.counter("requests.rejected").inc()
+            self._rejected.inc()
 
     def record_batch(self, batch) -> None:
         """Fold one :class:`~repro.dispatch.policies.BatchResult` in
@@ -237,48 +217,40 @@ class SimulationReport:
         size = batch.batch_size + len(batch.carried)
         if size == 0:
             return
-        self.num_batches += 1
-        self.batch_sizes.add(size)
-        self.registry.histogram("flush.batch_size", unit="requests").add(size)
-        self.solver_seconds.add(batch.solver_seconds)
-        self.registry.histogram("flush.solve_s").add(batch.solver_seconds)
-        self.batch_rejections.add(batch.num_rejected)
-        self.carried_per_flush.add(len(batch.carried))
+        self._batch_size.add(size)
+        self._solve.add(batch.solver_seconds)
+        self._batch_rejected.add(batch.num_rejected)
+        self._batch_carried.add(len(batch.carried))
 
     def record_window(self, now: float, window_s: float) -> None:
         """Record one flush's scheduled window length (the window
         controller's output at that flush)."""
-        self.window_s_stats.add(window_s)
         self.window_trajectory.append((now, window_s))
 
     def record_carry(self, age_seconds: float) -> None:
         """Record one carry event (a request re-entering the window);
         ``age_seconds`` is how long the request had been waiting."""
-        self.carry_events += 1
-        self.carry_age_s.add(age_seconds)
+        self._carry_age.add(age_seconds)
 
     def record_carry_settle(self, times_carried: int) -> None:
         """Record a carried request finally settling (assigned or
         rejected) after riding along ``times_carried`` flushes."""
-        if times_carried > self.max_carries:
-            self.max_carries = times_carried
+        self._carry_flushes.add(times_carried)
 
     def record_assign_latency(self, seconds: float) -> None:
         """Record one assigned request's request-to-commit latency (the
         batching delay the adaptive window trades against batch size)."""
-        self.assign_latency_s.add(seconds)
-        self.registry.histogram("assign.latency_s").add(seconds)
+        self._latency.add(seconds)
 
     def record_flush_wall(self, seconds: float) -> None:
         """Record one flush's total wall time (snapshot + quote + solve +
         commit + bookkeeping as seen by the simulator)."""
-        self.registry.histogram("flush.total_s").add(seconds)
+        self._flush_wall.add(seconds)
 
     def record_quote_stage(self, quote_set) -> None:
         """Fold one flush's completed quote stage
         (:class:`~repro.dispatch.quoting.QuoteSet`) in."""
-        self.quote_seconds.add(quote_set.quote_seconds)
-        self.registry.histogram("flush.quote_s").add(quote_set.quote_seconds)
+        self._quote_stage.add(quote_set.quote_seconds)
 
     def verify_service_guarantees(self, tolerance: float = 1e-5) -> list[str]:
         """Audit the service log against Definition 2: every assigned
@@ -341,47 +313,53 @@ class SimulationReport:
         """SHA-256 of :meth:`decision_rows`: equal digests, same decisions."""
         return hashlib.sha256(repr(self.decision_rows()).encode()).hexdigest()
 
+    def _window_stats(self) -> tuple[float, float, float]:
+        """(mean, min, max) of the scheduled window lengths; zeros
+        before the first flush."""
+        windows = [window_s for _, window_s in self.window_trajectory]
+        if not windows:
+            return 0.0, 0.0, 0.0
+        total = 0.0
+        for window_s in windows:  # sequential, as the samples arrived
+            total += window_s
+        return total / len(windows), min(windows), max(windows)
+
     def summary(self) -> dict[str, float]:
         """Flat dict for the paper tables (``python -m repro.bench``)
         and ``--metrics-out``."""
-        latency = self.registry.histogram("assign.latency_s")
-        solve = self.registry.histogram("flush.solve_s")
-        summary = {
+        window_mean, window_min, window_max = self._window_stats()
+        latency, solve = self._latency, self._solve
+        return {
             "requests": self.num_requests,
             "assigned": self.num_assigned,
             "rejected": self.num_rejected,
             "service_rate": round(self.service_rate, 4),
             "acrt_ms": round(self.acrt_ms, 4),
-            "mean_candidates": round(self.candidate_counts.mean, 2),
-            "mean_quotes": round(self.quote_counts.mean, 2),
+            "mean_candidates": round(_mean(self._candidates), 2),
+            "mean_quotes": round(_mean(self._quotes), 2),
             "max_passengers": self.occupancy.max_passengers,
             "mean_max_occupancy": round(self.occupancy.mean_max_per_vehicle, 3),
             "top20_mean_occupancy": round(self.occupancy.top20_mean, 3),
             "batches": self.num_batches,
-            "mean_batch_size": round(self.batch_sizes.mean, 2),
-            "max_batch_size": int(self.batch_sizes.max) if self.num_batches else 0,
-            "solver_ms_mean": round(self.solver_seconds.mean * 1000.0, 4),
-            "mean_batch_rejected": round(self.batch_rejections.mean, 3),
-            "window_s_mean": round(self.window_s_stats.mean, 4),
-            "window_s_min": round(
-                self.window_s_stats.min if self.window_s_stats.count else 0.0, 4
-            ),
-            "window_s_max": round(
-                self.window_s_stats.max if self.window_s_stats.count else 0.0, 4
-            ),
-            "assign_latency_s_mean": round(self.assign_latency_s.mean, 4),
+            "mean_batch_size": round(_mean(self._batch_size), 2),
+            "max_batch_size": int(self._batch_size.max) if self.num_batches else 0,
+            "solver_ms_mean": round(_mean(solve) * 1000.0, 4),
+            "mean_batch_rejected": round(_mean(self._batch_rejected), 3),
+            "window_s_mean": round(window_mean, 4),
+            "window_s_min": round(window_min, 4),
+            "window_s_max": round(window_max, 4),
+            "assign_latency_s_mean": round(_mean(latency), 4),
             "assign_latency_s_p50": round(latency.quantile(0.50) or 0.0, 4),
             "assign_latency_s_p99": round(latency.quantile(0.99) or 0.0, 4),
             "solver_ms_p99": round((solve.quantile(0.99) or 0.0) * 1000.0, 4),
             "carry_events": self.carry_events,
-            "carried_per_flush_mean": round(self.carried_per_flush.mean, 3),
-            "carry_age_s_mean": round(self.carry_age_s.mean, 3),
+            "carried_per_flush_mean": round(_mean(self._batch_carried), 3),
+            "carry_age_s_mean": round(_mean(self._carry_age), 3),
             "max_carries": self.max_carries,
-            "pipeline_flushes": self.quote_seconds.count,
-            "quote_ms_mean": round(self.quote_seconds.mean * 1000.0, 4),
+            "pipeline_flushes": self._quote_stage.count,
+            "quote_ms_mean": round(_mean(self._quote_stage) * 1000.0, 4),
             "wall_seconds": round(self.wall_seconds, 3),
         }
-        return summary
 
     def text_summary(self) -> str:
         """Human-readable report block: service/latency numbers plus the
@@ -405,49 +383,49 @@ class SimulationReport:
             f"{'vehicles_per_request':24s} candidates "
             f"{summary['mean_candidates']}, trial-inserted {summary['mean_quotes']}"
         )
+        solve, quote_stage = self._solve, self._quote_stage
         if self.num_batches:
             lines.append("--- batched dispatch ---")
             lines.append(f"{'batches':24s} {self.num_batches}")
             lines.append(
-                f"{'batch_size':24s} mean {self.batch_sizes.mean:.2f} "
-                f"max {int(self.batch_sizes.max)}"
+                f"{'batch_size':24s} mean {_mean(self._batch_size):.2f} "
+                f"max {int(self._batch_size.max)}"
             )
             lines.append(
-                f"{'solver_ms':24s} mean {self.solver_seconds.mean * 1000:.3f} "
-                f"max {self.solver_seconds.max * 1000:.3f}"
+                f"{'solver_ms':24s} mean {_mean(solve) * 1000:.3f} "
+                f"max {solve.max * 1000:.3f}"
             )
             lines.append(
-                f"{'rejected_per_batch':24s} mean {self.batch_rejections.mean:.3f}"
+                f"{'rejected_per_batch':24s} mean "
+                f"{_mean(self._batch_rejected):.3f}"
             )
-        adaptive_ran = self.window_s_stats.count and (
-            self.window_s_stats.min != self.window_s_stats.max
-        )
+        window_mean, window_min, window_max = self._window_stats()
+        adaptive_ran = window_min != window_max
         if adaptive_ran or self.carry_events:
             lines.append("--- adaptive window / carry-over ---")
-            if self.window_s_stats.count:
+            if self.window_trajectory:
                 lines.append(
-                    f"{'window_s':24s} mean {self.window_s_stats.mean:.2f} "
-                    f"min {self.window_s_stats.min:.2f} "
-                    f"max {self.window_s_stats.max:.2f}"
+                    f"{'window_s':24s} mean {window_mean:.2f} "
+                    f"min {window_min:.2f} max {window_max:.2f}"
                 )
             lines.append(
-                f"{'assign_latency_s':24s} mean {self.assign_latency_s.mean:.2f}"
+                f"{'assign_latency_s':24s} mean {_mean(self._latency):.2f}"
             )
             lines.append(
                 f"{'carried':24s} events {self.carry_events} "
-                f"mean/flush {self.carried_per_flush.mean:.3f} "
+                f"mean/flush {_mean(self._batch_carried):.3f} "
                 f"max_carries {self.max_carries}"
             )
             if self.carry_events:
                 lines.append(
-                    f"{'carry_age_s':24s} mean {self.carry_age_s.mean:.2f} "
-                    f"max {self.carry_age_s.max:.2f}"
+                    f"{'carry_age_s':24s} mean {_mean(self._carry_age):.2f} "
+                    f"max {self._carry_age.max:.2f}"
                 )
-        if self.quote_seconds.count:
+        if quote_stage.count:
             lines.append("--- quote stage ---")
-            lines.append(f"{'pipeline_flushes':24s} {self.quote_seconds.count}")
+            lines.append(f"{'pipeline_flushes':24s} {quote_stage.count}")
             lines.append(
-                f"{'quote_ms':24s} mean {self.quote_seconds.mean * 1000:.3f} "
-                f"max {self.quote_seconds.max * 1000:.3f}"
+                f"{'quote_ms':24s} mean {_mean(quote_stage) * 1000:.3f} "
+                f"max {quote_stage.max * 1000:.3f}"
             )
         return "\n".join(lines)

@@ -114,7 +114,7 @@ def test_table_render_empty_rows():
 
 def test_fmt_ms():
     assert fmt_ms(None) == "-"
-    assert fmt_ms(0.0123) == "12.300"
+    assert fmt_ms(12.3) == "12.300"
 
 
 def test_fmt_cell(context):

@@ -82,9 +82,10 @@ def test_windows_actually_batch(batch_engine, batch_trips):
         batch_trips,
     )
     assert report.num_batches < report.num_requests
-    assert report.batch_sizes.mean > 1.0
-    assert report.batch_sizes.max >= 2
-    assert report.solver_seconds.count == report.num_batches
+    sizes = report.registry.histogram("flush.batch_size")
+    assert sizes.mean > 1.0
+    assert sizes.max >= 2
+    assert report.registry.histogram("flush.solve_s").count == report.num_batches
     summary = report.summary()
     assert summary["batches"] == report.num_batches
     assert summary["mean_batch_size"] > 1.0

@@ -24,4 +24,4 @@ def test_batch_metrics_recorded_at_window_zero():
         trips,
     )
     assert report.num_batches == report.num_requests
-    assert report.batch_sizes.max == 1
+    assert report.summary()["max_batch_size"] == 1

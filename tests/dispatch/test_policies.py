@@ -7,7 +7,6 @@ import pytest
 from repro.core.matching import Dispatcher, Quote, VehicleAgent
 from repro.core.request import TripRequest
 from repro.core.vehicle import Vehicle
-from repro.dispatch.costs import build_cost_matrix
 from repro.dispatch.policies import (
     GreedyPolicy,
     IterativePolicy,
@@ -15,6 +14,7 @@ from repro.dispatch.policies import (
     POLICY_REGISTRY,
     make_policy,
 )
+from repro.dispatch.quoting import QuoteService
 
 
 class ScriptedAgent(VehicleAgent):
@@ -188,10 +188,10 @@ def test_delta_objective_uses_incremental_cost():
         assert batch.results[0].winner.vehicle.vehicle_id == want, objective
 
 
-def test_build_cost_matrix_shape_and_keys():
+def test_cost_matrix_shape_and_keys():
     dispatcher, agents = _setup(TRAP)
     requests = [_request(0), _request(1)]
-    matrix = build_cost_matrix(dispatcher, requests, 100.0)
+    matrix = QuoteService().build(dispatcher, requests, 100.0).matrix
     assert matrix.shape == (2, 2)
     assert matrix.keys[0, 0] == 10.0 and matrix.keys[1, 1] == 20.0
     assert matrix.candidate_counts == [2, 2]
@@ -228,7 +228,7 @@ def test_near_tie_resolves_to_lowest_vehicle_id_like_submit():
     agent_costs = [{0: 100.0 + 4e-10}, {0: 100.0}]
 
     dispatcher, agents = _setup(agent_costs)
-    matrix = build_cost_matrix(dispatcher, [_request(0)], 100.0)
+    matrix = QuoteService().build(dispatcher, [_request(0)], 100.0).matrix
     assert matrix.keys[0, 0] == matrix.keys[0, 1]
     # Quotes keep the exact (unsnapped) costs.
     assert matrix.quotes[0][0].cost == 100.0 + 4e-10

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, log-bucket histograms.
+"""The metrics registry: counters and log-bucket histograms.
 
 The histogram's contract is quantiles-without-samples: p50/p90/p99
 estimates whose relative error is bounded by the bucket width (< 19 %
@@ -6,15 +6,13 @@ at the default ``growth = 2**0.25``), exact at the observed extremes,
 ``None`` when empty.
 """
 
-import threading
-
 import pytest
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 # ----------------------------------------------------------------------
-# Counter / gauge
+# Counter
 # ----------------------------------------------------------------------
 def test_counter_increments():
     registry = MetricsRegistry()
@@ -23,15 +21,6 @@ def test_counter_increments():
     counter.inc(4)
     assert counter.value == 5
     assert counter.as_dict() == {"value": 5}
-
-
-def test_gauge_is_last_write_wins():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("window.current_s")
-    assert gauge.as_dict() == {"value": None}
-    gauge.set(15)
-    gauge.set(7.5)
-    assert gauge.as_dict() == {"value": 7.5}
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +121,6 @@ def test_instruments_are_get_or_create():
     registry = MetricsRegistry()
     assert registry.histogram("a") is registry.histogram("a")
     assert registry.counter("b") is registry.counter("b")
-    assert registry.gauge("c") is registry.gauge("c")
     # Same name, different kind: separate namespaces, no collision.
     assert registry.counter("a").value == 0
 
@@ -145,24 +133,4 @@ def test_as_dict_is_sorted_and_complete():
     exported = registry.as_dict()
     assert list(exported["histograms"]) == ["a.first", "z.last"]
     assert exported["counters"] == {"hits": {"value": 1}}
-    assert exported["gauges"] == {}
-
-
-def test_concurrent_adds_lose_nothing():
-    registry = MetricsRegistry()
-    hist = registry.histogram("lat")
-    counter = registry.counter("hits")
-    per_thread = 2000
-
-    def hammer():
-        for i in range(per_thread):
-            hist.add(0.001 * (1 + i % 7))
-            counter.inc()
-
-    threads = [threading.Thread(target=hammer) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert hist.count == 4 * per_thread
-    assert counter.value == 4 * per_thread
+    assert list(exported) == ["counters", "histograms"]

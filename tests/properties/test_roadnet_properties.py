@@ -39,6 +39,16 @@ def connected_graphs(draw, connected=True):
     return graph, rng
 
 
+@given(st.one_of(connected_graphs(), connected_graphs(connected=False)))
+@settings(max_examples=40, deadline=None)
+def test_scipy_csr_equals_its_transpose(case):
+    """Both arcs of every edge are stored at one weight — the
+    precondition of ``shortest_path_rows`` searching ``directed=True``."""
+    graph, _ = case
+    csr = graph.to_scipy_csr()
+    assert (csr != csr.T).nnz == 0
+
+
 @given(connected_graphs())
 @settings(max_examples=40, deadline=None)
 def test_distance_symmetry(case):

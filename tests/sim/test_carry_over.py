@@ -133,7 +133,7 @@ def test_request_expiring_mid_carry_takes_the_rejection_path(overload):
     assert report.max_carries >= 2
     # A request never rides past its wait budget: carry ages are bounded
     # by it, and every settle is final (assigned + rejected = total).
-    assert report.carry_age_s.max <= wait_budget + 1e-9
+    assert report.registry.histogram("carry.age_s").max <= wait_budget + 1e-9
     assert report.num_assigned + report.num_rejected == report.num_requests
     assert report.verify_service_guarantees() == []
 

@@ -3,45 +3,7 @@
 import pytest
 
 from repro.core.request import TripRequest
-from repro.sim.metrics import (
-    ARTCollector,
-    OccupancyTracker,
-    RunningStats,
-    SimulationReport,
-)
-
-
-def test_running_stats_basic():
-    stats = RunningStats()
-    for v in (1.0, 2.0, 3.0):
-        stats.add(v)
-    assert stats.count == 3
-    assert stats.mean == 2.0
-    assert stats.min == 1.0
-    assert stats.max == 3.0
-
-
-def test_running_stats_empty():
-    """Empty collectors export null extremes — unambiguous with a real
-    0.0 sample (which stays 0.0)."""
-    stats = RunningStats()
-    assert stats.mean == 0.0
-    assert stats.as_dict()["min"] is None
-    assert stats.as_dict()["max"] is None
-    stats.add(0.0)
-    assert stats.as_dict()["min"] == 0.0
-    assert stats.as_dict()["max"] == 0.0
-
-
-def test_art_collector_buckets():
-    art = ARTCollector()
-    art.record(0, 0.001)
-    art.record(0, 0.003)
-    art.record(4, 0.010)
-    assert art.mean_for(0) == pytest.approx(0.002)
-    assert art.mean_for(4) == pytest.approx(0.010)
-    assert art.mean_for(7) is None
-    assert list(art.as_dict()) == [0, 4]
+from repro.sim.metrics import OccupancyTracker, SimulationReport
 
 
 def test_occupancy_tracker():

@@ -138,8 +138,11 @@ ADAPTIVE = dict(adaptive_window=True, window_min_s=5.0, window_max_s=30.0)
 # ----------------------------------------------------------------------
 #: name -> what of a run's report a row also compares
 EXTRA = {
-    "candidates": lambda r: (r.candidate_counts.count, r.candidate_counts.total),
-    "art_counts": lambda r: {k: v.count for k, v in r.art.buckets.items()},
+    "candidates": lambda r: (
+        r.registry.histogram("dispatch.candidates").count,
+        r.registry.histogram("dispatch.candidates").total,
+    ),
+    "art_counts": lambda r: {k: v.count for k, v in r.art_by_active().items()},
     "occupancy": lambda r: dict(r.occupancy._max_by_vehicle),
     "carry": lambda r: (r.carry_events, r.max_carries),
     "window_trajectory": lambda r: r.window_trajectory,
@@ -147,7 +150,7 @@ EXTRA = {
 
 
 def _quote_stage_every_flush(report):
-    assert report.quote_seconds.count == report.num_batches
+    assert report.registry.histogram("flush.quote_s").count == report.num_batches
 
 
 def _fixed_window(report):
