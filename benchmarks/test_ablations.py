@@ -1,15 +1,5 @@
-"""Design-choice ablations (README, "Design ablations" row): the
-assignment objective (total vs delta cost) and the tree invalidation
-policy (eager vs lazy)."""
-
-
-def test_ablation_objective(benchmark, run_table):
-    table = benchmark.pedantic(
-        run_table, args=("ablation_objective",), iterations=1, rounds=1
-    )
-    assert [row[0] for row in table.rows] == ["total", "delta"]
-    for row in table.rows:
-        assert row[1] != "DNF"
+"""Design-choice ablations (README, "Design ablations" row): the tree
+invalidation policy (eager vs lazy) and schedule-cap load shedding."""
 
 
 def test_ablation_invalidation(benchmark, run_table):
@@ -41,5 +31,4 @@ def test_engine_cache_table(benchmark, run_table):
         "matrix",
         "dijkstra+lru",
         "hub_label",
-        "ch",
     ]

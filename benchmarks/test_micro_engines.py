@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.kinetic.tree import KineticTree
 from repro.core.request import TripRequest
-from repro.roadnet.contraction import CHEngine
 from repro.roadnet.engine import DijkstraEngine
 from repro.roadnet.generators import grid_city
 from repro.roadnet.hub_labeling import HubLabelEngine
@@ -58,16 +57,6 @@ def test_dijkstra_engine_distance_cached(benchmark, city, queries):
 
 def test_hub_label_distance(benchmark, city, queries):
     engine = HubLabelEngine(city)
-
-    def run():
-        for s, e in queries:
-            engine.distance(s, e)
-
-    benchmark(run)
-
-
-def test_ch_distance(benchmark, city, queries):
-    engine = CHEngine(city)
 
     def run():
         for s, e in queries:

@@ -8,10 +8,10 @@ and request stream: service rate, assignment cost, batch sizes, and the
 wall time spent in the LAP solver.
 
 Each batched flush quotes, solves and commits at its instant, against
-the fleet as it stands (:mod:`repro.dispatch.quoting`). The window
-length is fixed for the whole run; see
-``examples/adaptive_window.py`` for load-driven window autotuning and
-carry-over.
+the fleet as it stands (:mod:`repro.dispatch.quoting`), every
+``--window`` seconds. For carry-over (losers re-enter the next window)
+run ``python -m repro.sim --dispatch-policy lap --batch-window 10
+--carry-over``.
 
 Run:  python examples/batched_dispatch.py [--vehicles N] [--hours H]
       [--window SECONDS]

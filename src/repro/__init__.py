@@ -32,13 +32,11 @@ Package map:
   et al.) and ``iterative`` (repeated assignment rounds re-quoting
   unassigned requests, after Vakayil et al.). Each flush quotes, solves
   and commits synchronously at its instant, in one process
-  (:mod:`repro.dispatch.quoting`), the flush cadence is owned by a
-  fixed or load-adaptive window controller
-  (:mod:`repro.dispatch.adaptive`), and carry-over batching lets
-  losing requests roll into the next window. Configure through
-  :class:`SimulationConfig` (``dispatch_policy``, ``batch_window_s``,
-  ``assignment_rounds``, ``adaptive_window``,
-  ``window_min_s``/``window_max_s``, ``carry_over``);
+  (:mod:`repro.dispatch.quoting`), every ``batch_window_s`` seconds,
+  and carry-over batching lets losing requests roll into the next
+  window. Configure through :class:`SimulationConfig`
+  (``dispatch_policy``, ``batch_window_s``, ``assignment_rounds``,
+  ``carry_over``);
 * :mod:`repro.algorithms` — brute force, branch & bound, MIP and
   insertion baselines;
 * :mod:`repro.sim` — event-driven simulator, synthetic Shanghai-like

@@ -435,7 +435,6 @@ def micro_engine() -> ExperimentTable:
     min–max range over the passes."""
     import numpy as np
 
-    from repro.roadnet.contraction import CHEngine
     from repro.roadnet.engine import DijkstraEngine
     from repro.roadnet.generators import grid_city
     from repro.roadnet.hub_labeling import HubLabelEngine
@@ -459,7 +458,6 @@ def micro_engine() -> ExperimentTable:
         ("matrix", MatrixEngine),
         ("dijkstra+lru", DijkstraEngine),
         ("hub_label", HubLabelEngine),
-        ("ch", CHEngine),
     ):
         rates = []
         for _ in range(MICRO_ENGINE_REPS):
@@ -488,29 +486,6 @@ def micro_engine() -> ExperimentTable:
             f"median and min–max of {MICRO_ENGINE_REPS} passes, each on a "
             "fresh engine"
         ),
-    )
-
-
-def ablation_objective() -> ExperimentTable:
-    """Total-cost vs delta-cost assignment objective (design ablation)."""
-    ctx = get_context(TREE_SUITE)
-    rows = []
-    for objective in ("total", "delta"):
-        report = ctx.run_cell(algorithm="kinetic", objective=objective)
-        rows.append(
-            [
-                objective,
-                fmt_cell(report, "acrt"),
-                fmt_cell(report, "service_rate"),
-                f"{report.total_assignment_cost:,.0f}" if report else "DNF",
-            ]
-        )
-    return ExperimentTable(
-        "ablation_objective",
-        "Assignment objective ablation (kinetic tree)",
-        ["objective", "acrt_ms", "service_rate", "total_cost_s"],
-        rows,
-        notes="'total' is the paper's objective (min augmented-schedule cost)",
     )
 
 
@@ -643,7 +618,6 @@ ALL_EXPERIMENTS = {
     "fig9c": (fig9c, "ACRT vs capacity, tree variants"),
     "occupancy": (occupancy, "Unlimited-capacity occupancy statistics"),
     "micro_engine": (micro_engine, "Engine throughput / cache hit rates"),
-    "ablation_objective": (ablation_objective, "total vs delta objective"),
     "ablation_invalidation": (ablation_invalidation, "eager vs lazy pruning"),
     "ablation_beam": (ablation_beam, "schedule-cap load shedding"),
     "dispatch_policies": (dispatch_policies, "batched dispatch policy comparison"),

@@ -180,11 +180,6 @@ class VehicleAgent(abc.ABC):
     def is_idle(self) -> bool:
         return self.num_active_trips == 0
 
-    def current_plan_cost(self) -> float:
-        """Remaining cost of the committed schedule; used by the
-        ``"delta"`` assignment objective. Subclasses override."""
-        return 0.0
-
     # -- movement ------------------------------------------------------
     def build_route(
         self,
@@ -316,12 +311,6 @@ class KineticAgent(VehicleAgent):
     def load(self) -> int:
         return self.tree.load
 
-    def current_plan_cost(self) -> float:
-        """Remaining cost of the committed schedule (0 when idle)."""
-        if not self.tree.committed:
-            return 0.0
-        return self.tree.committed[-1].last_arrival - self.tree.root_time
-
 
 class RescheduleAgent(VehicleAgent):
     """Vehicle that re-solves its schedule from scratch per request."""
@@ -420,23 +409,11 @@ class RescheduleAgent(VehicleAgent):
     def load(self) -> int:
         return len(self.onboard)
 
-    def current_plan_cost(self) -> float:
-        """Remaining cost of the committed schedule (0 when idle)."""
-        if not self.committed_arrivals:
-            return 0.0
-        # Arrivals are absolute; the plan started when the last commit was
-        # made, so remaining cost is last arrival minus the first stop's
-        # departure baseline — approximate with span to first arrival.
-        return self.committed_arrivals[-1] - self.committed_arrivals[0]
-
 
 class Dispatcher:
-    """Matches each incoming request to the cheapest feasible vehicle."""
-
-    #: Assignment objectives: the paper's — total cost of the augmented
-    #: unfinished schedule — and the incremental variant used as an
-    #: ablation (extra cost over the vehicle's current plan).
-    OBJECTIVES = ("total", "delta")
+    """Matches each incoming request to the vehicle whose augmented
+    schedule costs least (the paper's objective: the total cost of the
+    unfinished schedule with the new request inserted)."""
 
     def __init__(
         self,
@@ -444,15 +421,11 @@ class Dispatcher:
         agents: Sequence[VehicleAgent],
         grid_index=None,
         staleness_seconds: float = 60.0,
-        objective: str = "total",
     ):
-        if objective not in self.OBJECTIVES:
-            raise ValueError(f"objective must be one of {self.OBJECTIVES}")
         self.engine = engine
         self.agents = list(agents)
         self.grid_index = grid_index
         self.staleness_seconds = staleness_seconds
-        self.objective = objective
         #: The run's span collector (repro.obs); the simulator swaps in
         #: its own. Write-only: no matching decision ever reads it.
         self.tracer = NULL_TRACER
@@ -514,9 +487,8 @@ class Dispatcher:
         asymmetry). A vehicle that :func:`misses_pickup` gets bound
         ``None`` (never quoted); the rest get ``d(v, o) + d(o, e)``: any
         augmented schedule drives to the pickup and then on to the
-        dropoff, so its cost is at least that (less the plan cost under
-        the ``"delta"`` objective). Other agents quote at ``now`` with
-        bound ``-inf``.
+        dropoff, so its cost is at least that. Other agents quote at
+        ``now`` with bound ``-inf``.
         """
         points: list[tuple[int | None, float]] = []
         bounds: list[float | None] = []
@@ -539,8 +511,6 @@ class Dispatcher:
                 bounds[i] = None
                 continue
             bounds[i] = leg + request.direct_cost
-            if self.objective == "delta":
-                bounds[i] -= candidates[i].current_plan_cost()
         return points, bounds
 
     def submit(self, request: TripRequest, now: float) -> AssignmentResult:
@@ -549,11 +519,11 @@ class Dispatcher:
 
         Candidates are trial-inserted in ascending order of their
         :meth:`_screen` bound, stopping once a bound exceeds the best
-        key found by more than :data:`SCREEN_MARGIN` plus the 1e-9 tie
+        cost found by more than :data:`SCREEN_MARGIN` plus the 1e-9 tie
         band: no remaining vehicle can then win or tie. The winner is
         picked from the quotes made, in candidate order, with the
-        comparison quoting every candidate would apply — keys within
-        1e-9 tie and go to the lowest vehicle id. Every skipped key lies
+        comparison quoting every candidate would apply — costs within
+        1e-9 tie and go to the lowest vehicle id. Every skipped cost lies
         more than ``SCREEN_MARGIN`` above the minimum, so the winner is
         the vehicle the quote-everyone loop picks (determinism
         contract 11).
@@ -565,7 +535,7 @@ class Dispatcher:
         quote_timings: list[tuple[int, float]] = []
         candidates = self.candidates(request)
         points, bounds = self._screen(request, candidates, now)
-        keyed: list[tuple[float, Quote] | None] = [None] * len(candidates)
+        quotes: list[Quote | None] = [None] * len(candidates)
         floor = inf
         reachable = [i for i, bound in enumerate(bounds) if bound is not None]
         for i in sorted(reachable, key=bounds.__getitem__):
@@ -578,28 +548,22 @@ class Dispatcher:
             quote_timings.append((active, clock() - t0))
             if quote is None:
                 continue
-            key = quote.cost
-            if self.objective == "delta":
-                key = quote.cost - agent.current_plan_cost()
-            keyed[i] = (key, quote)
-            floor = min(floor, key)
+            quotes[i] = quote
+            floor = min(floor, quote.cost)
         best: Quote | None = None
-        best_key = inf
-        for entry in keyed:
-            if entry is None:
+        for quote in quotes:
+            if quote is None:
                 continue
-            key, quote = entry
             if (
                 best is None
-                or key < best_key - 1e-9
+                or quote.cost < best.cost - 1e-9
                 or (
-                    abs(key - best_key) <= 1e-9
+                    abs(quote.cost - best.cost) <= 1e-9
                     and quote.agent.vehicle.vehicle_id
                     < best.agent.vehicle.vehicle_id
                 )
             ):
                 best = quote
-                best_key = key
         if best is not None:
             best.agent.commit(best)
         elapsed = clock() - started

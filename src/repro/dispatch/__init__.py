@@ -26,22 +26,10 @@ each flush through three stages, back to back at the flush instant:
   have wait budget left re-enter the next window
   (:class:`CarriedRequest`) instead of being settled in-batch.
 
-The flush cadence itself is owned by a window controller
-(:mod:`repro.dispatch.adaptive`): fixed (the configured
-``batch_window_s``, bit-identical to the pre-controller scheduling) or
-adaptive (per-flush retuning from the observed arrival intensity,
-clamped to ``[window_min_s, window_max_s]``).
-
 Cost matrices are built per vehicle, so a vehicle quoting many requests
 computes its decision point once and reuses its shortest-path locality
 across the batch.
 """
-
-from repro.dispatch.adaptive import (
-    AdaptiveWindowController,
-    FixedWindowController,
-    make_window_controller,
-)
 
 from repro.dispatch.costs import (
     ColumnPlan,
@@ -67,7 +55,6 @@ from repro.dispatch.solver import assignment_cost, solve_assignment
 from repro.dispatch.window import BatchWindow
 
 __all__ = [
-    "AdaptiveWindowController",
     "BatchDispatcher",
     "BatchResult",
     "BatchWindow",
@@ -76,7 +63,6 @@ __all__ = [
     "ColumnQuotes",
     "CostMatrix",
     "DispatchPolicy",
-    "FixedWindowController",
     "GreedyPolicy",
     "IterativePolicy",
     "LapPolicy",
@@ -87,7 +73,6 @@ __all__ = [
     "assemble_matrix",
     "assignment_cost",
     "make_policy",
-    "make_window_controller",
     "plan_columns",
     "quote_column",
     "solve_assignment",

@@ -51,13 +51,13 @@ def snap_key(key: float) -> float:
 class CostMatrix:
     """The quotes of one batch, matrix-shaped for an assignment solver.
 
-    ``keys[i, j]`` is the assignment objective for giving request ``i``
-    to vehicle ``j`` (the quote cost under the ``"total"`` objective, the
-    incremental cost under ``"delta"``), ``np.inf`` where the vehicle is
-    not a candidate or returned no valid schedule. ``quotes`` holds the
-    committable :class:`~repro.core.matching.Quote` per feasible cell,
-    and ``timings`` the ``(active_trips, seconds)`` ART sample per quoted
-    cell (``None`` where the vehicle was never asked).
+    ``keys[i, j]`` is the snapped quote cost of giving request ``i`` to
+    vehicle ``j`` (the total cost of its augmented schedule), ``np.inf``
+    where the vehicle is not a candidate or returned no valid schedule.
+    ``quotes`` holds the committable :class:`~repro.core.matching.Quote`
+    per feasible cell, and ``timings`` the ``(active_trips, seconds)``
+    ART sample per quoted cell (``None`` where the vehicle was never
+    asked).
     """
 
     requests: list[TripRequest]
@@ -103,13 +103,11 @@ class ColumnPlan:
 class ColumnQuotes:
     """One vehicle's quoted column: quotes aligned with the plan's rows
     for that column, the vehicle's active-trip count when quoting began
-    (the ART bucket key), the per-quote seconds, and the plan-cost
-    baseline under the ``"delta"`` objective (0 under ``"total"``)."""
+    (the ART bucket key), and the per-quote seconds."""
 
     quotes: list[Quote | None]
     active_trips: int
     per_quote_seconds: float
-    plan_cost: float
 
 
 def plan_columns(
@@ -137,12 +135,10 @@ def quote_column(
     agent: VehicleAgent,
     requests: list[TripRequest],
     now: float,
-    objective: str,
 ) -> ColumnQuotes:
     """Quote one vehicle against its slice of the batch, from its
     decision point at ``now``."""
     active = agent.num_active_trips
-    plan_cost = agent.current_plan_cost() if objective == "delta" else 0.0
     t0 = clock()
     quotes = agent.quote_batch(requests, now)
     per_quote = (clock() - t0) / len(requests)
@@ -150,7 +146,6 @@ def quote_column(
         quotes=quotes,
         active_trips=active,
         per_quote_seconds=per_quote,
-        plan_cost=plan_cost,
     )
 
 
@@ -174,7 +169,7 @@ def assemble_matrix(
             if quote is None:
                 continue
             quotes[row][col] = quote
-            keys[row, col] = snap_key(quote.cost - quoted.plan_cost)
+            keys[row, col] = snap_key(quote.cost)
     return CostMatrix(
         requests=plan.requests,
         agents=plan.agents,

@@ -62,19 +62,13 @@ class PendingQuotes:
         matrix. An error in a column's quote propagates: nothing is
         retried or skipped."""
         plan = self.plan
-        objective = self.dispatcher.objective
         tracer = getattr(self.dispatcher, "tracer", NULL_TRACER)
         t0 = clock()
         columns = []
         for agent, rows in zip(plan.agents, plan.rows_by_col):
             c0 = clock() if tracer.enabled else 0.0
             columns.append(
-                quote_column(
-                    agent,
-                    [plan.requests[i] for i in rows],
-                    self.now,
-                    objective,
-                )
+                quote_column(agent, [plan.requests[i] for i in rows], self.now)
             )
             if tracer.enabled:
                 tracer.emit(

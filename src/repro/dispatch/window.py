@@ -18,11 +18,6 @@ keeps its original ``pickup_deadline``, so it can only ride along while
 its remaining wait budget covers the next flush
 (:mod:`repro.dispatch.policies` enforces the bound; the existing
 rejection path fires once the budget runs out).
-
-With the adaptive controller (:mod:`repro.dispatch.adaptive`) the
-window *length* is retuned per flush; the accumulator itself is
-length-agnostic — ``window_s`` mirrors the controller's latest value
-for introspection only.
 """
 
 from __future__ import annotations
@@ -40,8 +35,7 @@ class BatchWindow:
     window_s:
         Window length in seconds. ``0`` is the degenerate immediate
         window (callers typically bypass the accumulator entirely then);
-        negative values are rejected. Under adaptive tuning this mirrors
-        the controller's most recent window length.
+        negative values are rejected.
     """
 
     __slots__ = ("window_s", "_pending", "num_flushes", "num_carried")

@@ -16,10 +16,8 @@ Three pieces, one rule:
 
 The rule: **telemetry never steers dispatch**. Spans and instruments
 are write-only for the pipeline; no assignment, window, or commit
-decision may read them. The adaptive controller's wall-clock latency
-guard remains the lone, documented exception (``docs/determinism.md``)
-and does not go through this package. That is why every determinism
-pin holds bit-for-bit with tracing enabled.
+decision may read them. That is why every determinism pin holds
+bit-for-bit with tracing enabled.
 """
 
 from repro.obs.export import (

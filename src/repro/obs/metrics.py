@@ -20,12 +20,16 @@ per octave, ~19 % relative width) and enough buckets to reach
 ``~4.4e3`` s — 132 integer counters covering nine decades of latency.
 Values at or below ``lo`` land in bucket 0; values beyond the top
 bucket land in the overflow bucket and are clamped by the tracked
-maximum. A quantile is estimated by walking the cumulative counts to
-the target rank and interpolating linearly inside the bucket, then
-clamping to the exact observed ``[min, max]`` — so the estimate's
-relative error against the bracketing exact order statistics is
-bounded by the bucket width (< 19 % by default, exact for the
-extremes; property-pinned in
+maximum. A quantile is estimated from the cumulative counts: the
+``n`` samples of a bucket are placed evenly inside it (sample ``k`` at
+fraction ``(k + 0.5) / n`` of its width), and a rank that falls
+between two placed samples — inside one bucket, or past a bucket's last
+sample and before the next occupied bucket's first — is interpolated
+linearly between them. The result is clamped to the exact observed
+``[min, max]``. The estimate is therefore monotone in the quantile and
+lies within one bucket width (< 19 % relative by default, ``lo``
+absolute in the underflow bucket) of the bracketing exact order
+statistics (property-pinned in
 ``tests/properties/test_histogram_quantile.py``).
 
 The simulator is one thread, so instruments take no locks: recording
@@ -121,12 +125,24 @@ class Histogram:
     def mean(self) -> float | None:
         return self.total / self.count if self.count else None
 
+    def _bucket_bounds(self, idx: int) -> tuple[float, float]:
+        """``(low, high)`` of bucket ``idx``; bucket 0 is ``[0, lo]``."""
+        if idx == 0:
+            return 0.0, self.lo
+        high = self.lo * self.growth ** idx
+        return high / self.growth, high
+
+    def _placed(self, idx: int, n: int, k: int) -> float:
+        """Where sample ``k`` of the ``n`` in bucket ``idx`` is placed."""
+        low, high = self._bucket_bounds(idx)
+        return low + (high - low) * (k + 0.5) / n
+
     def _quantiles(self, qs) -> list:
         """One cumulative walk answering the ascending quantiles ``qs``.
 
-        Walks the cumulative counts to rank ``q * (count - 1)`` and
-        interpolates within the landing bucket, clamped to the exact
-        observed extremes.
+        Rank ``q * (count - 1)`` is interpolated between the placed
+        samples either side of it (see the module docstring), then
+        clamped to the exact observed extremes.
         """
         for q in qs:
             if not 0.0 <= q <= 1.0:
@@ -134,19 +150,21 @@ class Histogram:
         if not self.count:
             return [None] * len(qs)
         ranks = [q * (self.count - 1) for q in qs]
+        occupied = [(idx, n) for idx, n in enumerate(self.counts) if n]
         results: list = []
         seen = 0
-        for idx, n in enumerate(self.counts):
-            if not n:
-                continue
+        for pos, (idx, n) in enumerate(occupied):
             while len(results) < len(ranks) and ranks[len(results)] < seen + n:
-                if idx == 0:
-                    low, high = 0.0, self.lo
+                local = ranks[len(results)] - seen
+                if local <= n - 1:
+                    value = self._placed(idx, n, local)
                 else:
-                    high = self.lo * self.growth ** idx
-                    low = high / self.growth
-                frac = (ranks[len(results)] - seen + 0.5) / n
-                value = low + (high - low) * frac
+                    # Past this bucket's last sample, so not in the last
+                    # occupied bucket (the top rank is count - 1): head
+                    # for the next occupied bucket's first sample.
+                    last = self._placed(idx, n, n - 1)
+                    first = self._placed(*occupied[pos + 1], 0)
+                    value = min(last + (first - last) * (local - (n - 1)), first)
                 results.append(min(max(value, self.min), self.max))
             if len(results) == len(ranks):
                 return results

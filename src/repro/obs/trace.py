@@ -14,9 +14,6 @@ design rules govern everything here:
   ``benchmarks/test_trace_overhead.py``).
 * **Telemetry never steers dispatch.** Spans are written, never read,
   by the pipeline; no control-flow decision may consult the tracer.
-  The adaptive controller's wall-clock latency guard
-  (``docs/determinism.md``) remains the lone, documented exception —
-  and it predates, and does not go through, this module.
 
 Span identity
 -------------

@@ -6,12 +6,11 @@ provides:
 
 * :class:`~repro.roadnet.graph.RoadNetwork` — a compact CSR adjacency
   representation of an undirected weighted road graph;
-* five interchangeable shortest-path engines
+* four interchangeable shortest-path engines
   (:class:`~repro.roadnet.engine.DijkstraEngine`,
   :class:`~repro.roadnet.matrix.MatrixEngine`,
   :class:`~repro.roadnet.hub_labeling.HubLabelEngine`,
-  :class:`~repro.roadnet.astar.AStarEngine`,
-  :class:`~repro.roadnet.contraction.CHEngine`) behind one protocol with
+  :class:`~repro.roadnet.astar.AStarEngine`) behind one protocol with
   both a scalar ``distance`` and a batched ``distance_many`` query plane;
 * exact Dijkstra in C, one ``scipy.sparse.csgraph`` row per source
   (:mod:`repro.roadnet.dijkstra`), and the paper's LRU cache holding
@@ -28,7 +27,6 @@ from repro.roadnet.astar import (
     astar_path,
 )
 from repro.roadnet.cache import LRUCache
-from repro.roadnet.contraction import CHEngine, ContractionHierarchy
 from repro.roadnet.dijkstra import (
     dijkstra_distance,
     dijkstra_path,
@@ -55,8 +53,6 @@ __all__ = [
     "LandmarkHeuristic",
     "astar_distance",
     "astar_path",
-    "CHEngine",
-    "ContractionHierarchy",
     "LRUCache",
     "dijkstra_distance",
     "dijkstra_path",

@@ -3,8 +3,8 @@
 Every exact search in the library is one ``scipy.sparse.csgraph.dijkstra``
 call, run in C: the matrix engine's all-pairs table, the Dijkstra engine's
 rows, the A* landmark tables and the path and ball fallbacks of the
-hub-label and CH engines. :func:`shortest_path_rows` is that call, so every
-engine reads the same numbers; the helpers below read one row of it.
+hub-label engine. :func:`shortest_path_rows` is that call, so every engine
+reads the same numbers; the helpers below read one row of it.
 """
 
 from __future__ import annotations

@@ -187,7 +187,7 @@ class DijkstraEngine:
 
 #: Every ``kind`` accepted by :func:`make_engine` (also what
 #: ``SimulationConfig.engine_kind`` and the sim CLI's ``--engine`` take).
-ENGINE_KINDS = ("auto", "matrix", "dijkstra", "hub_label", "astar", "ch")
+ENGINE_KINDS = ("auto", "matrix", "dijkstra", "hub_label", "astar")
 
 
 def make_engine(graph: RoadNetwork, kind: str = "auto", **kwargs) -> ShortestPathEngine:
@@ -196,8 +196,8 @@ def make_engine(graph: RoadNetwork, kind: str = "auto", **kwargs) -> ShortestPat
     ``kind`` (see :data:`ENGINE_KINDS`):
       * ``"auto"`` — matrix engine for graphs small enough to precompute
         all pairs (the benchmark configuration), Dijkstra otherwise;
-      * ``"matrix"`` | ``"dijkstra"`` | ``"hub_label"`` | ``"astar"`` |
-        ``"ch"`` — explicit choice.
+      * ``"matrix"`` | ``"dijkstra"`` | ``"hub_label"`` | ``"astar"`` —
+        explicit choice.
     """
     from repro.roadnet.astar import AStarEngine
     from repro.roadnet.hub_labeling import HubLabelEngine
@@ -213,8 +213,4 @@ def make_engine(graph: RoadNetwork, kind: str = "auto", **kwargs) -> ShortestPat
         return HubLabelEngine(graph, **kwargs)
     if kind == "astar":
         return AStarEngine(graph, **kwargs)
-    if kind == "ch":
-        from repro.roadnet.contraction import CHEngine
-
-        return CHEngine(graph, **kwargs)
     raise ValueError(f"unknown engine kind {kind!r}")

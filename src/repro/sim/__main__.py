@@ -6,8 +6,7 @@ Run a full ridesharing simulation on a generated city from the shell::
     python -m repro.sim --algorithm mip --trips 40 --constraints 5:10
     python -m repro.sim --capacity unlimited --hotspot-theta 40
     python -m repro.sim --dispatch-policy lap --batch-window 15
-    python -m repro.sim --dispatch-policy lap --batch-window 10 \\
-        --adaptive-window --window-min 5 --window-max 30 --carry-over
+    python -m repro.sim --dispatch-policy lap --batch-window 10 --carry-over
     python -m repro.sim --engine hub_label --vehicles 40
 
 Prints the Section VI metrics (ACRT, ART buckets, occupancy, service
@@ -98,20 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max LAP rounds for the iterative policy",
     )
     parser.add_argument(
-        "--adaptive-window", action="store_true",
-        help="retune the batch window per flush from the observed "
-        "arrival intensity (requires --window-min and --window-max; "
-        "--batch-window is the initial value)",
-    )
-    parser.add_argument(
-        "--window-min", type=float, default=None,
-        help="adaptive clamp band lower bound in seconds",
-    )
-    parser.add_argument(
-        "--window-max", type=float, default=None,
-        help="adaptive clamp band upper bound in seconds",
-    )
-    parser.add_argument(
         "--carry-over", action="store_true",
         help="requests that lose a flush re-enter the next window "
         "(bounded by their wait budget) instead of settling in-batch",
@@ -149,9 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         dispatch_policy=args.dispatch_policy,
         batch_window_s=args.batch_window,
         assignment_rounds=args.assignment_rounds,
-        adaptive_window=args.adaptive_window,
-        window_min_s=args.window_min,
-        window_max_s=args.window_max,
         carry_over=args.carry_over,
         trace=args.trace_out is not None,
         trace_out=args.trace_out,

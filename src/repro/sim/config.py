@@ -45,22 +45,6 @@ class SimulationConfig:
         dispatches each request immediately on arrival (the paper's
         behavior — with the ``greedy`` policy this reduces exactly to
         the immediate :class:`~repro.core.matching.Dispatcher`).
-    adaptive_window / window_min_s / window_max_s:
-        Batch-window autotuning (:mod:`repro.dispatch.adaptive`). With
-        ``adaptive_window=True`` the window length is retuned at every
-        flush from an EWMA of request arrival intensity — short windows
-        off-peak, longer in rush hour — clamped to
-        ``[window_min_s, window_max_s]`` (both required; the configured
-        ``batch_window_s`` is the initial value and must lie inside the
-        band). ``False`` (default) keeps the fixed window and is
-        bit-identical to pre-controller runs.
-    adaptive_ewma_alpha / adaptive_target_batch / adaptive_latency_headroom:
-        Controller shape knobs (only honored with ``adaptive_window``):
-        EWMA smoothing weight of the newest intensity sample, the batch
-        size at which a maximal window saturates (sets the intensity →
-        window ramp slope), and the real-time guard's quote-latency
-        headroom fraction (wall-clock safety channel; dormant at
-        simulation scale — see ``docs/determinism.md``).
     carry_over:
         Carry-over batching (Simonetto-style): requests that lose a
         flush's assignment re-enter the next window — bounded by their
@@ -70,8 +54,8 @@ class SimulationConfig:
         Shortest-path engine backing the run (see
         :data:`repro.roadnet.engine.ENGINE_KINDS`): ``"auto"`` picks
         matrix for precomputable graphs and Dijkstra otherwise;
-        ``"matrix"`` / ``"dijkstra"`` / ``"hub_label"`` / ``"astar"`` /
-        ``"ch"`` force a specific engine. Honored by every entry point
+        ``"matrix"`` / ``"dijkstra"`` / ``"hub_label"`` / ``"astar"``
+        force a specific engine. Honored by every entry point
         that builds its own engine (the sim CLI, examples); callers of
         :func:`repro.sim.simulator.simulate` that pass a prebuilt engine
         are expected to build it with
@@ -106,19 +90,9 @@ class SimulationConfig:
     dispatch_policy: str = "greedy"
     batch_window_s: float = 0.0
     assignment_rounds: int = 3
-    adaptive_window: bool = False
-    window_min_s: float | None = None
-    window_max_s: float | None = None
-    adaptive_ewma_alpha: float = 0.3
-    adaptive_target_batch: float = 12.0
-    adaptive_latency_headroom: float = 0.5
     carry_over: bool = False
     grid_cell_meters: float = 500.0
     use_grid_index: bool = True
-    #: Assignment objective: "total" (the paper's — minimize the full
-    #: augmented-schedule cost) or "delta" (ablation — minimize the extra
-    #: cost over the vehicle's current plan).
-    objective: str = "total"
     #: Per-insertion kinetic-tree expansion budget; exceeding it raises
     #: :class:`~repro.exceptions.TreeBudgetExceeded` — the analogue of the
     #: paper's time/3 GB cutoff in Fig. 9(c). ``None`` = unbounded.
@@ -164,51 +138,6 @@ class SimulationConfig:
             )
         if self.assignment_rounds < 1:
             raise ValueError("assignment_rounds must be >= 1")
-        if self.adaptive_window:
-            if self.batch_window_s <= 0:
-                raise ValueError(
-                    "adaptive_window requires batched dispatch "
-                    "(batch_window_s > 0): immediate per-request dispatch "
-                    "has no window to retune"
-                )
-            if self.window_min_s is None or self.window_max_s is None:
-                raise ValueError(
-                    "adaptive_window requires both window_min_s and "
-                    "window_max_s (the clamp band)"
-                )
-            if not 0 < self.window_min_s <= self.window_max_s:
-                raise ValueError(
-                    "need 0 < window_min_s <= window_max_s, got "
-                    f"[{self.window_min_s:g}, {self.window_max_s:g}]"
-                )
-            if not (
-                self.window_min_s <= self.batch_window_s <= self.window_max_s
-            ):
-                raise ValueError(
-                    f"batch_window_s ({self.batch_window_s:g}) is the "
-                    "initial window and must lie inside "
-                    f"[window_min_s, window_max_s] = "
-                    f"[{self.window_min_s:g}, {self.window_max_s:g}]"
-                )
-            if not 0.0 < self.adaptive_ewma_alpha <= 1.0:
-                raise ValueError("adaptive_ewma_alpha must be in (0, 1]")
-            if self.adaptive_target_batch <= 0:
-                raise ValueError("adaptive_target_batch must be positive")
-            if self.adaptive_latency_headroom <= 0:
-                raise ValueError("adaptive_latency_headroom must be positive")
-            if self.window_max_s >= self.constraints.max_wait_seconds:
-                raise ValueError(
-                    f"window_max_s ({self.window_max_s:g}) must stay under "
-                    "the waiting-time guarantee "
-                    f"({self.constraints.max_wait_seconds:g} s): requests "
-                    "held through a maximal window would already have "
-                    "expired at commit"
-                )
-        elif self.window_min_s is not None or self.window_max_s is not None:
-            raise ValueError(
-                "window_min_s/window_max_s are the adaptive clamp band "
-                "and require adaptive_window=True"
-            )
         if self.carry_over and self.batch_window_s <= 0:
             raise ValueError(
                 "carry_over requires batched dispatch (batch_window_s > 0): "

@@ -81,13 +81,10 @@ def _mean(hist: Histogram) -> float:
 class SimulationReport:
     """Aggregated outcome of one simulation run: the registry's
     instruments plus what is not a sample stream — occupancy, the
-    assignment cost, the window trajectory and the service log."""
+    assignment cost and the service log."""
 
     occupancy: OccupancyTracker = field(default_factory=OccupancyTracker)
     total_assignment_cost: float = 0.0
-    #: (flush time, window_s) per flush as scheduled by the window
-    #: controller; constant under the fixed controller.
-    window_trajectory: list = field(default_factory=list)
     wall_seconds: float = 0.0
     #: The run's metrics registry (repro.obs): every counter and
     #: histogram the report records into and reads back
@@ -222,11 +219,6 @@ class SimulationReport:
         self._batch_rejected.add(batch.num_rejected)
         self._batch_carried.add(len(batch.carried))
 
-    def record_window(self, now: float, window_s: float) -> None:
-        """Record one flush's scheduled window length (the window
-        controller's output at that flush)."""
-        self.window_trajectory.append((now, window_s))
-
     def record_carry(self, age_seconds: float) -> None:
         """Record one carry event (a request re-entering the window);
         ``age_seconds`` is how long the request had been waiting."""
@@ -239,7 +231,7 @@ class SimulationReport:
 
     def record_assign_latency(self, seconds: float) -> None:
         """Record one assigned request's request-to-commit latency (the
-        batching delay the adaptive window trades against batch size)."""
+        batching delay a longer window trades against batch size)."""
         self._latency.add(seconds)
 
     def record_flush_wall(self, seconds: float) -> None:
@@ -313,21 +305,9 @@ class SimulationReport:
         """SHA-256 of :meth:`decision_rows`: equal digests, same decisions."""
         return hashlib.sha256(repr(self.decision_rows()).encode()).hexdigest()
 
-    def _window_stats(self) -> tuple[float, float, float]:
-        """(mean, min, max) of the scheduled window lengths; zeros
-        before the first flush."""
-        windows = [window_s for _, window_s in self.window_trajectory]
-        if not windows:
-            return 0.0, 0.0, 0.0
-        total = 0.0
-        for window_s in windows:  # sequential, as the samples arrived
-            total += window_s
-        return total / len(windows), min(windows), max(windows)
-
     def summary(self) -> dict[str, float]:
         """Flat dict for the paper tables (``python -m repro.bench``)
         and ``--metrics-out``."""
-        window_mean, window_min, window_max = self._window_stats()
         latency, solve = self._latency, self._solve
         return {
             "requests": self.num_requests,
@@ -345,9 +325,6 @@ class SimulationReport:
             "max_batch_size": int(self._batch_size.max) if self.num_batches else 0,
             "solver_ms_mean": round(_mean(solve) * 1000.0, 4),
             "mean_batch_rejected": round(_mean(self._batch_rejected), 3),
-            "window_s_mean": round(window_mean, 4),
-            "window_s_min": round(window_min, 4),
-            "window_s_max": round(window_max, 4),
             "assign_latency_s_mean": round(_mean(latency), 4),
             "assign_latency_s_p50": round(latency.quantile(0.50) or 0.0, 4),
             "assign_latency_s_p99": round(latency.quantile(0.99) or 0.0, 4),
@@ -399,15 +376,8 @@ class SimulationReport:
                 f"{'rejected_per_batch':24s} mean "
                 f"{_mean(self._batch_rejected):.3f}"
             )
-        window_mean, window_min, window_max = self._window_stats()
-        adaptive_ran = window_min != window_max
-        if adaptive_ran or self.carry_events:
-            lines.append("--- adaptive window / carry-over ---")
-            if self.window_trajectory:
-                lines.append(
-                    f"{'window_s':24s} mean {window_mean:.2f} "
-                    f"min {window_min:.2f} max {window_max:.2f}"
-                )
+        if self.carry_events:
+            lines.append("--- carry-over ---")
             lines.append(
                 f"{'assign_latency_s':24s} mean {_mean(self._latency):.2f}"
             )
@@ -416,11 +386,10 @@ class SimulationReport:
                 f"mean/flush {_mean(self._batch_carried):.3f} "
                 f"max_carries {self.max_carries}"
             )
-            if self.carry_events:
-                lines.append(
-                    f"{'carry_age_s':24s} mean {_mean(self._carry_age):.2f} "
-                    f"max {self._carry_age.max:.2f}"
-                )
+            lines.append(
+                f"{'carry_age_s':24s} mean {_mean(self._carry_age):.2f} "
+                f"max {self._carry_age.max:.2f}"
+            )
         if quote_stage.count:
             lines.append("--- quote stage ---")
             lines.append(f"{'pipeline_flushes':24s} {quote_stage.count}")

@@ -11,12 +11,7 @@ dispatch), otherwise requests accumulate in a
 snapshot the batch, quote it against the fleet as it stands, and let
 the policy solve and commit.
 
-The flush cadence is owned by a window controller
-(:mod:`repro.dispatch.adaptive`): each flush asks the controller for
-the next window length. The fixed controller echoes the configured
-constant (bit-identical to the pre-controller chain); with
-``adaptive_window=True`` the window is retuned per flush from the
-observed arrival intensity, clamped to the configured band. With
+Flushes run every ``batch_window_s`` seconds of simulated time. With
 ``carry_over=True``, requests that had a feasible quote but lost the
 flush's assignment, and whose wait budget still reaches the next
 flush, re-enter the window
@@ -37,7 +32,6 @@ import numpy as np
 
 from repro.core.matching import Dispatcher
 from repro.dispatch import BatchDispatcher, BatchWindow, QuoteService, make_policy
-from repro.dispatch.adaptive import make_window_controller
 from repro.obs import Tracer, clock, write_chrome_trace, write_metrics_json
 from repro.sim.config import SimulationConfig
 from repro.sim.events import Event, EventKind, EventQueue
@@ -92,7 +86,6 @@ class Simulation:
             self.agents,
             grid_index=self.grid_index,
             staleness_seconds=config.report_interval,
-            objective=config.objective,
         )
         self.dispatcher.tracer = self.tracer
         self.batch_dispatcher = BatchDispatcher(
@@ -104,10 +97,6 @@ class Simulation:
             if config.batch_window_s > 0
             else None
         )
-        #: Owns the flush cadence: fixed (config constants, bit-identical
-        #: to the pre-controller chain) or adaptive (per-flush retune).
-        self.window_controller = make_window_controller(config)
-        self._arrivals_since_flush = 0
         #: Carry-over debt: request_id -> (elapsed, quote_timings,
         #: times_carried) accumulated over the flushes a request lost,
         #: folded into its final AssignmentResult at settle.
@@ -197,30 +186,25 @@ class Simulation:
             self._dispatch_batch([request], now, queue)
         else:
             self.batch_window.add(request)
-            self._arrivals_since_flush += 1
 
     def _handle_batch_flush(self, now: float, queue: EventQueue) -> None:
         """Periodic ``BATCH_DISPATCH``: one synchronous flush under one
-        ``flush`` span. Retune the window controller on the
-        flush-to-flush arrival count, snapshot the window's accumulated
-        requests, quote them, solve and commit through the policy. Then
+        ``flush`` span. Snapshot the window's accumulated requests,
+        quote them, solve and commit through the policy. Then
         schedule the next flush — the chain runs until the first flush
         at or after the last request arrival (same flush instants as the
         old ``next <= horizon + window`` rule, but immune to float
         accumulation stopping the chain one window early and stranding
         tail requests)."""
-        controller = self.window_controller
         flush_id = self._flush_seq
         self._flush_seq += 1
         wall_start = clock()
         with self.tracer.span(
             "flush", flush=flush_id, sim_now=round(now, 3)
         ) as flush_span:
-            controller.on_flush(now, self._arrivals_since_flush)
-            self._arrivals_since_flush = 0
-            self.batch_window.window_s = controller.window_s
-            self.report.record_window(now, controller.window_s)
-            next_flush = now + controller.window_s if now < self.horizon else None
+            next_flush = (
+                now + self.config.batch_window_s if now < self.horizon else None
+            )
             with self.tracer.span("snapshot", flush=flush_id):
                 requests = self.batch_window.flush()
             flush_span.annotate(requests=len(requests))
@@ -234,7 +218,6 @@ class Simulation:
                             self.dispatcher, requests, now
                         ).collect()
                     self.report.record_quote_stage(quote_set)
-                    controller.observe_quote_stage(quote_set.quote_seconds)
                 # A carried request must still be assignable at the next
                 # flush.
                 self._commit_batch(

@@ -21,7 +21,6 @@ by construction and parameterized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import mean
 
 import numpy as np
 
@@ -257,8 +256,8 @@ def bimodal_trips(
 
     One workload generator (one endpoint RNG stream) emits both phases,
     so the only thing that changes at the boundary is the arrival
-    intensity — exactly the signal the controller tunes on. Returns
-    ``(trips, split)`` with ``split`` the phase-boundary time.
+    intensity. Returns ``(trips, split)`` with ``split`` the
+    phase-boundary time.
     """
     workload = ShanghaiLikeWorkload(
         city, seed=seed, min_trip_meters=min_trip_meters
@@ -268,33 +267,3 @@ def bimodal_trips(
     trips = sorted(off + peak, key=lambda t: t.request_time)
     return trips, offpeak_s
 
-
-def phase_metrics(report, trips, split: float) -> dict:
-    """Split one run's request outcomes at the phase boundary."""
-    n_off = sum(1 for t in trips if t.request_time < split)
-    n_peak = len(trips) - n_off
-    lat_off: list[float] = []
-    lat_peak: list[float] = []
-    assigned_off = assigned_peak = 0
-    for entry in report.service_log.values():
-        request = entry.get("request")
-        assigned_at = entry.get("assigned_at")
-        if request is None or assigned_at is None:
-            continue
-        latency = assigned_at - request.request_time
-        if request.request_time < split:
-            assigned_off += 1
-            lat_off.append(latency)
-        else:
-            assigned_peak += 1
-            lat_peak.append(latency)
-    return {
-        "offpeak_requests": n_off,
-        "peak_requests": n_peak,
-        "offpeak_assigned": assigned_off,
-        "peak_assigned": assigned_peak,
-        "offpeak_service_rate": assigned_off / n_off if n_off else 0.0,
-        "peak_service_rate": assigned_peak / n_peak if n_peak else 0.0,
-        "offpeak_latency_s": mean(lat_off) if lat_off else 0.0,
-        "peak_latency_s": mean(lat_peak) if lat_peak else 0.0,
-    }

@@ -9,7 +9,6 @@ from repro.core.kinetic.tree import KineticTree
 from repro.core.problem import SchedulingProblem
 from repro.core.request import TripRequest
 from repro.roadnet.astar import AStarEngine
-from repro.roadnet.contraction import CHEngine
 from repro.roadnet.engine import DijkstraEngine
 from repro.roadnet.hub_labeling import HubLabelEngine
 from repro.roadnet.matrix import MatrixEngine
@@ -22,7 +21,6 @@ def engines(small_city):
         "dijkstra": DijkstraEngine(small_city),
         "hub_label": HubLabelEngine(small_city),
         "astar": AStarEngine(small_city),
-        "ch": CHEngine(small_city),
     }
 
 

@@ -157,43 +157,3 @@ def test_candidate_filter_radius(city_engine):
     request = dispatcher.make_request(0, 20, 0.0, 60.0, 0.5)  # 1 min wait
     candidates = dispatcher.candidates(request)
     assert [a.vehicle.vehicle_id for a in candidates] == [0]
-
-
-def test_objective_validation(city_engine, agents):
-    with pytest.raises(ValueError):
-        Dispatcher(city_engine, agents, objective="fastest")
-
-
-def test_delta_objective_prefers_smaller_increment(city_engine):
-    """total picks the globally cheapest schedule; delta the smallest
-    increase. Construct a case where they disagree."""
-    agents = make_agents(city_engine, kind="kinetic", count=2)
-    dispatcher_total = Dispatcher(city_engine, agents, objective="total")
-    # Load agent 0 with a long commitment.
-    r0 = dispatcher_total.make_request(0, 99, 0.0, 900.0, 1.0)
-    res0 = dispatcher_total.submit(r0, 0.0)
-    assert res0.assigned
-    loaded = res0.winner
-    # Now a request near the loaded vehicle's route: its *delta* is small
-    # but its *total* is large.
-    r1 = dispatcher_total.make_request(1, 98, 0.0, 900.0, 1.0)
-    quote_total = dispatcher_total.submit(r1, 0.0)
-    # Rebuild the same scenario for the delta objective.
-    agents_d = make_agents(city_engine, kind="kinetic", count=2)
-    dispatcher_delta = Dispatcher(city_engine, agents_d, objective="delta")
-    r0d = dispatcher_delta.make_request(0, 99, 0.0, 900.0, 1.0)
-    dispatcher_delta.submit(r0d, 0.0)
-    r1d = dispatcher_delta.make_request(1, 98, 0.0, 900.0, 1.0)
-    quote_delta = dispatcher_delta.submit(r1d, 0.0)
-    # Both must assign; winners may differ, but delta never picks a
-    # vehicle whose increment is larger than the total-winner's increment.
-    assert quote_total.assigned and quote_delta.assigned
-
-
-def test_kinetic_agent_current_plan_cost(city_engine):
-    agent = make_agents(city_engine, count=1)[0]
-    assert agent.current_plan_cost() == 0.0
-    dispatcher = Dispatcher(city_engine, [agent])
-    request = dispatcher.make_request(0, 20, 0.0, 600.0, 0.5)
-    dispatcher.submit(request, 0.0)
-    assert agent.current_plan_cost() > 0.0

@@ -21,11 +21,10 @@ class ScriptedAgent(VehicleAgent):
     """Agent quoting scripted costs; each commit inflates later quotes by
     ``commit_penalty`` (``inf`` = refuses a second request outright)."""
 
-    def __init__(self, vehicle_id, costs, commit_penalty=float("inf"), plan_cost=0.0):
+    def __init__(self, vehicle_id, costs, commit_penalty=float("inf")):
         super().__init__(Vehicle(vehicle_id, start_vertex=0), engine=None)
         self.costs = dict(costs)
         self.commit_penalty = commit_penalty
-        self.plan_cost = plan_cost
         self.committed = []
 
     def quote(self, request, now):
@@ -58,20 +57,17 @@ class ScriptedAgent(VehicleAgent):
     def load(self):
         return 0
 
-    def current_plan_cost(self):
-        return self.plan_cost
-
 
 def _request(rid):
     return TripRequest(rid, 0, 5, 100.0, 600.0, 0.2, 100.0)
 
 
-def _setup(agent_costs, objective="total", **agent_kwargs):
+def _setup(agent_costs, **agent_kwargs):
     agents = [
         ScriptedAgent(vid, costs, **agent_kwargs)
         for vid, costs in enumerate(agent_costs)
     ]
-    return Dispatcher(None, agents, objective=objective), agents
+    return Dispatcher(None, agents), agents
 
 
 # The canonical greedy trap: arrival order gives request 0 the shared
@@ -170,22 +166,6 @@ def test_iterative_runs_extra_rounds():
     lap = LapPolicy().assign(dispatcher, requests, 100.0)
     assert lap.rounds == 1
     assert lap.num_assigned == 3  # cleanup pass covers the leftover
-
-
-def test_delta_objective_uses_incremental_cost():
-    # Agent 0 quotes cheaper in absolute cost but its plan already costs
-    # 9, so its *incremental* cost (1) still wins under "delta"; agent 1
-    # would win if the objective ignored the existing plan... flip it:
-    # agent 0 total 10 (delta 1), agent 1 total 8 (delta 8) — "total"
-    # picks agent 1, "delta" picks agent 0.
-    for objective, want in (("total", 1), ("delta", 0)):
-        agents = [
-            ScriptedAgent(0, {0: 10.0}, plan_cost=9.0),
-            ScriptedAgent(1, {0: 8.0}, plan_cost=0.0),
-        ]
-        dispatcher = Dispatcher(None, agents, objective=objective)
-        batch = LapPolicy().assign(dispatcher, [_request(0)], 100.0)
-        assert batch.results[0].winner.vehicle.vehicle_id == want, objective
 
 
 def test_cost_matrix_shape_and_keys():

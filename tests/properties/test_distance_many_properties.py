@@ -18,7 +18,7 @@ from repro.roadnet.graph import RoadNetwork
 
 #: All concrete engine kinds (everything ``make_engine`` accepts except
 #: the ``auto`` alias).
-KINDS = ("matrix", "dijkstra", "hub_label", "astar", "ch")
+KINDS = ("matrix", "dijkstra", "hub_label", "astar")
 
 
 @st.composite

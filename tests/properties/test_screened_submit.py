@@ -42,7 +42,6 @@ AGENT_KINDS = ("basic", "slack", "hotspot", "schedule_cap", "brute_force")
 class Scenario:
     engine: str
     kind: str
-    objective: str
     capacity: int | None
     starts: tuple[int, ...]
     reverse: bool
@@ -73,7 +72,6 @@ def scenarios(draw):
     return Scenario(
         engine=draw(st.sampled_from(["matrix", "dijkstra"])),
         kind=draw(st.sampled_from(AGENT_KINDS)),
-        objective=draw(st.sampled_from(Dispatcher.OBJECTIVES)),
         capacity=draw(st.sampled_from([2, 4, None])),
         starts=starts,
         reverse=draw(st.booleans()),
@@ -100,31 +98,28 @@ def make_fleet(scenario, engine):
     return agents[::-1] if scenario.reverse else agents
 
 
-def quote_everyone(engine, agents, objective, request, now):
+def quote_everyone(engine, agents, request, now):
     """The oracle: quote every candidate, commit the cheapest. Also
     checks each quote against the screen's lower bound."""
-    best, best_key = None, inf
+    best = None
     for agent in agents:
         quote = agent.quote(request, now)
         if quote is None:
             continue
-        plan = agent.current_plan_cost() if objective == "delta" else 0.0
-        key = quote.cost - plan
         bound = (
             engine.distance(request.origin, quote.decision_vertex)
             + request.direct_cost
-            - plan
         )
-        assert key >= bound - SCREEN_MARGIN, (key, bound)
+        assert quote.cost >= bound - SCREEN_MARGIN, (quote.cost, bound)
         if (
             best is None
-            or key < best_key - 1e-9
+            or quote.cost < best.cost - 1e-9
             or (
-                abs(key - best_key) <= 1e-9
+                abs(quote.cost - best.cost) <= 1e-9
                 and agent.vehicle.vehicle_id < best.agent.vehicle.vehicle_id
             )
         ):
-            best, best_key = quote, key
+            best = quote
     if best is None:
         return None, inf
     best.agent.commit(best)
@@ -138,16 +133,12 @@ def test_screened_submit_picks_the_quote_everyone_winner(scenario):
         engine = reference_engine = MATRIX
     else:
         engine, reference_engine = DijkstraEngine(CITY), DijkstraEngine(CITY)
-    dispatcher = Dispatcher(
-        engine, make_fleet(scenario, engine), objective=scenario.objective
-    )
+    dispatcher = Dispatcher(engine, make_fleet(scenario, engine))
     reference = make_fleet(scenario, reference_engine)
     for rid, (now, o, d, wait, eps) in enumerate(scenario.requests):
         request = TripRequest(rid, o, d, now, wait, eps, MATRIX.distance(o, d))
         result = dispatcher.submit(request, now)
-        winner, cost = quote_everyone(
-            reference_engine, reference, scenario.objective, request, now
-        )
+        winner, cost = quote_everyone(reference_engine, reference, request, now)
         got = result.winner.vehicle.vehicle_id if result.assigned else None
         assert got == winner
         assert result.cost == cost

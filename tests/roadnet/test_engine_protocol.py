@@ -6,7 +6,7 @@ import pytest
 
 from repro.roadnet.engine import ShortestPathEngine, make_engine
 
-KINDS = ("matrix", "dijkstra", "hub_label", "astar", "ch")
+KINDS = ("matrix", "dijkstra", "hub_label", "astar")
 
 
 @pytest.fixture(scope="module")

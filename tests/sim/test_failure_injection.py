@@ -85,11 +85,11 @@ def test_real_quote_error_fails_the_run(monkeypatch):
     original = costs.quote_column
     planted = []
 
-    def quote_column(agent, requests, now, objective):
+    def quote_column(agent, requests, now):
         if agent.vehicle.vehicle_id == 2:
             planted.append(now)
             raise ZeroDivisionError("planted quote error")
-        return original(agent, requests, now, objective)
+        return original(agent, requests, now)
 
     monkeypatch.setattr(costs, "quote_column", quote_column)
     monkeypatch.setattr(quoting, "quote_column", quote_column)

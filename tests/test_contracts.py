@@ -1,4 +1,4 @@
-"""Determinism contracts 1–9 and 12 (``docs/determinism.md``) as one table.
+"""Determinism contracts 1, 4, 7, 9 and 12 (``docs/determinism.md``) as one table.
 
 Each row runs one scenario under two sides and asserts that they decided
 the same: equal :meth:`SimulationReport.decision_rows`, which is what
@@ -67,9 +67,9 @@ class ImmediateReferenceSimulation(Simulation):
 
 
 class PrePipelineReferenceSimulation(Simulation):
-    """The flush before the pipeline and the window controller: settle
-    the whole batch in one block and schedule the next flush with the
-    config arithmetic inline (contracts 4, 6 and 7)."""
+    """The flush before the pipeline: settle the whole batch in one
+    block and schedule the next flush with the config arithmetic inline
+    (contracts 4 and 7)."""
 
     def _handle_batch_flush(self, now, queue):
         requests = self.batch_window.flush()
@@ -130,7 +130,6 @@ def side(reference=None, **overrides):
 
 
 GREEDY_0 = dict(dispatch_policy="greedy", batch_window_s=0.0)
-ADAPTIVE = dict(adaptive_window=True, window_min_s=5.0, window_max_s=30.0)
 
 
 # ----------------------------------------------------------------------
@@ -145,18 +144,11 @@ EXTRA = {
     "art_counts": lambda r: {k: v.count for k, v in r.art_by_active().items()},
     "occupancy": lambda r: dict(r.occupancy._max_by_vehicle),
     "carry": lambda r: (r.carry_events, r.max_carries),
-    "window_trajectory": lambda r: r.window_trajectory,
 }
 
 
 def _quote_stage_every_flush(report):
     assert report.registry.histogram("flush.quote_s").count == report.num_batches
-
-
-def _fixed_window(report):
-    assert report.carry_events == 0
-    assert report.window_trajectory
-    assert all(w == 15.0 for _, w in report.window_trajectory)
 
 
 def _carries(report):
@@ -209,17 +201,6 @@ CONTRACTS = [
         )
         for policy, more in (("lap", {}), ("iterative", {}))
     ),
-    # 6. adaptive-off ≡ fixed window (the reference bypasses the window
-    # controller, so it records no trajectory to compare)
-    _row(
-        "6-fixed-window", 6, "medium", side(), side(PRE_PIPELINE),
-        extra=("carry",), checks=(_fixed_window,),
-    ),
-    _row(
-        "6-degenerate-band", 6, "medium",
-        side(adaptive_window=True, window_min_s=15.0, window_max_s=15.0), side(),
-        extra=("carry", "window_trajectory"),
-    ),
     # 7. carry-over-off is inert — and the row can fail: with carry-over
     # on, requests are carried and the decisions change.
     _row(
@@ -229,11 +210,6 @@ CONTRACTS = [
     _row(
         "7-carry-on-differs", 7, "medium", side(carry_over=True), side(PRE_PIPELINE),
         checks=(_carries,), same=False,
-    ),
-    # 8. adaptive + carry runs are seed-deterministic
-    _row(
-        "8-adaptive-carry-rerun", 8, "medium", side(carry_over=True, **ADAPTIVE),
-        extra=("carry", "window_trajectory"), checks=(_carries,),
     ),
     # 9. telemetry never steers dispatch
     *(
@@ -297,10 +273,10 @@ def test_contract(run, row):
 
 
 def test_every_contract_has_a_row():
-    """Contracts 1–12, less the retired 2, 3, 5 and 10 and contract 11
-    (its own property test)."""
+    """Contracts 1–12, less the retired 2, 3, 5, 6, 8 and 10 and
+    contract 11 (its own property test)."""
     assert {p.values[0].contract for p in CONTRACTS} == set(range(1, 13)) - {
-        2, 3, 5, 10, 11
+        2, 3, 5, 6, 8, 10, 11
     }
 
 

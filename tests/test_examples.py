@@ -48,17 +48,6 @@ def test_batched_dispatch_small():
     assert "batched dispatch" in out  # the report's batching section
 
 
-def test_adaptive_window_small():
-    out = run_example(
-        "adaptive_window.py", "--vehicles", "6",
-        "--offpeak-trips", "20", "--peak-trips", "80",
-    )
-    assert "service-guarantee audit" in out
-    assert "adaptive window trajectory" in out
-    assert "surge" in out and "lull" in out
-    assert "adaptive window / carry-over" in out  # the report's section
-
-
 def test_trace_flush_small(tmp_path):
     trace_path = tmp_path / "trace.jsonl"
     out = run_example(
