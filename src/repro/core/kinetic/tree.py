@@ -35,16 +35,16 @@ broken (never over-prunes), while anything the filter admits wrongly is
 caught by the exact per-node checks. Basic and slack modes therefore
 return identical results — a property test enforces this.
 
-Batched distance plane
-----------------------
-Every decision point fans its distance queries out through
-``engine.distance_many`` — one call covering the new stop plus each
-child's first vertex — and evaluates the waiting-time/service deadlines
-and the ∆ slack filter as float64 array operations whose elementwise
-expressions replicate the scalar checks bit-for-bit. Schedules, arrival
-times and expansion counts are therefore identical to the scalar path;
-only the number of engine round-trips shrinks (which is what lets the
-Dijkstra engine answer a whole fan-out with one bounded sweep).
+Distance lookups
+----------------
+The tree reads the road network one leg at a time, ``engine.distance(u,
+v)``, as Algorithm 1 and the paper's LRU-cached engine do: a leg is
+fetched only when the placement that needs it is tried, and each
+decision point's checks are plain scalar comparisons. An unreachable
+leg reads ``inf``, which fails :meth:`KineticTree._admit` and the slack
+filter like any missed deadline. Fan-outs over many vehicles belong to
+the dispatcher (:mod:`repro.core.matching`), which calls the engine's
+batched ``distance_many`` itself.
 
 Hotspot clustering (``hotspot_theta``)
 --------------------------------------
@@ -62,13 +62,10 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.core.kinetic.node import TreeNode, stop_latest_arrival
 from repro.core.request import TripRequest
 from repro.core.stop import Stop, dropoff, pickup
 from repro.exceptions import DisconnectedError, ScheduleError
-from repro.roadnet.engine import fan_out_distances
 
 #: Floating-point tolerance for constraint comparisons (seconds); matches
 #: repro.core.schedule._EPS so the tree and the reference validator agree.
@@ -137,10 +134,6 @@ class KineticTree:
         if schedule_cap is not None and schedule_cap < 1:
             raise ValueError("schedule_cap must be >= 1 or None")
         self.engine = engine
-        #: Fan-outs at or below this size skip ``distance_many`` for a
-        #: scalar loop — engines advertise where per-call batching
-        #: overhead outweighs the amortization win (0 = always batch).
-        self._scalar_cutoff = getattr(engine, "batch_cutoff", 0)
         self.capacity = capacity
         self.mode = mode
         self.hotspot_theta = hotspot_theta
@@ -223,20 +216,12 @@ class KineticTree:
         pickup_arrivals: dict[int, float],
         load: int,
     ) -> list[TreeNode] | None:
-        """All valid orderings of ``remaining`` as a prefix tree.
-
-        The fan-out from this decision point is evaluated batched: one
-        ``distance_many`` call covers every candidate next stop, and the
-        waiting-time / service deadlines are screened as numpy array
-        comparisons (bit-identical to the per-stop checks in
-        :meth:`_admit`, which stays authoritative for capacity).
-        """
+        """All valid orderings of ``remaining`` as a prefix tree."""
         out: list[TreeNode] = []
-        arrivals, rejected = self._fan_out(remaining, loc, time, pickup_arrivals)
         for index, stop in enumerate(remaining):
-            if rejected[index]:
-                continue
-            arrival = float(arrivals[index])
+            if not stop.is_pickup and stop.request_id not in pickup_arrivals:
+                continue  # its pickup is not placed yet: no leg to fetch
+            arrival = time + self._leg(loc, stop.vertex)
             outcome = self._admit(stop, arrival, pickup_arrivals, load)
             if outcome is None:
                 continue
@@ -253,51 +238,6 @@ class KineticTree:
             if added:
                 del pickup_arrivals[stop.request_id]
         return out or None
-
-    def _fan_out(
-        self,
-        stops: Sequence[Stop],
-        loc: int,
-        time: float,
-        pickup_arrivals: dict[int, float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched arrival times and deadline screen for candidate stops.
-
-        Returns ``(arrivals, rejected)``: arrival times from one
-        ``distance_many`` fan-out, and a boolean mask of stops that are
-        certainly inadmissible — a dropoff whose pickup is unplaced, or a
-        deadline violation. The deadline comparisons are elementwise
-        float64 replicas of :meth:`_admit`'s expressions, so the mask
-        never disagrees with the exact check it short-circuits.
-        """
-        k = len(stops)
-        arrivals = np.full(k, inf, dtype=np.float64)
-        baseline = np.zeros(k, dtype=np.float64)
-        bound = np.zeros(k, dtype=np.float64)
-        rejected = np.zeros(k, dtype=bool)
-        eligible: list[int] = []
-        vertices: list[int] = []
-        for i, stop in enumerate(stops):
-            if stop.is_pickup:
-                # _admit: arrival > pickup_deadline + EPSILON
-                bound[i] = stop.request.pickup_deadline + EPSILON
-            else:
-                picked = pickup_arrivals.get(stop.request_id)
-                if picked is None:
-                    # Unplaced pickup: inadmissible before any distance is
-                    # spent on it (the scalar path never queried these).
-                    rejected[i] = True
-                    continue
-                # _admit: arrival - picked > max_ride_cost + EPSILON
-                baseline[i] = picked
-                bound[i] = stop.request.max_ride_cost + EPSILON
-            eligible.append(i)
-            vertices.append(stop.vertex)
-        if vertices:
-            dists = fan_out_distances(self.engine, loc, vertices)
-            arrivals[eligible] = time + np.asarray(dists, dtype=np.float64)
-        rejected |= (arrivals - baseline) > bound
-        return arrivals, rejected
 
     # ------------------------------------------------------------------
     # Introspection
@@ -520,65 +460,6 @@ class KineticTree:
                     # for all near-duplicate permutations at this level.
                     return [merged]
 
-        # Wide fan-outs go through one batched distance_many call covering
-        # every distance this decision point needs — the new stop (option
-        # A) plus each child's first vertex (option B's first leg,
-        # doubling as the slack-filter input) — with the ∆ slack filter
-        # (Theorem 1(b)) evaluated as one float64 array comparison whose
-        # elementwise expression replicates the scalar filter in
-        # _advance_old. Narrow fan-outs (at or below the engine's
-        # batch_cutoff) keep the original lazy scalar path: there the
-        # per-call batching overhead costs more than it amortizes, and
-        # both paths produce bit-identical values anyway.
-        offset = 1 if remaining else 0
-        if offset + len(old_children) > self._scalar_cutoff:
-            targets = [remaining[0].vertex] if remaining else []
-            targets.extend(child.first_vertex for child in old_children)
-            legs = self.engine.distance_many(loc, targets)
-
-            if remaining:
-                placed = self._place_new(
-                    old_children,
-                    loc,
-                    time,
-                    pickup_arrivals,
-                    load,
-                    remaining,
-                    float(legs[0]),
-                )
-                if placed is not None:
-                    out.append(placed)
-
-            slack_rejected = None
-            if self.mode == "slack" and old_children:
-                n = len(old_children)
-                internal = np.fromiter(
-                    (c.internal_cost for c in old_children), np.float64, count=n
-                )
-                last = np.fromiter(
-                    (c.last_arrival for c in old_children), np.float64, count=n
-                )
-                delta = np.fromiter(
-                    (c.delta for c in old_children), np.float64, count=n
-                )
-                new_last = time + legs[offset:] + internal
-                slack_rejected = (new_last - last) > (delta + EPSILON)
-
-            for i, child in enumerate(old_children):
-                advanced = self._advance_old(
-                    child,
-                    loc,
-                    time,
-                    pickup_arrivals,
-                    load,
-                    remaining,
-                    float(legs[offset + i]),
-                    bool(slack_rejected[i]) if slack_rejected is not None else None,
-                )
-                if advanced is not None:
-                    out.append(advanced)
-            return out or None
-
         if remaining:
             placed = self._place_new(
                 old_children, loc, time, pickup_arrivals, load, remaining
@@ -603,22 +484,12 @@ class KineticTree:
         pickup_arrivals: dict[int, float],
         load: int,
         remaining: tuple[Stop, ...],
-        first_leg: float | None = None,
     ) -> TreeNode | None:
-        """Option A: visit the next new stop right now.
-
-        ``first_leg`` is ``d(loc, remaining[0].vertex)`` when the caller
-        already fetched it in its batched fan-out.
-        """
+        """Option A: visit the next new stop right now."""
         self._expansions += 1
         stop = remaining[0]
         rest = remaining[1:]
-        if first_leg is None:
-            try:
-                first_leg = self.engine.distance(loc, stop.vertex)
-            except DisconnectedError:
-                return None  # matches the batched path's inf -> reject
-        arrival = time + first_leg
+        arrival = time + self._leg(loc, stop.vertex)
         outcome = self._admit(stop, arrival, pickup_arrivals, load)
         if outcome is None:
             return None
@@ -644,34 +515,18 @@ class KineticTree:
         pickup_arrivals: dict[int, float],
         load: int,
         remaining: tuple[Stop, ...],
-        first_leg: float | None = None,
-        slack_rejected: bool | None = None,
     ) -> TreeNode | None:
-        """Option B: continue with an existing child node.
-
-        ``first_leg`` is ``d(loc, child.first_vertex)`` from the caller's
-        batched fan-out; ``slack_rejected`` is the vectorized Theorem 1(b)
-        verdict for this child (``None`` = evaluate here). The expansion
-        is counted before the slack filter fires, matching the scalar
-        path's accounting.
-        """
+        """Option B: continue with an existing child node. The expansion
+        is counted before the slack filter fires."""
         self._expansions += 1
-        if slack_rejected is None and self.mode == "slack":
+        first = time + self._leg(loc, child.first_vertex)
+        if self.mode == "slack":
             # Theorem 1(b): O(1) rejection when the delay pushed onto the
             # subtree exceeds its most lenient route's slack.
-            if first_leg is None:
-                try:
-                    first_leg = self.engine.distance(loc, child.first_vertex)
-                except DisconnectedError:
-                    return None  # matches the batched path's inf -> reject
-            new_last = time + first_leg + child.internal_cost
+            new_last = first + child.internal_cost
             if new_last - child.last_arrival > child.delta + EPSILON:
                 return None
-        elif slack_rejected:
-            return None
-        walked = self._walk_group(
-            child.stops, loc, time, pickup_arrivals, load, first_leg=first_leg
-        )
+        walked = self._walk_group(child.stops, first, pickup_arrivals, load)
         if walked is None:
             return None
         arrivals, new_load, added = walked
@@ -700,22 +555,18 @@ class KineticTree:
         remaining: tuple[Stop, ...],
     ) -> TreeNode | None:
         """Hotspot merge: absorb the next new stop into ``child``'s group
-        when it lies within θ of every stop already in the group.
-
-        The θ screen runs as one batched fan-out from the new stop to the
-        whole group (the network is undirected, so ``d(stop, existing)``
-        is ``d(existing, stop)``) and one vectorized comparison.
-        """
+        when it lies within θ of every stop already in the group (the
+        network is undirected, so ``d(stop, existing)`` is
+        ``d(existing, stop)``)."""
         stop = remaining[0]
-        theta = self.hotspot_theta
-        spans = fan_out_distances(
-            self.engine, stop.vertex, [existing.vertex for existing in child.stops]
-        )
-        if any(span > theta for span in spans):
-            return None
+        for existing in child.stops:
+            if self._leg(stop.vertex, existing.vertex) > self.hotspot_theta:
+                return None
         self._expansions += 1
         stops = child.stops + (stop,)
-        walked = self._walk_group(stops, loc, time, pickup_arrivals, load)
+        walked = self._walk_group(
+            stops, time + self._leg(loc, child.first_vertex), pickup_arrivals, load
+        )
         if walked is None:
             return None
         arrivals, new_load, added = walked
@@ -736,38 +587,25 @@ class KineticTree:
     def _walk_group(
         self,
         stops: tuple[Stop, ...],
-        loc: int,
-        time: float,
+        arrival: float,
         pickup_arrivals: dict[int, float],
         load: int,
-        first_leg: float | None = None,
     ) -> tuple[list[float], int, list[int]] | None:
         """Visit a node's stops consecutively, validating each exactly.
 
-        ``first_leg`` is ``d(loc, stops[0].vertex)`` when the caller
-        already fetched it batched. On success returns ``(arrivals, load
-        after, pickups added)`` with ``pickup_arrivals`` updated (caller
-        must undo the additions on backtrack); on any violation undoes
-        its own additions and returns ``None``.
+        ``arrival`` is the time the first stop is reached. On success
+        returns ``(arrivals, load after, pickups added)`` with
+        ``pickup_arrivals`` updated (caller must undo the additions on
+        backtrack); on any violation undoes its own additions and returns
+        ``None``.
         """
         arrivals: list[float] = []
         added: list[int] = []
-        t = time
-        prev = loc
-        pending_leg = first_leg
+        t = arrival
+        prev = None
         for stop in stops:
-            if pending_leg is not None:
-                t += pending_leg
-                pending_leg = None
-            else:
-                try:
-                    t += self.engine.distance(prev, stop.vertex)
-                except DisconnectedError:
-                    # Same outcome as a batched inf leg: the group is
-                    # unreachable, hence invalid.
-                    for rid in added:
-                        del pickup_arrivals[rid]
-                    return None
+            if prev is not None:
+                t += self._leg(prev, stop.vertex)
             prev = stop.vertex
             outcome = self._admit(stop, t, pickup_arrivals, load)
             if outcome is None:
@@ -779,6 +617,15 @@ class KineticTree:
                 added.append(stop.request_id)
             arrivals.append(t)
         return arrivals, load, added
+
+    def _leg(self, source: int, target: int) -> float:
+        """``d(source, target)``, or ``inf`` when ``target`` is
+        unreachable: an ``inf`` arrival misses every (finite) deadline,
+        so :meth:`_admit` and the slack filter reject the placement."""
+        try:
+            return self.engine.distance(source, target)
+        except DisconnectedError:
+            return inf
 
     def _admit(
         self,
@@ -813,23 +660,15 @@ class KineticTree:
         load: int,
     ) -> int:
         """Eager invalidation: refresh arrivals from the live position,
-        drop violated subtrees, and refresh ∆ post-order. First legs to
-        every child are fetched in one batched fan-out."""
+        drop violated subtrees, and refresh ∆ post-order."""
         removed = 0
         keep: list[TreeNode] = []
-        legs = (
-            fan_out_distances(self.engine, loc, [c.first_vertex for c in children])
-            if children
-            else None
-        )
-        for i, child in enumerate(children):
+        for child in children:
             walked = self._walk_group(
                 child.stops,
-                loc,
-                time,
+                time + self._leg(loc, child.first_vertex),
                 pickup_arrivals,
                 load,
-                first_leg=float(legs[i]),
             )
             if walked is None:
                 removed += child.count_nodes()

@@ -42,7 +42,6 @@ from repro.core.request import TripRequest
 from repro.core.stop import Stop
 from repro.core.vehicle import Vehicle
 from repro.exceptions import DisconnectedError, SimulationError
-from repro.roadnet.engine import fan_out_distances
 
 #: Conservative slack (seconds) on every comparison the fleet screen
 #: makes. It absorbs the last-ulp asymmetry of ``d(o, v)`` standing in
@@ -264,17 +263,16 @@ class KineticAgent(VehicleAgent):
     ) -> list[Quote | None]:
         """Trial-insert every request from one shared decision point.
 
-        The whole batch's pickup fan-out goes through one cutoff-aware
-        :func:`~repro.roadnet.engine.fan_out_distances` call, which
-        (a) warms the Dijkstra engine's row of ``vertex`` for the trial
-        insertions that follow, and (b) screens out
-        requests whose pickup is provably unreachable in time
+        The whole batch's pickup fan-out is one ``engine.distance_many``
+        call, which (a) warms the Dijkstra engine's row of ``vertex`` for
+        the trial insertions that follow, and (b) screens out requests
+        whose pickup is provably unreachable in time
         (:func:`misses_pickup`): every placement would fail the exact
         same :class:`KineticTree` check and ``try_insert`` would return
         ``None`` anyway.
         """
-        reach = fan_out_distances(
-            self.engine, vertex, [request.origin for request in requests]
+        reach = self.engine.distance_many(
+            vertex, [request.origin for request in requests]
         )
         return [
             None
@@ -502,8 +500,8 @@ class Dispatcher:
             bounds.append(-inf)
         if not screened:
             return points, bounds
-        legs = fan_out_distances(
-            self.engine, request.origin, [points[i][0] for i in screened]
+        legs = self.engine.distance_many(
+            request.origin, [points[i][0] for i in screened]
         )
         for i, leg in zip(screened, legs):
             leg = float(leg)

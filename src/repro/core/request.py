@@ -13,6 +13,7 @@ and carried on the request, since every constraint check needs it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.exceptions import ScheduleError
 
@@ -76,6 +77,10 @@ class TripRequest:
         object.__setattr__(
             self, "max_ride_cost", (1.0 + self.detour_epsilon) * self.direct_cost
         )
+        if not (self.pickup_deadline < inf and self.max_ride_cost < inf):
+            # A stop that cannot be reached arrives at ``inf``; the
+            # schedulers reject it only because it misses a finite bound.
+            raise ScheduleError(f"request {self.request_id}: infinite deadline")
 
     @property
     def latest_dropoff_bound(self) -> float:

@@ -10,8 +10,9 @@ provides:
   (:class:`~repro.roadnet.engine.DijkstraEngine`,
   :class:`~repro.roadnet.matrix.MatrixEngine`,
   :class:`~repro.roadnet.hub_labeling.HubLabelEngine`,
-  :class:`~repro.roadnet.astar.AStarEngine`) behind one protocol with
-  both a scalar ``distance`` and a batched ``distance_many`` query plane;
+  :class:`~repro.roadnet.astar.AStarEngine`) behind one protocol: the
+  kinetic tree reads the scalar ``distance``, the dispatcher's fleet
+  screens the batched ``distance_many``;
 * exact Dijkstra in C, one ``scipy.sparse.csgraph`` row per source
   (:mod:`repro.roadnet.dijkstra`), and the paper's LRU cache holding
   those rows for the Dijkstra engine (:mod:`repro.roadnet.cache`);
@@ -38,7 +39,6 @@ from repro.roadnet.engine import (
     DijkstraEngine,
     ShortestPathEngine,
     distance_many_fallback,
-    fan_out_distances,
     make_engine,
 )
 from repro.roadnet.generators import grid_city, random_geometric_city, ring_radial_city
@@ -65,7 +65,6 @@ __all__ = [
     "HubLabelEngine",
     "ENGINE_KINDS",
     "distance_many_fallback",
-    "fan_out_distances",
     "make_engine",
     "grid_city",
     "ring_radial_city",

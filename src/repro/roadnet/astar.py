@@ -178,10 +178,6 @@ class AStarEngine:
     """
 
     kind = "astar"
-    #: No batched fast path exists (``distance_many`` is the scalar
-    #: fallback loop), so consumers should stay on their own scalar
-    #: loops at any fan-out width.
-    batch_cutoff = float("inf")
 
     def __init__(self, graph: RoadNetwork, heuristic: str = "landmark", **kwargs):
         self.graph = graph

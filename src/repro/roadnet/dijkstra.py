@@ -9,6 +9,8 @@ reads the same numbers; the helpers below read one row of it.
 
 from __future__ import annotations
 
+from math import inf
+
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
@@ -37,7 +39,7 @@ def row_path(dist: np.ndarray, pred: np.ndarray, source: int, target: int) -> li
     predecessor row of ``source``."""
     if source == target:
         return [source]
-    if not np.isfinite(dist[target]):
+    if dist[target] == inf:
         raise DisconnectedError(source, target)
     path = [target]
     v = target
@@ -71,10 +73,10 @@ def dijkstra_distance(graph: RoadNetwork, source: int, target: int) -> float:
     """
     if source == target:
         return 0.0
-    value = single_source_row(graph, source)[0][target]
-    if not np.isfinite(value):
+    value = float(single_source_row(graph, source)[0][target])
+    if value == inf:
         raise DisconnectedError(source, target)
-    return float(value)
+    return value
 
 
 def dijkstra_path(graph: RoadNetwork, source: int, target: int) -> list[int]:

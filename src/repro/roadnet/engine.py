@@ -5,12 +5,12 @@ Every matcher, tree, and simulator component takes a
 algorithms and the road network, exactly mirroring the paper where all
 algorithms consume ``d(u, v)`` and shortest paths.
 
-The protocol has two query planes: the scalar ``distance(u, v)`` the
-paper describes, and the batched ``distance_many(u, targets)`` fan-out
-plane the matcher hot paths (kinetic-tree insertion, batch cost-matrix
-quoting) use to amortize shortest-path work across a whole candidate set
-radiating from one decision point. Every engine implements both with
-identical per-element semantics.
+The protocol has two query planes, and each caller uses one. The
+kinetic tree reads the scalar ``distance(u, v)`` the paper describes,
+one leg at a time. The dispatcher's fleet screens read the batched
+``distance_many(u, targets)``: one fan-out from a pickup to every
+candidate vehicle, or from a vehicle to every pickup in its batch.
+Every engine implements both with identical per-element values.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ class ShortestPathEngine(Protocol):
     def distance_many(self, source: int, targets: Sequence[int]) -> np.ndarray:
         """Exact ``d(source, t)`` for every ``t`` in ``targets``, as a
         float64 array aligned with ``targets``; ``inf`` marks unreachable
-        targets (no exception). This is the batched fan-out query the
-        matcher hot paths use — engines amortize shortest-path work
-        across the whole target set."""
+        targets (no exception). The dispatcher's fleet screens use it
+        for one fan-out over many vehicles or pickups."""
         ...
 
     def path(self, source: int, target: int) -> list[int]:
@@ -81,29 +80,6 @@ def distance_many_fallback(
     return out
 
 
-def fan_out_distances(engine, source: int, targets):
-    """Fan-out distances respecting the engine's ``batch_cutoff``.
-
-    Consumers of the batched plane (kinetic tree, batch quoting) call
-    this instead of ``distance_many`` directly: fan-outs at or below the
-    engine's advertised ``batch_cutoff`` run as a plain scalar loop —
-    where per-call batching overhead outweighs the amortization win
-    (e.g. the matrix engine's O(1) lookups) — and wider ones go through
-    the engine's batched fast path. Both produce identical values
-    (``inf`` = unreachable); the cutoff is purely a performance dial.
-    """
-    if len(targets) <= getattr(engine, "batch_cutoff", 0):
-        distance = engine.distance
-        out = []
-        for target in targets:
-            try:
-                out.append(distance(source, target))
-            except DisconnectedError:
-                out.append(inf)
-        return out
-    return engine.distance_many(source, targets)
-
-
 class DijkstraEngine:
     """On-demand exact Dijkstra behind the paper's LRU cache.
 
@@ -122,8 +98,6 @@ class DijkstraEngine:
     """
 
     kind = "dijkstra"
-    #: Always batch: a fan-out is one gather from a cached row.
-    batch_cutoff = 0
 
     def __init__(
         self, graph: RoadNetwork, row_cache_size: int = DEFAULT_ROW_CACHE_SIZE

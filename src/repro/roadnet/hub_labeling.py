@@ -190,9 +190,6 @@ class HubLabelEngine:
     """
 
     kind = "hub_label"
-    #: The scalar two-pointer merge is cheap on short labels; the stacked
-    #: vectorized join pays from a few targets on.
-    batch_cutoff = 2
 
     def __init__(self, graph: RoadNetwork, order: np.ndarray | None = None):
         self.graph = graph

@@ -12,6 +12,8 @@ paper's 3 GB process budget.
 
 from __future__ import annotations
 
+from math import inf
+
 import numpy as np
 
 from repro.exceptions import DisconnectedError, GraphError
@@ -30,9 +32,6 @@ class MatrixEngine:
     """
 
     kind = "matrix"
-    #: Scalar lookups are O(1) array reads; batching only pays for its
-    #: per-call numpy overhead on wider fan-outs.
-    batch_cutoff = 8
 
     def __init__(self, graph: RoadNetwork):
         if graph.num_vertices > _MAX_MATRIX_VERTICES:
@@ -54,10 +53,10 @@ class MatrixEngine:
     # ------------------------------------------------------------------
     def distance(self, source: int, target: int) -> float:
         """Exact ``d(source, target)``."""
-        d = self._dist[source, target]
-        if not np.isfinite(d):
+        d = float(self._dist[source, target])
+        if d == inf:
             raise DisconnectedError(source, target)
-        return float(d)
+        return d
 
     def distance_many(self, source: int, targets) -> np.ndarray:
         """Batched fan-out via fancy indexing — one gather from the APSP

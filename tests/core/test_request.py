@@ -57,6 +57,14 @@ def test_nonpositive_direct_cost_rejected():
         make(direct_cost=0.0)
 
 
+@pytest.mark.parametrize(
+    "field", ["request_time", "max_wait", "detour_epsilon", "direct_cost"]
+)
+def test_infinite_bound_rejected(field):
+    with pytest.raises(ScheduleError):
+        make(**{field: float("inf")})
+
+
 def test_frozen():
     request = make()
     with pytest.raises(Exception):
