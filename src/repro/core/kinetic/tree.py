@@ -35,6 +35,35 @@ broken (never over-prunes), while anything the filter admits wrongly is
 caught by the exact per-node checks. Basic and slack modes therefore
 return identical results — a property test enforces this.
 
+Pickup screen
+-------------
+Most trial insertions fail (on deep trees ~96 %), so
+:meth:`KineticTree.try_insert` first rejects, before any descent, a
+vehicle that provably cannot serve the request. In every mode it
+rejects a vehicle that cannot reach the pickup by its deadline from the
+decision point (:func:`misses_pickup`). In slack mode without hotspot
+shedding or a schedule cap it then walks the committed tree once with
+the *stored* arrivals. A pickup position is the decision point ``(v,
+t)`` or a node ``X`` at its last stop ``(x, t_X)``; from there the
+pickup is reached no earlier than ``reach = t_X + d(x, o)``. The
+position survives when ``reach`` meets the pickup deadline and either
+``X`` is a leaf (append at the end) or some child ``Y`` passes
+Theorem 1's test with the delay ``reach + d(o, Y) + Y.internal_cost −
+Y.last_arrival``. When no position survives the trial is ``None``. This
+never rejects a trial the exact walk would accept: stored arrivals lower
+bound the live ones (the vehicle drives the committed shortest path, and
+the triangle inequality does the rest); every augmented schedule puts
+the pickup after some position and reaches that position's next old
+stop ``Y`` no earlier than ``reach + d(o, Y)``, dropoff first or not;
+and a delay beyond ``Y``'s ``∆`` is the same test :meth:`_advance_old`
+applies. The walk skips the subtree below a position whose ``reach``
+misses the deadline: a descendant ``Z`` is stored at least ``d(x, z)``
+after ``X``, so its ``reach`` is at least ``t_X + d(x, z) + d(z, o) ≥
+reach``. Every comparison carries :data:`SCREEN_MARGIN` beyond
+``EPSILON`` to absorb the summation order of the stored arrivals. The
+schedule cap and hotspot shedding keep approximate trees, whose ∆ and
+shed placements this argument does not cover, so they skip the walk.
+
 Distance lookups
 ----------------
 The tree reads the road network one leg at a time, ``engine.distance(u,
@@ -70,6 +99,28 @@ from repro.exceptions import DisconnectedError, ScheduleError
 #: Floating-point tolerance for constraint comparisons (seconds); matches
 #: repro.core.schedule._EPS so the tree and the reference validator agree.
 EPSILON = 1e-6
+
+#: Conservative slack (seconds) added beyond ``EPSILON`` on every
+#: comparison made from a lower bound rather than an exact arrival: the
+#: pickup screen in :meth:`KineticTree.try_insert` and the dispatcher's
+#: fleet screen. It absorbs the last-ulp asymmetry of ``d(o, v)``
+#: standing in for ``d(v, o)`` and the rounding of summed legs; it only
+#: ever lets more vehicles through.
+SCREEN_MARGIN = 1e-6
+
+
+def misses_pickup(request: TripRequest, t: float, leg: float) -> bool:
+    """True when a vehicle at decision time ``t``, ``leg`` seconds of
+    driving from ``request``'s pickup, provably cannot serve it.
+
+    Any schedule reaches the pickup no earlier than ``t + leg`` (triangle
+    inequality) and every scheduler rejects a pickup later than
+    ``pickup_deadline + EPSILON``. The one definition of "cannot reach
+    the pickup", shared by :meth:`KineticTree.try_insert` and the fleet
+    screen in :meth:`~repro.core.matching.Dispatcher.submit`.
+    """
+    return t + leg > request.pickup_deadline + EPSILON + SCREEN_MARGIN
+
 
 _MODES = ("basic", "slack")
 
@@ -295,11 +346,23 @@ class KineticTree:
         decision point, without modifying this tree.
 
         Returns ``None`` when no valid augmented schedule exists (the
-        vehicle cannot serve the request).
+        vehicle cannot serve the request). The pickup screen (module
+        docstring) rejects most such vehicles before any node expansion.
         """
         if request.request_id in self.active_requests:
             raise ScheduleError(f"request {request.request_id} already assigned")
         self._expansions = 0
+        leg = self._leg(decision_vertex, request.origin)
+        if misses_pickup(request, decision_time, leg):
+            return None
+        if (
+            self.mode == "slack"
+            and self.hotspot_theta is None
+            and self.schedule_cap is None
+            and self.children
+            and not self._pickup_survives(request, decision_time + leg)
+        ):
+            return None
         remaining = (pickup(request), dropoff(request))
         pickup_arrivals = dict(self.onboard)
         children = self._build(
@@ -408,6 +471,46 @@ class KineticTree:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _pickup_survives(self, request: TripRequest, reach: float) -> bool:
+        """Whether some pickup position of the committed tree survives
+        the screen (module docstring, "Pickup screen"); ``reach`` is the
+        earliest pickup arrival from the decision point, which the caller
+        has checked against the deadline. Reads stored arrivals and ∆
+        only, and counts no expansions."""
+        origin = request.origin
+        limit = request.pickup_deadline + EPSILON + SCREEN_MARGIN
+        if self._fits_before(self.children, origin, reach):
+            return True
+        stack = list(self.children)
+        while stack:
+            node = stack.pop()
+            stored = node.arrivals[-1]
+            if stored > limit:
+                continue  # reach >= stored: skip the leg too
+            reach = stored + self._leg(node.last_vertex, origin)
+            if reach > limit:
+                continue  # reach only grows below (module docstring)
+            if not node.children or self._fits_before(node.children, origin, reach):
+                return True
+            stack.extend(node.children)
+        return False
+
+    def _fits_before(
+        self, children: Sequence[TreeNode], origin: int, reach: float
+    ) -> bool:
+        """Whether a pickup reached at ``reach`` can precede some child:
+        the smallest delay it pushes onto the child passes Theorem 1,
+        i.e. the leg from the pickup to the child fits in ``budget``. A
+        child without budget is skipped before its leg is read."""
+        for child in children:
+            budget = (
+                child.delta + EPSILON + SCREEN_MARGIN
+                + child.arrivals[-1] - child.internal_cost - reach
+            )
+            if budget >= 0 and self._leg(origin, child.first_vertex) <= budget:
+                return True
+        return False
+
     def _build(
         self,
         old_children: Sequence[TreeNode],

@@ -35,32 +35,17 @@ from typing import Sequence
 
 from repro.constants import SPEED_MPS
 from repro.obs.trace import NULL_TRACER, clock
-from repro.core.kinetic.tree import EPSILON as TREE_EPSILON
-from repro.core.kinetic.tree import KineticTree, KineticTrial
+from repro.core.kinetic.tree import (
+    SCREEN_MARGIN,
+    KineticTree,
+    KineticTrial,
+    misses_pickup,
+)
 from repro.core.problem import ScheduleResult, SchedulingProblem
 from repro.core.request import TripRequest
 from repro.core.stop import Stop
 from repro.core.vehicle import Vehicle
 from repro.exceptions import DisconnectedError, SimulationError
-
-#: Conservative slack (seconds) on every comparison the fleet screen
-#: makes. It absorbs the last-ulp asymmetry of ``d(o, v)`` standing in
-#: for ``d(v, o)`` and the rounding of summed legs; it only ever lets
-#: more vehicles through. Same size as the tree's ``EPSILON``.
-SCREEN_MARGIN = 1e-6
-
-
-def misses_pickup(request: TripRequest, t: float, leg: float) -> bool:
-    """True when a vehicle at decision time ``t``, ``leg`` seconds of
-    driving from ``request``'s pickup, provably cannot serve it.
-
-    Any schedule reaches the pickup no earlier than ``t + leg`` (triangle
-    inequality) and every scheduler rejects a pickup later than
-    ``pickup_deadline + EPSILON``. The one definition of "cannot reach
-    the pickup", shared by :meth:`KineticAgent.quote_batch_at` and the
-    fleet screen in :meth:`Dispatcher.submit`.
-    """
-    return t + leg > request.pickup_deadline + TREE_EPSILON + SCREEN_MARGIN
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,12 +116,8 @@ class VehicleAgent(abc.ABC):
     def quote_batch_at(
         self, requests: Sequence[TripRequest], vertex: int, t: float
     ) -> list["Quote | None"]:
-        """Quote several requests from a pre-resolved decision point.
-
-        Subclasses override to compute the per-vehicle setup (path
-        prefixes, batched fan-outs) once instead of per request; the
-        fallback just quotes sequentially.
-        """
+        """Quote several requests from a pre-resolved decision point,
+        one at a time."""
         return [self.quote_at(request, vertex, t) for request in requests]
 
     def quote_at(
@@ -191,10 +172,11 @@ class VehicleAgent(abc.ABC):
         waypoints: list[tuple[float, int]] = [(decision_time, decision_vertex)]
         t = decision_time
         loc = decision_vertex
+        graph = self.engine.graph
         for stop in stops:
             path = self.engine.path(loc, stop.vertex)
-            for u, v in zip(path, path[1:]):
-                t += self.engine.graph.edge_weight(u, v)
+            for weight, v in zip(graph.path_weights(path), path[1:]):
+                t += weight
                 waypoints.append((t, v))
             loc = stop.vertex
         return waypoints
@@ -261,25 +243,11 @@ class KineticAgent(VehicleAgent):
     def quote_batch_at(
         self, requests: Sequence[TripRequest], vertex: int, t: float
     ) -> list[Quote | None]:
-        """Trial-insert every request from one shared decision point.
-
-        The whole batch's pickup fan-out is one ``engine.distance_many``
-        call, which (a) warms the Dijkstra engine's row of ``vertex`` for
-        the trial insertions that follow, and (b) screens out requests
-        whose pickup is provably unreachable in time
-        (:func:`misses_pickup`): every placement would fail the exact
-        same :class:`KineticTree` check and ``try_insert`` would return
-        ``None`` anyway.
-        """
-        reach = self.engine.distance_many(
-            vertex, [request.origin for request in requests]
-        )
-        return [
-            None
-            if misses_pickup(request, t, float(leg))
-            else self.quote_at(request, vertex, t)
-            for request, leg in zip(requests, reach)
-        ]
+        """Trial-insert every request from one shared decision point;
+        :meth:`KineticTree.try_insert` screens each one before descent.
+        Defined on this class so the per-layer trace of the end-to-end
+        benchmark (``benchmarks/e2e``) can wrap it by name."""
+        return [self.quote_at(request, vertex, t) for request in requests]
 
     def commit(self, quote: Quote) -> None:
         trial: KineticTrial = quote.payload

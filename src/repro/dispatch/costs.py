@@ -8,10 +8,9 @@ assignment policies solve over.
 Quoting is organized *per vehicle*, not per request: one
 :meth:`~repro.core.matching.VehicleAgent.quote_batch` call per candidate
 vehicle quotes every request that reached it, so the vehicle's decision
-point is computed once and the pickups of the whole candidate set are
-screened by one ``distance_many`` fan-out (one cached row on the
-Dijkstra engine). A vehicle quoting ``k`` requests therefore does the
-per-vehicle setup once instead of ``k`` times.
+point is computed once instead of ``k`` times for ``k`` requests. Each
+trial insertion screens its own pickup before any descent (see "Pickup
+screen" in :mod:`repro.core.kinetic.tree`).
 
 Solver keys are snapped to the same ``1e-9`` tie tolerance
 :meth:`~repro.core.matching.Dispatcher.submit` uses, so batched and

@@ -35,7 +35,15 @@ class RoadNetwork:
         meters.
     """
 
-    __slots__ = ("num_vertices", "indptr", "indices", "weights", "coords", "_kdtree")
+    __slots__ = (
+        "num_vertices",
+        "indptr",
+        "indices",
+        "weights",
+        "coords",
+        "_kdtree",
+        "_arc_keys",
+    )
 
     def __init__(
         self,
@@ -76,6 +84,9 @@ class RoadNetwork:
         np.cumsum(self.indptr, out=self.indptr)
         self.indices = dst
         self.weights = wgt
+        #: ``u * n + v`` per directed arc, ascending in CSR order: one
+        #: ``searchsorted`` finds every arc of a path (:meth:`path_weights`).
+        self._arc_keys = src.astype(np.int64) * num_vertices + dst
 
         if coords is not None:
             coords = np.asarray(coords, dtype=np.float64)
@@ -116,6 +127,26 @@ class RoadNetwork:
         if pos < hi and self.indices[pos] == v:
             return float(self.weights[pos])
         raise GraphError(f"no edge between vertices {u} and {v}")
+
+    def path_weights(self, path: Sequence[int]) -> list[float]:
+        """Weights of the consecutive edges of ``path``, in order (one
+        vectorised lookup; each equals :meth:`edge_weight` of its pair).
+
+        Raises :class:`~repro.exceptions.GraphError` if an edge is absent.
+        """
+        vertices = np.asarray(path, dtype=np.int64)
+        if len(vertices) < 2:
+            return []
+        if vertices.min() < 0 or vertices.max() >= self.num_vertices:
+            raise GraphError(f"path {list(path)} references an unknown vertex")
+        keys = vertices[:-1] * self.num_vertices + vertices[1:]
+        pos = np.searchsorted(self._arc_keys, keys)
+        np.minimum(pos, len(self._arc_keys) - 1, out=pos)
+        found = self._arc_keys[pos] == keys
+        if not found.all():
+            i = int(np.argmin(found))
+            raise GraphError(f"no edge between vertices {path[i]} and {path[i + 1]}")
+        return self.weights[pos].tolist()
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether an edge ``(u, v)`` exists."""

@@ -6,7 +6,10 @@ import pytest
 
 from repro.core.kinetic.node import stop_latest_arrival
 from repro.core.kinetic.tree import KineticTree
+from repro.core.problem import SchedulingProblem
 from repro.core.request import TripRequest
+from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.matrix import MatrixEngine
 
 
 def drive_both(engine, seed, steps=5, capacity=4, wait=600.0, eps=0.5):
@@ -124,3 +127,44 @@ def test_slack_never_negative_on_committed_path(city_engine, make_request):
     for node in tree.committed:
         for stop, arrival in zip(node.stops, node.arrivals):
             assert stop_latest_arrival(stop, tree.onboard) - arrival >= -1e-6
+
+
+def spur_tree(mode, max_wait):
+    """Riders A (bound for vertex 5) and B (vertex 3) on board at vertex
+    0 of the line 0-1-2-3-4-5 (10 s per edge), with a spur 0-6. Both
+    visiting orders are valid and each root child's ∆ is 19.5 s. A new
+    rider waits at the spur: picking them up first delays either order
+    by 20 s, half a second more than ∆ allows, and every later pickup
+    position is reached at 70 s or later."""
+    edges = [(v, v + 1, 10.0) for v in range(5)] + [(0, 6, 10.0)]
+    engine = MatrixEngine(RoadNetwork(7, edges))
+    rider_a = TripRequest(1, 0, 5, 0.0, 60.0, 69.5 / 50.0 - 1.0, 50.0)
+    rider_b = TripRequest(2, 0, 3, 0.0, 60.0, 89.5 / 30.0 - 1.0, 30.0)
+    problem = SchedulingProblem(0, 0.0, {rider_a: 0.0, rider_b: 0.0}, (), None, 4)
+    tree = KineticTree.from_problem(engine, problem, mode=mode)
+    assert len(tree.children) == 2
+    assert [c.delta for c in tree.children] == pytest.approx([19.5, 19.5])
+    newcomer = TripRequest(3, 6, 0, 0.0, max_wait, 1.0, 10.0)
+    return tree, newcomer
+
+
+def test_screen_rejects_when_every_child_is_slack_blocked():
+    """Every root child is blocked by 0.5 s and the leaves are reached
+    at 110 s, past the 100 s pickup deadline: no descent at all."""
+    tree, newcomer = spur_tree("slack", max_wait=100.0)
+    assert tree.try_insert(newcomer, 0, 0.0) is None
+    assert tree._expansions == 0
+    basic, newcomer = spur_tree("basic", max_wait=100.0)
+    assert basic.try_insert(newcomer, 0, 0.0) is None
+    assert basic._expansions > 0
+
+
+def test_screen_keeps_a_vehicle_that_can_only_append():
+    """With a 200 s pickup deadline only appending after both dropoffs
+    survives the screen; the walk then finds exactly those schedules."""
+    tree, newcomer = spur_tree("slack", max_wait=200.0)
+    trial = tree.try_insert(newcomer, 0, 0.0)
+    assert trial is not None and trial.expansions > 0
+    assert trial.best_cost == pytest.approx(120.0)
+    basic, newcomer = spur_tree("basic", max_wait=200.0)
+    assert basic.try_insert(newcomer, 0, 0.0).best_cost == trial.best_cost

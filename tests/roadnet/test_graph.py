@@ -38,6 +38,19 @@ def test_edge_weight_missing_raises(square_graph):
         square_graph.edge_weight(1, 2)
 
 
+def test_path_weights_match_edge_weight(small_city, city_engine):
+    for source, target in [(0, 99), (37, 4), (58, 58)]:
+        path = city_engine.path(source, target)
+        expected = [small_city.edge_weight(u, v) for u, v in zip(path, path[1:])]
+        assert small_city.path_weights(path) == expected
+
+
+@pytest.mark.parametrize("path", [[0, 3, 1, 2], [3, 0, 4], [-1, 0], [3, 4]])
+def test_path_weights_missing_edge_raises(square_graph, path):
+    with pytest.raises(GraphError):
+        square_graph.path_weights(path)
+
+
 def test_has_edge(square_graph):
     assert square_graph.has_edge(0, 1)
     assert not square_graph.has_edge(1, 2)
